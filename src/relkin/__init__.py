@@ -7,182 +7,18 @@ a groupoid view of observer-to-observer velocities.  Everything works on
 plain component arrays against an explicit metric; no basis is preferred.
 """
 
-from .errors import (
-    DegenerateDenominatorError,
-    DegenerateEpochError,
-    DegenerateGammaError,
-    DegenerateLinkError,
-    DegenerateMetricError,
-    DegenerateSumError,
-    InternalConsistencyError,
-    MissingGeneratorError,
-    NotComposableError,
-    NotFutureDirectedError,
-    NotInStabilizerError,
-    NotIsomagnitudeError,
-    NotNullCaseError,
-    NotObservedError,
-    NotUnimodularError,
-    NotUnitTimelikeError,
-    NullVectorError,
-    OrthogonalPairError,
-    OutOfDomainError,
-    PreferredObserverMismatchError,
-    RelkinError,
-    ScenarioError,
-    SpaceMismatchError,
-    SuperluminalError,
-    ZeroMuError,
-)
-from .metric_core import (
-    Covector,
-    Endomorphism,
-    MetricSpace,
-    SimpleBivector,
-    Vector,
-    bivector_product,
-    contract,
-    idempotent_of,
-    lie_map,
-    maxabs,
-    orthogonal_presentation,
-    represent_sl2,
-    scalar_product,
-    trivector_maxabs,
-)
-from .isometry import (
-    Isometry,
-    covector_pair,
-    isometry_from_bivector,
-    isometry_residual,
-    minimal_poly_residual,
-    minimal_poly_residual_alt,
-    reflection,
-    stabilizer_element,
-)
-from .linker import (
-    LinkAdmissibility,
-    LinkProblem,
-    admissibility,
-    binary_velocity,
-    fahnline_boost,
-    gamma_of_link,
-    mu_scalar,
-    null_link_conditions,
-    p_link,
-    planar_link,
-    ternary_velocity,
-)
-from .kinematics import (
-    EventCoordinates,
-    Observer,
-    TransformResult,
-    Velocity3,
-    acceleration_transform,
-    boost,
-    coordinate_transform,
-    einstein_transform,
-    event_coordinates,
-    event_vector,
-    gamma,
-    negate,
-    urbantke_velocity,
-    velocity_add,
-    velocity_subtract,
-)
-from .groupoid import (
-    ObserverObject,
-    VelocityMorphism,
-    compare_with_isometric,
-    compose,
-    hom,
-)
-from .checks import NUMERICAL_FLOOR, PropertyResult, link_ray_scan, run_all
+from . import checks, errors, groupoid, isometry, kinematics, linker, metric_core
+from .errors import *  # noqa: F401,F403
+from .metric_core import *  # noqa: F401,F403
+from .isometry import *  # noqa: F401,F403
+from .linker import *  # noqa: F401,F403
+from .kinematics import *  # noqa: F401,F403
+from .groupoid import *  # noqa: F401,F403
+from .checks import *  # noqa: F401,F403
 from .scenario import Scenario
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Covector",
-    "DegenerateDenominatorError",
-    "DegenerateEpochError",
-    "DegenerateGammaError",
-    "DegenerateLinkError",
-    "DegenerateMetricError",
-    "Endomorphism",
-    "EventCoordinates",
-    "InternalConsistencyError",
-    "Isometry",
-    "LinkAdmissibility",
-    "LinkProblem",
-    "MetricSpace",
-    "MissingGeneratorError",
-    "NotComposableError",
-    "NotFutureDirectedError",
-    "NotInStabilizerError",
-    "NotIsomagnitudeError",
-    "NotNullCaseError",
-    "NotObservedError",
-    "NotUnimodularError",
-    "NotUnitTimelikeError",
-    "NullVectorError",
-    "NUMERICAL_FLOOR",
-    "Observer",
-    "ObserverObject",
-    "OrthogonalPairError",
-    "OutOfDomainError",
-    "PreferredObserverMismatchError",
-    "PropertyResult",
-    "RelkinError",
-    "Scenario",
-    "ScenarioError",
-    "SimpleBivector",
-    "SpaceMismatchError",
-    "SuperluminalError",
-    "TransformResult",
-    "Vector",
-    "Velocity3",
-    "VelocityMorphism",
-    "ZeroMuError",
-    "acceleration_transform",
-    "admissibility",
-    "binary_velocity",
-    "bivector_product",
-    "boost",
-    "compare_with_isometric",
-    "compose",
-    "contract",
-    "coordinate_transform",
-    "covector_pair",
-    "einstein_transform",
-    "event_coordinates",
-    "event_vector",
-    "fahnline_boost",
-    "gamma",
-    "gamma_of_link",
-    "hom",
-    "idempotent_of",
-    "isometry_from_bivector",
-    "isometry_residual",
-    "lie_map",
-    "link_ray_scan",
-    "maxabs",
-    "minimal_poly_residual",
-    "minimal_poly_residual_alt",
-    "mu_scalar",
-    "negate",
-    "null_link_conditions",
-    "orthogonal_presentation",
-    "p_link",
-    "planar_link",
-    "represent_sl2",
-    "reflection",
-    "run_all",
-    "scalar_product",
-    "stabilizer_element",
-    "ternary_velocity",
-    "trivector_maxabs",
-    "urbantke_velocity",
-    "velocity_add",
-    "velocity_subtract",
-]
+_MODULES = (errors, metric_core, isometry, linker, kinematics, groupoid, checks)
+
+__all__ = [name for module in _MODULES for name in module.__all__] + ["Scenario"]

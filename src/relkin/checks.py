@@ -6,11 +6,17 @@ spaces with the default construction tolerances; the configured ``tol_rel``
 only decides pass or fail.  A failure whose residual still sits below
 ``NUMERICAL_FLOOR`` is flagged tolerance-induced: it signals a tolerance
 tighter than double precision rather than a wrong formula.
+
+The properties form one ordered table, ``_PROPERTIES``.  Most rows give a
+per-draw body that :func:`_sweep` runs over a family of spaces; the few
+irregular properties give a whole-property body instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -61,456 +67,355 @@ class PropertyResult:
     passed: bool
     tolerance_induced: bool
     detail: dict = field(default_factory=dict)
+    id: int = 0
+
+
+# kind -> (fold over draws, start value, pass test against the tolerance).
+# A residual or a failure count stays within the tolerance, a bound stays
+# strictly below it, and a witness's smallest margin must exceed it.
+_KINDS = {
+    "residual": (max, 0.0, operator.le),
+    "count": (operator.add, 0.0, operator.le),
+    "bound": (max, 0.0, operator.lt),
+    "witness": (min, np.inf, operator.gt),
+}
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One property of the suite.
+
+    ``body(space, rng)`` returns one draw's value, ``None`` to skip the draw,
+    or, for rows with ``detail``, a pair whose second value is also reported
+    under that name.  A ``whole`` row's ``body(ctx, rng, judge)`` runs the
+    property itself and returns ``judge(samples, value, detail)``.
+    """
+
+    name: str
+    body: Callable
+    family: str = "all"
+    draws: Callable[[int], int] = lambda samples: samples
+    tol: float = 1e2  # multiple of tol_rel
+    fixed_tol: float | None = None  # absolute tolerance in place of ``tol``
+    kind: str = "residual"
+    detail: str | None = None
+    whole: bool = False
 
 
 @dataclass(frozen=True)
 class _Ctx:
     seed: int
     tol_rel: float
-    tol_abs: float
     samples: int
-    dims: tuple[int, ...]
-
-    def spaces(self):
-        for dim in self.dims:
-            for kind in SIGNATURES:
-                yield make_space(dim, kind)
+    families: dict
 
 
-def _residual_result(name, samples, residual, tolerance, detail=None) -> PropertyResult:
-    passed = residual <= tolerance
-    return PropertyResult(name, samples, float(residual), float(tolerance),
-                          passed, (not passed) and residual <= NUMERICAL_FLOOR,
-                          detail or {})
+def _quarter(samples):
+    return max(5, samples // 4)
 
 
-def _witness_result(name, samples, margin, threshold, detail=None) -> PropertyResult:
-    """For properties that must EXCEED a threshold (witnesses of inequality)."""
-    return PropertyResult(name, samples, float(margin), float(threshold),
-                          margin > threshold, False, detail or {})
+def _sweep(spaces, draws, rng, body, kind="residual"):
+    """Fold ``body(space, rng)`` over ``draws`` draws in each space.
 
-
-def _prop_scalar_symmetry(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
+    Returns the folded value, the folded second values of pair-valued bodies,
+    and the number of draws that were not skipped.
+    """
+    fold, first, _ = _KINDS[kind]
+    second = first
     n = 0
-    for space in ctx.spaces():
-        for _ in range(ctx.samples):
-            a = random_vector(space, rng)
-            b = random_vector(space, rng)
-            worst = max(worst, abs(scalar_product(a, b) - scalar_product(b, a)))
-            n += 1
-    return _residual_result("scalar-product-symmetry", n, worst, 0.0)
-
-
-def _prop_sl2_magnitude(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        for _ in range(ctx.samples):
-            b = random_admissible_bivector(space, rng)
-            a, bb, c = rng.normal(size=3)
-            e = (1.0 + bb * c) / a if abs(a) > 0.1 else None
-            if e is None or abs(e) > 10.0:
+    for space in spaces:
+        for _ in range(draws):
+            value = body(space, rng)
+            if value is None:
                 continue
-            b2 = represent_sl2(b, a, bb, c, e)
-            m1, m2 = b.square(), b2.square()
-            worst = max(worst, abs(m1 - m2) / max(1.0, abs(m1)))
+            if isinstance(value, tuple):
+                value, extra = value
+                second = fold(second, extra)
+            first = fold(first, value)
             n += 1
-    return _residual_result("presentation-magnitude-invariance", n, worst,
-                            1e2 * ctx.tol_rel)
+    return first, second, n
 
 
-def _prop_contract_identity(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    worst = 0.0
-    for _ in range(ctx.samples):
-        p = random_observer(space, rng)
-        c = float(rng.uniform(0.5, 3.0))
-        v = random_observed_velocity(p, rng, c)
-        u = random_vector(space, rng)
-        g = kin.gamma(v)
-        lhs = scalar_product(v.vector, u) * v.vector
-        rhs = (contract(v.vector, SimpleBivector(u, v.vector))
-               + (c * c) * (1.0 - 1.0 / (g * g)) * u)
-        worst = max(worst, maxabs(lhs.components - rhs.components))
-    return _residual_result("contraction-identity", ctx.samples, worst,
-                            1e2 * ctx.tol_rel)
+def _gap(a, b):
+    """Max-abs distance between the components of two vectors."""
+    return maxabs(a.components - b.components)
 
 
-def _prop_idempotent(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        for _ in range(ctx.samples):
-            p = random_nonnull_vector(space, rng)
-            proj = idempotent_of(p)
-            worst = max(worst,
-                        maxabs((proj @ proj).entries - proj.entries),
-                        abs(proj.trace() - 1.0))
-            n += 1
-    return _residual_result("idempotent-laws", n, worst, 1e2 * ctx.tol_rel)
+def _relative_gap(a, target):
+    return _gap(a, target) / max(1.0, maxabs(target.components))
 
 
-def _prop_lie_skew(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        for _ in range(ctx.samples):
-            b = random_admissible_bivector(space, rng)
-            m = lie_map(b).entries
-            gm = space.g @ m
-            worst = max(worst, maxabs(gm + gm.T), abs(np.trace(m)))
-            n += 1
-    return _residual_result("generator-skewness", n, worst, 1e2 * ctx.tol_rel)
+def _identity_gap(first, second):
+    """Max-abs distance of ``first`` after ``second`` from the identity."""
+    return maxabs((first.mapping @ second.mapping).entries
+                  - np.eye(first.mapping.entries.shape[0]))
 
 
-def _prop_isometry_residual(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    pair_worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        for _ in range(ctx.samples):
-            b = random_admissible_bivector(space, rng)
-            op = iso.isometry_from_bivector(b)
-            worst = max(worst, iso.isometry_residual(op.mapping))
-            u = random_vector(space, rng)
-            v = random_vector(space, rng)
-            pair_worst = max(pair_worst, abs(
-                scalar_product(op.apply(u), op.apply(v)) - scalar_product(u, v)))
-            n += 1
-    return _residual_result("isometry-check", n, max(worst, pair_worst),
-                            ctx.tol_rel, {"pair_residual": pair_worst})
+def _observed(space, rng):
+    """An observer, a speed ceiling c and a velocity the observer sees."""
+    p = random_observer(space, rng)
+    c = float(rng.uniform(0.5, 3.0))
+    return p, c, random_observed_velocity(p, rng, c)
 
 
-def _prop_isometry_inverse(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        eye = np.eye(space.dim)
-        for _ in range(ctx.samples):
-            b = random_admissible_bivector(space, rng)
-            fwd = iso.isometry_from_bivector(b)
-            back = iso.isometry_from_bivector(b.reversed())
-            worst = max(worst, maxabs((fwd.mapping @ back.mapping).entries - eye))
-            n += 1
-    return _residual_result("inverse-law", n, worst, 10.0 * ctx.tol_rel)
+def _rest(space):
+    return kin.Observer(space.vector([1.0, 0.0, 0.0, 0.0]))
 
 
-def _prop_presentation_independence(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        for _ in range(ctx.samples):
-            b = random_admissible_bivector(space, rng)
-            a, bb, c = rng.normal(size=3)
-            if abs(a) < 0.1:
-                continue
-            e = (1.0 + bb * c) / a
-            if abs(e) > 10.0:
-                continue
-            op1 = iso.isometry_from_bivector(b)
-            op2 = iso.isometry_from_bivector(represent_sl2(b, a, bb, c, e))
-            worst = max(worst, op1.distance(op2))
-            n += 1
-    return _residual_result("presentation-independence", n, worst,
-                            1e2 * ctx.tol_rel)
+def _associator(a, b, c):
+    left = kin.velocity_add(kin.velocity_add(a, b), c).vector
+    return _gap(left, kin.velocity_add(a, kin.velocity_add(b, c)).vector)
 
 
-def _prop_action_formulas(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        for _ in range(ctx.samples):
-            b = random_admissible_bivector(space, rng)
-            p, q = b.first, b.second
-            op = iso.isometry_from_bivector(b)
-            gam = op.gamma
-            pq = scalar_product(p, q)
-            m2 = b.square()
-            lp = (1.0 + pq - m2 / (gam + 1.0)) * p - p.square() * q
-            lq = (1.0 - pq - m2 / (gam + 1.0)) * q + q.square() * p
-            worst = max(worst,
-                        maxabs(op.apply(p).components - lp.components),
-                        maxabs(op.apply(q).components - lq.components))
-            n += 1
-    return _residual_result("action-formulas", n, worst, 1e2 * ctx.tol_rel)
+def _sl2_draw(b, rng):
+    """Another presentation of ``b``, or None when the draw is ill-conditioned."""
+    a, bb, c = rng.normal(size=3)
+    if abs(a) < 0.1:
+        return None
+    e = (1.0 + bb * c) / a
+    if abs(e) > 10.0:
+        return None
+    return represent_sl2(b, a, bb, c, e)
 
 
-def _prop_reflection(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        eye = np.eye(space.dim)
-        for _ in range(ctx.samples):
-            p = random_nonnull_vector(space, rng)
-            ref = iso.reflection(p)
-            worst = max(worst,
-                        maxabs((ref.mapping @ ref.mapping).entries - eye),
-                        maxabs(ref.apply(p).components + p.components)
-                        / max(1.0, maxabs(p.components)))
-            n += 1
-    return _residual_result("reflection-involution", n, worst, 1e2 * ctx.tol_rel)
+def _scalar_symmetry(space, rng):
+    a = random_vector(space, rng)
+    b = random_vector(space, rng)
+    return abs(scalar_product(a, b) - scalar_product(b, a))
 
 
-def _prop_reflection_link(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        for _ in range(ctx.samples):
-            problem = random_link_triple(space, rng)
-            r, s = problem.R, problem.S
-            ref = iso.reflection(r - s)
-            worst = max(worst, maxabs(ref.apply(r).components - s.components)
-                        / max(1.0, maxabs(s.components)))
-            n += 1
-    return _residual_result("difference-reflection-link", n, worst,
-                            1e2 * ctx.tol_rel)
+def _sl2_magnitude(space, rng):
+    b = random_admissible_bivector(space, rng)
+    b2 = _sl2_draw(b, rng)
+    if b2 is None:
+        return None
+    m1, m2 = b.square(), b2.square()
+    return abs(m1 - m2) / max(1.0, abs(m1))
 
 
-def _rotation_fixture():
+def _contract_identity(space, rng):
+    _, c, v = _observed(space, rng)
+    u = random_vector(space, rng)
+    g = kin.gamma(v)
+    lhs = scalar_product(v.vector, u) * v.vector
+    rhs = (contract(v.vector, SimpleBivector(u, v.vector))
+           + (c * c) * (1.0 - 1.0 / (g * g)) * u)
+    return _gap(lhs, rhs)
+
+
+def _idempotent(space, rng):
+    proj = idempotent_of(random_nonnull_vector(space, rng))
+    return max(maxabs((proj @ proj).entries - proj.entries),
+               abs(proj.trace() - 1.0))
+
+
+def _lie_skew(space, rng):
+    m = lie_map(random_admissible_bivector(space, rng)).entries
+    gm = space.g @ m
+    return max(maxabs(gm + gm.T), abs(np.trace(m)))
+
+
+def _isometry_residual(space, rng):
+    op = iso.isometry_from_bivector(random_admissible_bivector(space, rng))
+    u = random_vector(space, rng)
+    v = random_vector(space, rng)
+    return (iso.isometry_residual(op.mapping),
+            abs(scalar_product(op.apply(u), op.apply(v)) - scalar_product(u, v)))
+
+
+def _isometry_inverse(space, rng):
+    b = random_admissible_bivector(space, rng)
+    return _identity_gap(iso.isometry_from_bivector(b),
+                         iso.isometry_from_bivector(b.reversed()))
+
+
+def _presentation_independence(space, rng):
+    b = random_admissible_bivector(space, rng)
+    b2 = _sl2_draw(b, rng)
+    if b2 is None:
+        return None
+    return iso.isometry_from_bivector(b).distance(iso.isometry_from_bivector(b2))
+
+
+def _action_formulas(space, rng):
+    b = random_admissible_bivector(space, rng)
+    p, q = b.first, b.second
+    op = iso.isometry_from_bivector(b)
+    gam = op.gamma
+    pq = scalar_product(p, q)
+    m2 = b.square()
+    lp = (1.0 + pq - m2 / (gam + 1.0)) * p - p.square() * q
+    lq = (1.0 - pq - m2 / (gam + 1.0)) * q + q.square() * p
+    return max(_gap(op.apply(p), lp), _gap(op.apply(q), lq))
+
+
+def _reflection(space, rng):
+    p = random_nonnull_vector(space, rng)
+    ref = iso.reflection(p)
+    return max(_identity_gap(ref, ref), _relative_gap(ref.apply(p), -p))
+
+
+def _reflection_link(space, rng):
+    problem = random_link_triple(space, rng)
+    r, s = problem.R, problem.S
+    return _relative_gap(iso.reflection(r - s).apply(r), s)
+
+
+def _annihilating_cubic(ctx, rng, judge):
+    def sample(space, rng):
+        op = iso.isometry_from_bivector(random_admissible_bivector(space, rng))
+        return iso.minimal_poly_residual(op)
+
+    worst, _, n = _sweep(ctx.families["all"], ctx.samples, rng, sample)
     space = make_space(2, "euclidean")
-    return iso.isometry_from_bivector(
+    fixture = iso.isometry_from_bivector(
         SimpleBivector(space.vector([1.0, 0.0]), space.vector([0.0, 0.6])))
-
-
-def _prop_minimal_poly(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        for _ in range(ctx.samples):
-            op = iso.isometry_from_bivector(random_admissible_bivector(space, rng))
-            worst = max(worst, iso.minimal_poly_residual(op))
-            n += 1
-    fixture = _rotation_fixture()
     res_main = iso.minimal_poly_residual(fixture)
     res_alt = iso.minimal_poly_residual_alt(fixture)
-    detail = {"fixture_residual": res_main, "fixture_residual_alt": res_alt}
-    result = _residual_result("annihilating-cubic", n, worst,
-                              1e2 * ctx.tol_rel, detail)
+    result = judge(n, worst, {"fixture_residual": res_main,
+                              "fixture_residual_alt": res_alt})
     # The variant factor must visibly fail on the rotation fixture.
     if res_alt <= 1e-3:
-        return PropertyResult(result.name, result.samples, result.max_residual,
-                              result.tolerance, False, False, detail)
+        return replace(result, passed=False, tolerance_induced=False)
     return result
 
 
-def _prop_covector_reconstruction(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        eye = np.eye(space.dim)
-        for _ in range(ctx.samples):
-            b = random_admissible_bivector(space, rng)
-            alpha, beta = iso.covector_pair(b)
-            rebuilt = (eye
-                       - np.outer(b.first.components, alpha.components)
-                       - np.outer(b.second.components, beta.components))
-            op = iso.isometry_from_bivector(b)
-            worst = max(worst, maxabs(rebuilt - op.mapping.entries))
-            n += 1
-    return _residual_result("covector-reconstruction", n, worst,
-                            1e2 * ctx.tol_rel)
+def _covector_reconstruction(space, rng):
+    b = random_admissible_bivector(space, rng)
+    alpha, beta = iso.covector_pair(b)
+    rebuilt = (np.eye(space.dim)
+               - np.outer(b.first.components, alpha.components)
+               - np.outer(b.second.components, beta.components))
+    return maxabs(rebuilt - iso.isometry_from_bivector(b).mapping.entries)
 
 
-def _prop_stabilizer_dressing(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        if space.dim < 3:
-            # A one-dimensional orthogonal complement carries no bivector.
-            continue
-        for _ in range(ctx.samples):
-            problem = random_link_triple(space, rng)
-            r, s = problem.R, problem.S
-            if r.is_null(1e-3) or s.is_null(1e-3):
-                continue
-            link = lnk.p_link(problem)
-            kr = iso.stabilizer_element(r, random_stabilizer_bivector(r, rng))
-            ks = iso.stabilizer_element(s, random_stabilizer_bivector(s, rng))
-            dressed = ks.compose(link).compose(kr)
-            worst = max(worst, maxabs(dressed.apply(r).components - s.components)
-                        / max(1.0, maxabs(s.components)))
-            n += 1
-    return _residual_result("stabilizer-dressing", n, worst, 1e2 * ctx.tol_rel)
+def _stabilizer_dressing(space, rng):
+    problem = random_link_triple(space, rng)
+    r, s = problem.R, problem.S
+    if r.is_null(1e-3) or s.is_null(1e-3):
+        return None
+    link = lnk.p_link(problem)
+    kr = iso.stabilizer_element(r, random_stabilizer_bivector(r, rng))
+    ks = iso.stabilizer_element(s, random_stabilizer_bivector(s, rng))
+    return _relative_gap(ks.compose(link).compose(kr).apply(r), s)
 
 
-def _prop_link_solves(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    action_worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        for _ in range(ctx.samples):
-            problem = random_link_triple(space, rng)
-            r, s, p = problem.R, problem.S, problem.P
-            link = lnk.p_link(problem)
-            scale = max(1.0, maxabs(s.components))
-            worst = max(worst, maxabs(link.apply(r).components - s.components) / scale)
-            mu = lnk.mu_scalar(problem)
-            mps = mu * scalar_product(p, s)
-            ls = (2.0 * mps * s + (1.0 - 2.0 * mps) * r
-                  - (r - s).square() * mu * p)
-            action_worst = max(action_worst,
-                               maxabs(link.apply(s).components - ls.components)
-                               / max(1.0, maxabs(ls.components)))
-            n += 1
-    return _residual_result("link-solves", n, max(worst, action_worst),
-                            ctx.tol_rel, {"target_action_residual": action_worst})
+def _link_solves(space, rng):
+    problem = random_link_triple(space, rng)
+    r, s, p = problem.R, problem.S, problem.P
+    link = lnk.p_link(problem)
+    solved = _relative_gap(link.apply(r), s)
+    mu = lnk.mu_scalar(problem)
+    mps = mu * scalar_product(p, s)
+    ls = 2.0 * mps * s + (1.0 - 2.0 * mps) * r - (r - s).square() * mu * p
+    return solved, _relative_gap(link.apply(s), ls)
 
 
-def _prop_link_pure(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        eye = np.eye(space.dim)
-        for _ in range(ctx.samples):
-            r = random_nonnull_vector(space, rng)
-            p = random_vector(space, rng)
-            link = lnk.p_link(lnk.LinkProblem(r, r, p))
-            worst = max(worst, maxabs(link.mapping.entries - eye))
-            n += 1
-    return _residual_result("pure-link-identity", n, worst, 0.0)
+def _link_pure(space, rng):
+    r = random_nonnull_vector(space, rng)
+    p = random_vector(space, rng)
+    link = lnk.p_link(lnk.LinkProblem(r, r, p))
+    return maxabs(link.mapping.entries - np.eye(space.dim))
 
 
-def _prop_planar_collapse(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        for _ in range(ctx.samples):
-            problem = random_link_triple(space, rng)
-            r, s = problem.R, problem.S
-            if r.is_null(1e-3) or s.is_null(1e-3):
-                continue
-            if abs((r + s).square()) < 1e-3:
-                continue
-            planar = lnk.planar_link(r, s)
-            a, b = rng.normal(size=2)
-            p = a * r + b * s
-            candidate = lnk.LinkProblem(r, s, p)
-            flags = lnk.admissibility(candidate)
-            if not (flags.generic and flags.p_transversal):
-                continue
-            if abs(scalar_product(p, r + s)) < 1e-2 or abs(flags.denominator) < 1e-2:
-                continue
-            worst = max(worst, lnk.p_link(candidate).distance(planar))
-            n += 1
-    return _residual_result("planar-ray-collapse", n, worst, 1e2 * ctx.tol_rel)
+def _planar_collapse(space, rng):
+    problem = random_link_triple(space, rng)
+    r, s = problem.R, problem.S
+    if r.is_null(1e-3) or s.is_null(1e-3) or abs((r + s).square()) < 1e-3:
+        return None
+    planar = lnk.planar_link(r, s)
+    a, b = rng.normal(size=2)
+    p = a * r + b * s
+    candidate = lnk.LinkProblem(r, s, p)
+    flags = lnk.admissibility(candidate)
+    if not (flags.generic and flags.p_transversal):
+        return None
+    if abs(scalar_product(p, r + s)) < 1e-2 or abs(flags.denominator) < 1e-2:
+        return None
+    return lnk.p_link(candidate).distance(planar)
 
 
-def _prop_nonuniqueness(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
+def _nonuniqueness(ctx, rng, judge):
+    space = ctx.families["mink4"][0]
     r = space.vector([1.0, 0.0, 0.0, 0.0])
     s = space.vector([1.25, 0.75, 0.0, 0.0])
     scan = link_ray_scan(r, s, seed=ctx.seed, n_general=100, n_planar=10)
     ok = (scan["distinct_links"] >= 99
           and scan["pair_fraction_above_cut"] >= 0.99
           and scan["planar_cluster"] == 1)
-    return PropertyResult("link-nonuniqueness", 100,
-                          float(scan["distinct_links"]), 99.0, bool(ok), False,
-                          {k: scan[k] for k in ("distinct_links", "planar_cluster",
-                                                "pair_fraction_above_cut",
-                                                "gamma_min", "gamma_max")})
+    result = judge(100, scan["distinct_links"],
+                   {k: scan[k] for k in ("distinct_links", "planar_cluster",
+                                         "pair_fraction_above_cut",
+                                         "gamma_min", "gamma_max")})
+    return replace(result, passed=bool(ok))
 
 
-def _prop_magnitude_separation(ctx: _Ctx, rng) -> PropertyResult:
-    n = 0
-    failures = 0
-    for space in ctx.spaces():
-        for _ in range(max(5, ctx.samples // 4)):
-            r = random_nonnull_vector(space, rng)
-            s = random_nonnull_vector(space, rng)
-            if abs(r.square() - s.square()) < 1e-3 * max(1.0, abs(r.square())):
-                continue
-            try:
-                lnk.LinkProblem(r, s, random_vector(space, rng))
-                failures += 1
-            except NotIsomagnitudeError:
-                pass
-            n += 1
-    return _residual_result("magnitude-separation", n, float(failures), 0.0)
+def _magnitude_separation(space, rng):
+    r = random_nonnull_vector(space, rng)
+    s = random_nonnull_vector(space, rng)
+    if abs(r.square() - s.square()) < 1e-3 * max(1.0, abs(r.square())):
+        return None
+    try:
+        lnk.LinkProblem(r, s, random_vector(space, rng))
+    except NotIsomagnitudeError:
+        return 0.0
+    return 1.0
 
 
-def _prop_reciprocal_presentation(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        for _ in range(ctx.samples):
-            problem = random_link_triple(space, rng)
-            r, s, p = problem.R, problem.S, problem.P
-            d = r - s
-            if p.is_null(1e-3) or abs(d.square()) < 1e-3:
-                continue
-            mu = lnk.mu_scalar(problem)
-            lhs = SimpleBivector(mu * p, d)
-            reflected = p - (scalar_product(d, p) / d.square()) * d
-            rhs = SimpleBivector(mu * reflected, d)
-            worst = max(worst, maxabs(lhs.components() - rhs.components())
-                        / max(1.0, maxabs(lhs.components())))
-            proj = idempotent_of(p)
-            rest = d - proj.apply(d)
-            wedge2 = bivector_product(SimpleBivector(p, d), SimpleBivector(p, d))
-            worst = max(worst, abs(rest.square() - wedge2 / p.square())
-                        / max(1.0, abs(wedge2)))
-            n += 1
-    return _residual_result("reciprocal-presentation", n, worst, 1e2 * ctx.tol_rel)
+def _reciprocal_presentation(space, rng):
+    problem = random_link_triple(space, rng)
+    r, s, p = problem.R, problem.S, problem.P
+    d = r - s
+    if p.is_null(1e-3) or abs(d.square()) < 1e-3:
+        return None
+    mu = lnk.mu_scalar(problem)
+    lhs = SimpleBivector(mu * p, d)
+    reflected = p - (scalar_product(d, p) / d.square()) * d
+    rhs = SimpleBivector(mu * reflected, d)
+    rest = d - idempotent_of(p).apply(d)
+    wedge2 = bivector_product(SimpleBivector(p, d), SimpleBivector(p, d))
+    return max(maxabs(lhs.components() - rhs.components())
+               / max(1.0, maxabs(lhs.components())),
+               abs(rest.square() - wedge2 / p.square()) / max(1.0, abs(wedge2)))
 
 
-def _prop_gamma_formula(ctx: _Ctx, rng) -> PropertyResult:
-    worst = 0.0
-    n = 0
-    for space in ctx.spaces():
-        for _ in range(ctx.samples):
-            problem = random_link_triple(space, rng)
-            link = lnk.p_link(problem)
-            worst = max(worst, abs(lnk.gamma_of_link(problem) - abs(link.gamma)))
-            n += 1
-    space = make_space(4, "lorentzian")
-    for _ in range(ctx.samples):
+def _gamma_formula(ctx, rng, judge):
+    def triple(space, rng):
+        problem = random_link_triple(space, rng)
+        link = lnk.p_link(problem)
+        return abs(lnk.gamma_of_link(problem) - abs(link.gamma))
+
+    def observers(space, rng):
         p = random_observer(space, rng)
         q = random_observer(space, rng)
-        if maxabs(p.vector.components - q.vector.components) < 1e-3:
-            continue
+        if _gap(p.vector, q.vector) < 1e-3:
+            return None
         problem = lnk.LinkProblem(p.vector, q.vector)
-        worst = max(worst, abs(lnk.gamma_of_link(problem)
-                               - abs(scalar_product(p.vector, q.vector))))
-        n += 1
-    return _residual_result("gamma-of-link", n, worst, 1e2 * ctx.tol_rel)
+        return abs(lnk.gamma_of_link(problem)
+                   - abs(scalar_product(p.vector, q.vector)))
+
+    links, _, n_links = _sweep(ctx.families["all"], ctx.samples, rng, triple)
+    obs, _, n_obs = _sweep(ctx.families["mink4"], ctx.samples, rng, observers)
+    return judge(n_links + n_obs, max(links, obs))
 
 
-def _prop_boost_reciprocity(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    eye = np.eye(4)
-    worst = 0.0
-    for _ in range(ctx.samples):
-        p = random_observer(space, rng)
-        c = float(rng.uniform(0.5, 3.0))
-        v = random_observed_velocity(p, rng, c)
-        fwd = kin.boost(p, v)
-        back = kin.boost(p, kin.negate(v))
-        worst = max(worst, maxabs((fwd.mapping @ back.mapping).entries - eye))
-    return _residual_result("boost-reciprocity", ctx.samples, worst,
-                            1e2 * ctx.tol_rel)
+def _boost_reciprocity(space, rng):
+    p, _, v = _observed(space, rng)
+    return _identity_gap(kin.boost(p, v), kin.boost(p, kin.negate(v)))
 
 
-def _prop_boost_generator(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    worst = 0.0
-    for _ in range(ctx.samples):
-        p = random_observer(space, rng)
-        c = float(rng.uniform(0.5, 3.0))
-        v = random_observed_velocity(p, rng, c)
-        op = kin.boost(p, v)
-        gam = kin.gamma(v)
-        vbar = (gam / c) * v.vector
-        generated = iso.isometry_from_bivector(SimpleBivector(p.vector, vbar))
-        target = gam * (p.vector + (1.0 / c) * v.vector)
-        worst = max(worst, op.distance(generated),
-                    maxabs(op.apply(p.vector).components - target.components))
-    return _residual_result("boost-from-generator", ctx.samples, worst,
-                            1e2 * ctx.tol_rel)
+def _boost_generator(space, rng):
+    p, c, v = _observed(space, rng)
+    op = kin.boost(p, v)
+    gam = kin.gamma(v)
+    vbar = (gam / c) * v.vector
+    generated = iso.isometry_from_bivector(SimpleBivector(p.vector, vbar))
+    target = gam * (p.vector + (1.0 / c) * v.vector)
+    return max(op.distance(generated), _gap(op.apply(p.vector), target))
 
 
-def _prop_observer_family(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
+def _observer_family(ctx, rng, judge):
+    space = ctx.families["mink4"][0]
     c = 1.0
     base = random_observer(space, rng)
     v = random_observed_velocity(base, rng, c)
@@ -528,362 +433,296 @@ def _prop_observer_family(ctx: _Ctx, rng) -> PropertyResult:
             ys.append((1.0 / np.sqrt(abs(cand.square()))) * cand)
         if len(ys) == 2:
             break
-    worst = 0.0
-    n = 0
-    for chi in np.linspace(0.0, 1.2, 5):
-        for phi in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
-            direction = float(np.cos(phi)) * ys[0] + float(np.sin(phi)) * ys[1]
-            cand = float(np.cosh(chi)) * t_hat + float(np.sinh(chi)) * direction
-            if cand.components[0] < 0.0:
-                cand = -cand
-            p = kin.Observer(cand)
-            vel = kin.Velocity3(vv, p, c)
-            op = kin.boost(p, vel)
-            gam = kin.gamma(vel)
-            target = gam * (p.vector + (1.0 / c) * vv)
-            worst = max(worst, maxabs(op.apply(p.vector).components
-                                      - target.components))
-            n += 1
-    return _residual_result("observer-family", n, worst, 1e2 * ctx.tol_rel)
+
+    def residual(chi, phi):
+        direction = float(np.cos(phi)) * ys[0] + float(np.sin(phi)) * ys[1]
+        cand = float(np.cosh(chi)) * t_hat + float(np.sinh(chi)) * direction
+        if cand.components[0] < 0.0:
+            cand = -cand
+        p = kin.Observer(cand)
+        vel = kin.Velocity3(vv, p, c)
+        op = kin.boost(p, vel)
+        return _gap(op.apply(p.vector), kin.gamma(vel) * (p.vector + (1.0 / c) * vv))
+
+    residuals = [residual(chi, phi) for chi in np.linspace(0.0, 1.2, 5)
+                 for phi in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)]
+    return judge(len(residuals), max(0.0, *residuals))
 
 
-def _prop_interval_invariance(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    worst = 0.0
-    for _ in range(ctx.samples):
+def _interval_invariance(space, rng):
+    r = random_observer(space, rng)
+    p, c, v = _observed(space, rng)
+    e = random_vector(space, rng, scale=2.0)
+    res = kin.coordinate_transform(r, p, v, e)
+    before = -(c * c) * (-scalar_product(r.vector, e) / c) ** 2 \
+        + r.rest_projection(e).square()
+    after = -(c * c) * res.t_prime ** 2 + res.x_prime.square()
+    return abs(before - after) / max(1.0, abs(before))
+
+
+def _transform_cross_check(ctx, rng, judge):
+    def against_boost(space, rng):
         r = random_observer(space, rng)
-        p = random_observer(space, rng)
-        c = float(rng.uniform(0.5, 3.0))
-        v = random_observed_velocity(p, rng, c)
-        e = random_vector(space, rng, scale=2.0)
-        res = kin.coordinate_transform(r, p, v, e)
-        before = -(c * c) * (-scalar_product(r.vector, e) / c) ** 2 \
-            + r.rest_projection(e).square()
-        after = -(c * c) * res.t_prime ** 2 + res.x_prime.square()
-        worst = max(worst, abs(before - after) / max(1.0, abs(before)))
-    return _residual_result("interval-invariance", ctx.samples, worst,
-                            1e2 * ctx.tol_rel)
-
-
-def _prop_transform_cross_check(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    worst = 0.0
-    for _ in range(ctx.samples):
-        r = random_observer(space, rng)
-        p = random_observer(space, rng)
-        c = float(rng.uniform(0.5, 3.0))
-        v = random_observed_velocity(p, rng, c)
+        p, c, v = _observed(space, rng)
         e = random_vector(space, rng, scale=2.0)
         res = kin.coordinate_transform(r, p, v, e)
         moved = kin.boost(p, kin.negate(v)).apply(e)
         ct_ref = -scalar_product(r.vector, moved)
-        x_ref = r.rest_projection(moved)
-        worst = max(worst, abs(res.t_prime - ct_ref / c),
-                    maxabs(res.x_prime.components - x_ref.components))
-    for _ in range(ctx.samples):
-        r = random_observer(space, rng)
-        c = float(rng.uniform(0.5, 3.0))
-        v = random_observed_velocity(r, rng, c)
+        return max(abs(res.t_prime - ct_ref / c),
+                   _gap(res.x_prime, r.rest_projection(moved)))
+
+    def against_einstein(space, rng):
+        r, c, v = _observed(space, rng)
         e = random_vector(space, rng, scale=2.0)
         res = kin.coordinate_transform(r, r, v, e)
         t_e, x_e = kin.einstein_transform(r, v, e)
-        worst = max(worst, abs(res.t_prime - t_e),
-                    maxabs(res.x_prime.components - x_e.components))
+        worst = max(abs(res.t_prime - t_e), _gap(res.x_prime, x_e))
         coords = kin.event_coordinates(r, e, c)
         if abs(coords.t + t_e) > 1e-3:
             recovered = kin.urbantke_velocity(coords.t, coords.x, t_e, x_e, c)
-            worst = max(worst, maxabs(recovered.components - v.vector.components))
-    return _residual_result("transform-cross-check", 2 * ctx.samples, worst,
-                            1e3 * ctx.tol_rel)
+            worst = max(worst, _gap(recovered, v.vector))
+        return worst
+
+    mink4 = ctx.families["mink4"]
+    boosted, _, n_boost = _sweep(mink4, ctx.samples, rng, against_boost)
+    einstein, _, n_einstein = _sweep(mink4, ctx.samples, rng, against_einstein)
+    return judge(n_boost + n_einstein, max(boosted, einstein))
 
 
-def _prop_lightspeed_closure(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    worst = 0.0
-    for _ in range(100):
-        p = random_observer(space, rng)
-        c = float(rng.uniform(0.5, 3.0))
-        v = random_observed_velocity(p, rng, c)
-        ray = random_observed_velocity(p, rng, c, beta_min=0.5)
-        n_hat = (c / ray.speed()) * ray.vector
-        photon = kin.Velocity3(n_hat, p, c, luminal=True)
-        total = kin.velocity_add(photon, v)
-        worst = max(worst, abs(total.speed() - c) / c)
-    return _residual_result("light-speed-closure", 100, worst, ctx.tol_rel)
+def _lightspeed_closure(space, rng):
+    p, c, v = _observed(space, rng)
+    ray = random_observed_velocity(p, rng, c, beta_min=0.5)
+    photon = kin.Velocity3((c / ray.speed()) * ray.vector, p, c, luminal=True)
+    return abs(kin.velocity_add(photon, v).speed() - c) / c
 
 
-def _orthogonal_triple(space, c=1.0):
-    obs = kin.Observer(space.vector([1.0, 0.0, 0.0, 0.0]))
-    mk = lambda comps: kin.Velocity3(space.vector(comps), obs, c)
-    return (mk([0.0, 0.5 * c, 0.0, 0.0]),
-            mk([0.0, 0.0, 0.5 * c, 0.0]),
-            mk([0.0, 0.0, 0.0, 0.5 * c]))
+def _nonassociativity(ctx, rng, judge):
+    space = ctx.families["mink4"][0]
+    obs = _rest(space)
+    u, v, w = [kin.Velocity3(space.vector(comps), obs, 1.0)
+               for comps in ([0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0],
+                             [0.0, 0.0, 0.0, 0.5])]
 
-
-def _prop_nonassociativity(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    obs = kin.Observer(space.vector([1.0, 0.0, 0.0, 0.0]))
-    u, v, w = _orthogonal_triple(space)
-
-    def associator(a, b, cc):
-        left = kin.velocity_add(kin.velocity_add(a, b), cc).vector
-        right = kin.velocity_add(a, kin.velocity_add(b, cc)).vector
-        return maxabs(left.components - right.components)
-
-    def order_gap(a, b):
-        return maxabs(kin.velocity_add(a, b).vector.components
-                      - kin.velocity_add(b, a).vector.components)
-
-    # A mutually orthogonal triple composes associatively: the rotation
-    # induced by the first two legs acts trivially out of their plane.  The
-    # working witness keeps the third leg inside that plane.
-    orthogonal_associator = associator(u, v, w)
-    smallest_order = np.inf
-    smallest_assoc = np.inf
-    for _ in range(100):
+    def rotated(space, rng):
         # Random spatial rotation of the whole configuration.
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         rot = np.eye(4)
         rot[1:, 1:] = q
-        a, b, cc = [kin.Velocity3(space.vector(rot @ x.vector.components),
-                                  obs, 1.0) for x in (u, v, u)]
-        smallest_assoc = min(smallest_assoc, associator(a, b, cc))
-        ta, tb = [kin.Velocity3(space.vector(rot @ x.vector.components),
-                                obs, 1.0) for x in (u, v)]
-        smallest_order = min(smallest_order, order_gap(ta, tb))
-    margin = min(smallest_order, smallest_assoc)
-    return _witness_result(
-        "addition-order-dependence", 100, float(margin), 0.005,
-        {"orthogonal_triple_associator": orthogonal_associator,
-         "in_plane_associator_min": float(smallest_assoc),
-         "order_discrepancy_min": float(smallest_order)})
+        a, b = [kin.Velocity3(space.vector(rot @ x.vector.components), obs, 1.0)
+                for x in (u, v)]
+        return (_associator(a, b, a),
+                _gap(kin.velocity_add(a, b).vector, kin.velocity_add(b, a).vector))
+
+    # A mutually orthogonal triple composes associatively: the rotation
+    # induced by the first two legs acts trivially out of their plane.  The
+    # working witness keeps the third leg inside that plane.
+    orthogonal_associator = _associator(u, v, w)
+    assoc, order, n = _sweep((space,), 100, rng, rotated, "witness")
+    return judge(n, min(order, assoc),
+                 {"orthogonal_triple_associator": orthogonal_associator,
+                  "in_plane_associator_min": float(assoc),
+                  "order_discrepancy_min": float(order)})
 
 
-def _prop_collinear_associativity(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    obs = kin.Observer(space.vector([1.0, 0.0, 0.0, 0.0]))
-    worst = 0.0
-    n = 0
-    for _ in range(ctx.samples):
-        axis = rng.normal(size=3)
-        axis = axis / np.linalg.norm(axis)
-        betas = rng.uniform(-0.9, 0.9, size=3)
-        a, b, cc = [kin.Velocity3(
-            space.vector(np.concatenate(([0.0], beta * axis))), obs, 1.0)
-            for beta in betas]
-        left = kin.velocity_add(kin.velocity_add(a, b), cc).vector
-        right = kin.velocity_add(a, kin.velocity_add(b, cc)).vector
-        worst = max(worst, maxabs(left.components - right.components))
-        n += 1
-    return _residual_result("collinear-associativity", n, worst, 1e-12)
+def _thomas_composition(space, rng):
+    p = random_observer(space, rng)
+    v1 = random_observed_velocity(p, rng, 1.0, beta_min=0.3)
+    v2 = random_observed_velocity(p, rng, 1.0, beta_min=0.3)
+    if maxabs(np.cross(v1.vector.components[1:], v2.vector.components[1:])) < 0.05:
+        return None
+    composite = kin.boost(p, v1).compose(kin.boost(p, v2))
+    return composite.distance(kin.boost(p, kin.velocity_add(v2, v1)))
 
 
-def _prop_thomas_composition(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    smallest = np.inf
-    n = 0
-    for _ in range(ctx.samples):
-        p = random_observer(space, rng)
-        c = 1.0
-        v1 = random_observed_velocity(p, rng, c, beta_min=0.3)
-        v2 = random_observed_velocity(p, rng, c, beta_min=0.3)
-        cross = maxabs(np.cross(v1.vector.components[1:], v2.vector.components[1:])) \
-            if space.dim == 4 else 1.0
-        if cross < 0.05:
-            continue
-        composite = kin.boost(p, v1).compose(kin.boost(p, v2))
-        summed = kin.boost(p, kin.velocity_add(v2, v1))
-        smallest = min(smallest, composite.distance(summed))
-        n += 1
-    return _witness_result("composition-non-purity", n, float(smallest), 1e-6)
+def _planar_identity(space, rng):
+    p, c, v = _observed(space, rng)
+    gam = kin.gamma(v)
+    vbar = (gam / c) * v.vector
+    beta = float(rng.uniform(-0.5, 0.5))
+    alpha = float(np.sqrt(1.0 + beta * beta * vbar.square()))
+    r_vec = alpha * p.vector + beta * vbar
+    if r_vec.components[0] <= 0.0:
+        return None
+    r = kin.Observer(r_vec)
+    x = r.rest_projection(random_vector(space, rng, scale=2.0))
+    rv = scalar_product(r.vector, vbar)
+    lhs = (rv * rv + gam * gam - 1.0) * scalar_product(p.vector, x)
+    rhs = scalar_product(p.vector, r.vector) * rv * scalar_product(x, vbar)
+    return abs(lhs - rhs) / max(1.0, abs(lhs))
 
 
-def _prop_planar_identity(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    worst = 0.0
-    n = 0
-    for _ in range(ctx.samples):
-        p = random_observer(space, rng)
-        c = float(rng.uniform(0.5, 3.0))
-        v = random_observed_velocity(p, rng, c)
-        gam = kin.gamma(v)
-        vbar = (gam / c) * v.vector
-        beta = float(rng.uniform(-0.5, 0.5))
-        alpha = float(np.sqrt(1.0 + beta * beta * vbar.square()))
-        r_vec = alpha * p.vector + beta * vbar
-        if r_vec.components[0] <= 0.0:
-            continue
-        r = kin.Observer(r_vec)
-        e = random_vector(space, rng, scale=2.0)
-        x = r.rest_projection(e)
-        rv = scalar_product(r.vector, vbar)
-        lhs = (rv * rv + gam * gam - 1.0) * scalar_product(p.vector, x)
-        rhs = (scalar_product(p.vector, r.vector) * rv
-               * scalar_product(x, vbar))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-        n += 1
-    return _residual_result("planar-observer-constraint", n, worst,
-                            1e3 * ctx.tol_rel)
+def _acceleration_identities(space, rng):
+    p, c, v = _observed(space, rng)
+    u = random_observed_velocity(p, rng, c)
+    a = p.rest_projection(random_vector(space, rng))
+    gam = kin.gamma(v)
+    c2 = c * c
+    va = scalar_product(v.vector, a)
+    vu = scalar_product(v.vector, u.vector)
+    lhs1 = (gam / (gam + 1.0)) * (va * v.vector
+                                  - contract(v.vector, SimpleBivector(a, v.vector)))
+    lhs2 = c2 * ((gam * gam - 1.0) / (gam * gam)) * (va * u.vector - vu * a)
+    rhs2 = (vu * contract(v.vector, SimpleBivector(a, v.vector))
+            - va * contract(v.vector, SimpleBivector(u.vector, v.vector)))
+    a_par = (va / v.vector.square()) * v.vector
+    lhs3 = kin.acceleration_transform(v, kin.Velocity3(
+        space.zero_vector(), p, c), a_par)
+    return max(_gap(lhs1, c2 * (1.0 - 1.0 / gam) * a), _gap(lhs2, rhs2),
+               _gap(lhs3, (1.0 / gam ** 3) * a_par))
 
 
-def _prop_acceleration_identities(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    worst = 0.0
-    for _ in range(ctx.samples):
-        p = random_observer(space, rng)
-        c = float(rng.uniform(0.5, 3.0))
-        v = random_observed_velocity(p, rng, c)
-        u = random_observed_velocity(p, rng, c)
-        a = p.rest_projection(random_vector(space, rng))
-        gam = kin.gamma(v)
-        c2 = c * c
-        va = scalar_product(v.vector, a)
-        vu = scalar_product(v.vector, u.vector)
-        lhs1 = (gam / (gam + 1.0)) * (va * v.vector
-                                      - contract(v.vector, SimpleBivector(a, v.vector)))
-        rhs1 = c2 * (1.0 - 1.0 / gam) * a
-        worst = max(worst, maxabs(lhs1.components - rhs1.components))
-        lhs2 = c2 * ((gam * gam - 1.0) / (gam * gam)) * (va * u.vector - vu * a)
-        rhs2 = (vu * contract(v.vector, SimpleBivector(a, v.vector))
-                - va * contract(v.vector, SimpleBivector(u.vector, v.vector)))
-        worst = max(worst, maxabs(lhs2.components - rhs2.components))
-        a_par = (va / v.vector.square()) * v.vector
-        lhs3 = kin.acceleration_transform(v, kin.Velocity3(
-            space.zero_vector(), p, c), a_par)
-        rhs3 = (1.0 / gam ** 3) * a_par
-        worst = max(worst, maxabs(lhs3.components - rhs3.components))
-    return _residual_result("acceleration-identities", ctx.samples, worst,
-                            1e3 * ctx.tol_rel)
+def _velocity_roundtrip(space, rng):
+    p, c, u = _observed(space, rng)
+    v = random_observed_velocity(p, rng, c)
+    back = kin.velocity_subtract(u, kin.velocity_add(u, kin.negate(v)))
+    return max(_gap(back.vector, v.vector), abs(kin.gamma(back) - kin.gamma(v)))
 
 
-def _prop_velocity_roundtrip(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    worst = 0.0
-    for _ in range(ctx.samples):
-        p = random_observer(space, rng)
-        c = float(rng.uniform(0.5, 3.0))
-        u = random_observed_velocity(p, rng, c)
-        v = random_observed_velocity(p, rng, c)
-        w = kin.velocity_add(u, kin.negate(v))
-        back = kin.velocity_subtract(u, w)
-        worst = max(worst, maxabs(back.vector.components - v.vector.components))
-        worst = max(worst, abs(kin.gamma(back) - kin.gamma(v)))
-    return _residual_result("velocity-roundtrip", ctx.samples, worst,
-                            1e3 * ctx.tol_rel)
+def _groupoid_axioms(space, rng):
+    objs = [grp.ObserverObject(random_observer(space, rng), label=f"o{i}")
+            for i in range(8)]
+    chain = [grp.hom(objs[i], objs[i + 1]) for i in range(len(objs) - 1)]
+    left = chain[0]
+    for nxt in chain[1:]:
+        left = grp.compose(nxt, left)
+    right = chain[-1]
+    for prev in reversed(chain[:-1]):
+        right = grp.compose(right, prev)
+    direct = grp.hom(objs[0], objs[-1])
+    ident = grp.hom(objs[0], objs[0])
+    loop = grp.compose(grp.hom(objs[1], objs[0]), grp.hom(objs[0], objs[1]))
+    return float(sum((not (left.same_arrow(right) and left.same_arrow(direct)),
+                      maxabs(ident.velocity.components) != 0.0,
+                      maxabs(loop.velocity.components) != 0.0)))
 
 
-def _prop_groupoid_axioms(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    bad = 0
-    n = 0
-    for _ in range(max(5, ctx.samples // 4)):
-        objs = [grp.ObserverObject(random_observer(space, rng), label=f"o{i}")
-                for i in range(8)]
-        chain = [grp.hom(objs[i], objs[i + 1]) for i in range(len(objs) - 1)]
-        left = chain[0]
-        for nxt in chain[1:]:
-            left = grp.compose(nxt, left)
-        right = chain[-1]
-        for prev in reversed(chain[:-1]):
-            right = grp.compose(right, prev)
-        direct = grp.hom(objs[0], objs[-1])
-        if not (left.same_arrow(right) and left.same_arrow(direct)):
-            bad += 1
-        ident = grp.hom(objs[0], objs[0])
-        if maxabs(ident.velocity.components) != 0.0:
-            bad += 1
-        loop = grp.compose(grp.hom(objs[1], objs[0]), grp.hom(objs[0], objs[1]))
-        if maxabs(loop.velocity.components) != 0.0:
-            bad += 1
-        n += 1
-    return _residual_result("groupoid-axioms", n, float(bad), 0.0)
+def _groupoid_subluminal(space, rng):
+    p = grp.ObserverObject(random_observer(space, rng))
+    q = grp.ObserverObject(random_observer(space, rng))
+    c = float(rng.uniform(0.5, 3.0))
+    return grp.hom(p, q, c).velocity.square() / (c * c)
 
 
-def _prop_groupoid_subluminal(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    worst = 0.0
-    for _ in range(ctx.samples):
-        p = grp.ObserverObject(random_observer(space, rng))
-        q = grp.ObserverObject(random_observer(space, rng))
-        c = float(rng.uniform(0.5, 3.0))
-        h = grp.hom(p, q, c)
-        speed2 = h.velocity.square()
-        worst = max(worst, speed2 / (c * c))
-    return PropertyResult("groupoid-subluminal", ctx.samples, float(worst), 1.0,
-                          worst < 1.0, False)
+def _groupoid_functoriality(space, rng):
+    obs_p = random_observer(space, rng)
+    obs_q = random_observer(space, rng)
+    h1 = grp.hom(grp.ObserverObject(obs_p, "a"), grp.ObserverObject(obs_q, "b"))
+    h2 = grp.hom(grp.ObserverObject(obs_p, "renamed"), grp.ObserverObject(obs_q, ""))
+    return float(not np.array_equal(h1.velocity.components, h2.velocity.components))
 
 
-def _prop_groupoid_functoriality(ctx: _Ctx, rng) -> PropertyResult:
-    space = make_space(4, "lorentzian")
-    bad = 0
-    for _ in range(ctx.samples):
-        obs_p = random_observer(space, rng)
-        obs_q = random_observer(space, rng)
-        h1 = grp.hom(grp.ObserverObject(obs_p, "a"), grp.ObserverObject(obs_q, "b"))
-        h2 = grp.hom(grp.ObserverObject(obs_p, "renamed"),
-                     grp.ObserverObject(obs_q, ""))
-        if not np.array_equal(h1.velocity.components, h2.velocity.components):
-            bad += 1
-    return _residual_result("groupoid-functoriality", ctx.samples, float(bad), 0.0)
+def _collinear_associativity(space, rng):
+    obs = _rest(space)
+    axis = rng.normal(size=3)
+    axis = axis / np.linalg.norm(axis)
+    a, b, c = [kin.Velocity3(space.vector(np.concatenate(([0.0], beta * axis))),
+                             obs, 1.0) for beta in rng.uniform(-0.9, 0.9, size=3)]
+    return _associator(a, b, c)
 
 
 _PROPERTIES = (
-    (1, _prop_scalar_symmetry),
-    (2, _prop_sl2_magnitude),
-    (3, _prop_contract_identity),
-    (4, _prop_idempotent),
-    (5, _prop_lie_skew),
-    (6, _prop_isometry_residual),
-    (7, _prop_isometry_inverse),
-    (8, _prop_presentation_independence),
-    (9, _prop_action_formulas),
-    (10, _prop_reflection),
-    (11, _prop_reflection_link),
-    (12, _prop_minimal_poly),
-    (13, _prop_covector_reconstruction),
-    (14, _prop_stabilizer_dressing),
-    (15, _prop_link_solves),
-    (16, _prop_link_pure),
-    (17, _prop_planar_collapse),
-    (18, _prop_nonuniqueness),
-    (19, _prop_magnitude_separation),
-    (20, _prop_reciprocal_presentation),
-    (21, _prop_gamma_formula),
-    (22, _prop_boost_reciprocity),
-    (23, _prop_boost_generator),
-    (24, _prop_observer_family),
-    (25, _prop_interval_invariance),
-    (26, _prop_transform_cross_check),
-    (27, _prop_lightspeed_closure),
-    (28, _prop_nonassociativity),
-    (29, _prop_thomas_composition),
-    (30, _prop_planar_identity),
-    (31, _prop_acceleration_identities),
-    (32, _prop_velocity_roundtrip),
-    (33, _prop_groupoid_axioms),
-    (34, _prop_groupoid_subluminal),
-    (35, _prop_groupoid_functoriality),
-    (36, _prop_collinear_associativity),
+    (1, _Row("scalar-product-symmetry", _scalar_symmetry, fixed_tol=0.0)),
+    (2, _Row("presentation-magnitude-invariance", _sl2_magnitude)),
+    (3, _Row("contraction-identity", _contract_identity, "mink4")),
+    (4, _Row("idempotent-laws", _idempotent)),
+    (5, _Row("generator-skewness", _lie_skew)),
+    (6, _Row("isometry-check", _isometry_residual, tol=1.0, detail="pair_residual")),
+    (7, _Row("inverse-law", _isometry_inverse, tol=10.0)),
+    (8, _Row("presentation-independence", _presentation_independence)),
+    (9, _Row("action-formulas", _action_formulas)),
+    (10, _Row("reflection-involution", _reflection)),
+    (11, _Row("difference-reflection-link", _reflection_link)),
+    (12, _Row("annihilating-cubic", _annihilating_cubic, whole=True)),
+    (13, _Row("covector-reconstruction", _covector_reconstruction)),
+    # A one-dimensional orthogonal complement carries no bivector.
+    (14, _Row("stabilizer-dressing", _stabilizer_dressing, "dim3+")),
+    (15, _Row("link-solves", _link_solves, tol=1.0, detail="target_action_residual")),
+    (16, _Row("pure-link-identity", _link_pure, fixed_tol=0.0)),
+    (17, _Row("planar-ray-collapse", _planar_collapse)),
+    (18, _Row("link-nonuniqueness", _nonuniqueness, fixed_tol=99.0,
+              kind="witness", whole=True)),
+    (19, _Row("magnitude-separation", _magnitude_separation, draws=_quarter,
+              fixed_tol=0.0, kind="count")),
+    (20, _Row("reciprocal-presentation", _reciprocal_presentation)),
+    (21, _Row("gamma-of-link", _gamma_formula, whole=True)),
+    (22, _Row("boost-reciprocity", _boost_reciprocity, "mink4")),
+    (23, _Row("boost-from-generator", _boost_generator, "mink4")),
+    (24, _Row("observer-family", _observer_family, whole=True)),
+    (25, _Row("interval-invariance", _interval_invariance, "mink4")),
+    (26, _Row("transform-cross-check", _transform_cross_check, tol=1e3, whole=True)),
+    (27, _Row("light-speed-closure", _lightspeed_closure, "mink4",
+              draws=lambda samples: 100, tol=1.0)),
+    (28, _Row("addition-order-dependence", _nonassociativity, fixed_tol=0.005,
+              kind="witness", whole=True)),
+    (29, _Row("composition-non-purity", _thomas_composition, "mink4",
+              fixed_tol=1e-6, kind="witness")),
+    (30, _Row("planar-observer-constraint", _planar_identity, "mink4", tol=1e3)),
+    (31, _Row("acceleration-identities", _acceleration_identities, "mink4", tol=1e3)),
+    (32, _Row("velocity-roundtrip", _velocity_roundtrip, "mink4", tol=1e3)),
+    (33, _Row("groupoid-axioms", _groupoid_axioms, "mink4", draws=_quarter,
+              fixed_tol=0.0, kind="count")),
+    (34, _Row("groupoid-subluminal", _groupoid_subluminal, "mink4",
+              fixed_tol=1.0, kind="bound")),
+    (35, _Row("groupoid-functoriality", _groupoid_functoriality, "mink4",
+              fixed_tol=0.0, kind="count")),
+    (36, _Row("collinear-associativity", _collinear_associativity, "mink4",
+              fixed_tol=1e-12)),
 )
 
 
-def run_all(seed: int = 0, tol_rel: float = 1e-9, tol_abs: float = 1e-12,
-            samples: int = 40, dims: tuple[int, ...] = _FIXTURE_DIMS
-            ) -> list[PropertyResult]:
+def _run(pid: int, row: _Row, ctx: _Ctx) -> PropertyResult:
+    tol = row.fixed_tol if row.fixed_tol is not None else row.tol * ctx.tol_rel
+    passes = _KINDS[row.kind][2]
+
+    def judge(n, value, detail=None):
+        passed = bool(passes(value, tol))
+        induced = (row.kind != "witness" and not passed
+                   and bool(value <= NUMERICAL_FLOOR))
+        return PropertyResult(row.name, n, float(value), float(tol), passed,
+                              induced, detail or {}, pid)
+
+    rng = rng_for(ctx.seed, 100 + pid)
+    try:
+        if row.whole:
+            return row.body(ctx, rng, judge)
+        value, extra, n = _sweep(ctx.families[row.family],
+                                 row.draws(ctx.samples), rng, row.body, row.kind)
+        if row.detail:
+            return judge(n, max(value, extra), {row.detail: extra})
+        return judge(n, value)
+    except RelkinError as exc:
+        return PropertyResult(row.name, 0, float("inf"), 0.0, False, False,
+                              {"error": type(exc).__name__, "message": str(exc)},
+                              pid)
+
+
+def run_all(seed: int = 0, tol_rel: float = 1e-9, samples: int = 40,
+            dims: tuple[int, ...] = _FIXTURE_DIMS) -> list[PropertyResult]:
     """Run every property suite with one seed; deterministic output order."""
-    ctx = _Ctx(int(seed), float(tol_rel), float(tol_abs), int(samples),
-               tuple(dims))
-    results = []
-    for prop_id, fn in _PROPERTIES:
-        rng = rng_for(ctx.seed, 100 + prop_id)
-        try:
-            results.append(fn(ctx, rng))
-        except RelkinError as exc:
-            name = fn.__name__.replace("_prop_", "").replace("_", "-")
-            results.append(PropertyResult(name, 0, float("inf"), 0.0, False,
-                                          False, {"error": type(exc).__name__,
-                                                  "message": str(exc)}))
-    return results
+    spaces = tuple(make_space(dim, kind) for dim in dims for kind in SIGNATURES)
+    families = {"all": spaces,
+                "dim3+": tuple(s for s in spaces if s.dim >= 3),
+                "mink4": (make_space(4, "lorentzian"),)}
+    ctx = _Ctx(int(seed), float(tol_rel), int(samples), families)
+    return [_run(pid, row, ctx) for pid, row in _PROPERTIES]
+
+
+def _clusters(ops, cut):
+    """Greedy class count of ``ops`` at distance ``cut``, the number of pairs
+    farther apart than ``cut``, and the largest distance from the first op.
+
+    Builds one row of max-abs distances per operator, to those before it.
+    """
+    entries = np.array([op.mapping.entries for op in ops])
+    reps, above, spread = [], 0, 0.0
+    for i in range(len(entries)):
+        row = np.abs(entries[:i] - entries[i]).max(axis=(1, 2))
+        above += int(np.count_nonzero(row > cut))
+        if not (row[reps] <= cut).any():
+            reps.append(i)
+        if i:
+            spread = max(spread, float(row[0]))
+    return len(reps), above, spread
 
 
 def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
@@ -895,84 +734,46 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
     the selected links and reports how many are pairwise distinct, how large
     the planar cluster is, and the recorded gamma range.
     """
-    space = r.space
-    rays = []
+    def planar_ray(rng):
+        a, b = rng.normal(size=2)
+        return a * r + b * s
+
+    streams = (("general", 1, int(n_general), lambda rng: random_vector(r.space, rng)),
+               ("planar", 2, int(n_planar), planar_ray))
+    links = {"general": [], "planar": []}
     records = []
-    for i in range(int(n_general)):
-        rng = rng_for(seed, 1, i)
-        for _ in range(1000):
-            p = random_vector(space, rng)
-            problem = lnk.LinkProblem(r, s, p)
-            flags = lnk.admissibility(problem)
-            if flags.generic and not flags.p_transversal:
-                continue
-            if (abs(scalar_product(p, r + s)) < 0.05
-                    or abs(flags.denominator) < 0.05):
-                continue
-            link = lnk.p_link(problem)
-            gamma = (link.gamma if link.gamma is not None
-                     else lnk.gamma_of_link(problem))
-            rays.append(link)
-            records.append({"index": i, "ray_kind": "general",
-                            "planar": bool(flags.planar),
-                            "mu": (lnk.mu_scalar(problem)
-                                    if flags.generic else None),
-                            "gamma": gamma,
-                            "residual": maxabs(link.apply(r).components
-                                               - s.components)})
-            break
-    planar_ops = []
-    for j in range(int(n_planar)):
-        rng = rng_for(seed, 2, j)
-        for _ in range(1000):
-            a, b = rng.normal(size=2)
-            p = a * r + b * s
-            problem = lnk.LinkProblem(r, s, p)
-            flags = lnk.admissibility(problem)
-            if flags.generic and not flags.p_transversal:
-                continue
-            if (abs(scalar_product(p, r + s)) < 0.05
-                    or abs(flags.denominator) < 0.05):
-                continue
-            link = lnk.p_link(problem)
-            gamma = (link.gamma if link.gamma is not None
-                     else lnk.gamma_of_link(problem))
-            planar_ops.append(link)
-            records.append({"index": j, "ray_kind": "planar",
-                            "planar": bool(flags.planar),
-                            "mu": (lnk.mu_scalar(problem)
-                                    if flags.generic else None),
-                            "gamma": gamma,
-                            "residual": maxabs(link.apply(r).components
-                                               - s.components)})
-            break
-
-    def classes(ops, cut):
-        reps = []
-        for op in ops:
-            for rep in reps:
-                if op.distance(rep) <= cut:
-                    break
-            else:
-                reps.append(op)
-        return len(reps)
-
-    pairs_above = 0
-    pairs_total = 0
-    for i in range(len(rays)):
-        for j in range(i + 1, len(rays)):
-            pairs_total += 1
-            if rays[i].distance(rays[j]) > distinct_cut:
-                pairs_above += 1
+    for kind, stream, count, draw in streams:
+        for i in range(count):
+            rng = rng_for(seed, stream, i)
+            for _ in range(1000):
+                p = draw(rng)
+                problem = lnk.LinkProblem(r, s, p)
+                flags = lnk.admissibility(problem)
+                if flags.generic and not flags.p_transversal:
+                    continue
+                if (abs(scalar_product(p, r + s)) < 0.05
+                        or abs(flags.denominator) < 0.05):
+                    continue
+                link = lnk.p_link(problem)
+                gamma = (link.gamma if link.gamma is not None
+                         else lnk.gamma_of_link(problem))
+                links[kind].append(link)
+                records.append({"index": i, "ray_kind": kind,
+                                "planar": bool(flags.planar),
+                                "mu": (lnk.mu_scalar(problem)
+                                       if flags.generic else None),
+                                "gamma": gamma,
+                                "residual": _gap(link.apply(r), s)})
+                break
+    distinct, pairs_above, _ = _clusters(links["general"], distinct_cut)
+    planar_cluster, _, planar_spread = _clusters(links["planar"], distinct_cut)
+    n = len(links["general"])
+    pairs_total = n * (n - 1) // 2
     gammas = [rec["gamma"] for rec in records]
-    planar_spread = 0.0
-    if planar_ops:
-        base = planar_ops[0]
-        planar_spread = max(op.distance(base) for op in planar_ops)
     return {
         "records": records,
-        "distinct_links": classes(rays, distinct_cut),
-        "planar_cluster": classes(planar_ops, distinct_cut) if planar_ops else 0,
+        "distinct_links": distinct,
+        "planar_cluster": planar_cluster,
         "planar_spread": planar_spread,
         "pair_fraction_above_cut": (pairs_above / pairs_total) if pairs_total else 1.0,
         "gamma_min": float(min(gammas)) if gammas else float("nan"),

@@ -174,15 +174,13 @@ def _run_link_scan(args, scenario, space):
 
 def _run_check(args, scenario, space):
     samples = args.samples if args.samples is not None else 25
-    results = chk.run_all(seed=args.seed, tol_rel=args.tol_rel,
-                          tol_abs=args.tol_abs, samples=samples)
-    ids = [pid for pid, _ in chk._PROPERTIES]
+    results = chk.run_all(seed=args.seed, tol_rel=args.tol_rel, samples=samples)
     objects = []
-    for pid, res in zip(ids, results):
+    for res in results:
         objects.append({
             "type": "record",
             "kind": "property",
-            "id": pid,
+            "id": res.id,
             "name": res.name,
             "samples": res.samples,
             "max_residual": res.max_residual,

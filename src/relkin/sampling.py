@@ -22,6 +22,7 @@ __all__ = [
     "metric_for",
     "random_admissible_bivector",
     "random_link_triple",
+    "random_nonnull_vector",
     "random_observer",
     "random_observed_velocity",
     "random_stabilizer_bivector",

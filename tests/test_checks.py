@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import relkin.checks as chk
-from relkin import NUMERICAL_FLOOR, PropertyResult, link_ray_scan
+from relkin import (NUMERICAL_FLOOR, DegenerateLinkError, PropertyResult,
+                    link_ray_scan)
 from relkin.sampling import make_space
 
 
@@ -41,6 +42,28 @@ class TestRunAll:
         assert all(r.tolerance_induced for r in failed)
         assert all(r.max_residual <= NUMERICAL_FLOOR for r in failed
                    if r.max_residual is not None)
+
+
+    def test_results_carry_their_ids(self, results):
+        assert [r.id for r in results] == [pid for pid, _ in chk._PROPERTIES]
+
+
+class TestErrorRecords:
+    def test_refusal_keeps_the_property_name(self, monkeypatch):
+        """A property that raises reports under the name it passes with."""
+        clean = chk.run_all(seed=0, samples=2, dims=(4,))
+
+        def refuse(problem):
+            raise DegenerateLinkError("link refused for the test")
+
+        monkeypatch.setattr(chk.lnk, "p_link", refuse)
+        refused = chk.run_all(seed=0, samples=2, dims=(4,))
+        errors = [(ok, bad) for ok, bad in zip(clean, refused)
+                  if bad.detail.get("error") == "DegenerateLinkError"]
+        assert {bad.name for _, bad in errors} >= {
+            "pure-link-identity", "planar-ray-collapse", "link-nonuniqueness"}
+        for ok, bad in errors:
+            assert (bad.name, bad.id, bad.passed) == (ok.name, ok.id, False)
 
 
 class TestMutationSensitivity:

@@ -184,3 +184,18 @@ class TestOutputContract:
         for token in re.findall(r"-?\d+\.\d{11,}", proc.stdout):
             digits = token.replace("-", "").replace(".", "").lstrip("0")
             assert len(digits) <= 10, token
+
+
+class TestRecordedOutput:
+    """Fixed-seed output matches the recordings in tests/data byte for byte,
+    apart from the summary's wall_time_s."""
+
+    @pytest.mark.parametrize("recording, args", [
+        ("check_seed0_samples2.jsonl", ("check", "--samples", "2", "--seed", "0")),
+        ("link_scan_seed0_samples30.jsonl",
+         ("link-scan", "--scenario", str(DATA / "golden_scan.json"),
+          "--samples", "30", "--seed", "0")),
+    ])
+    def test_matches_recording(self, recording, args):
+        out = re.sub(r',"wall_time_s":[^,}]+', "", run_cli(*args).stdout)
+        assert out == (DATA / recording).read_text()
