@@ -70,14 +70,25 @@ class PropertyResult:
     id: int = 0
 
 
+def _nan_max(a, b):
+    """``max(a, b)``, except that a NaN operand wins (``max(0.0, nan)`` is 0.0)."""
+    return b if b > a or b != b else a
+
+
+def _nan_min(a, b):
+    """``min(a, b)``, except that a NaN operand wins."""
+    return b if b < a or b != b else a
+
+
 # kind -> (fold over draws, start value, pass test against the tolerance).
 # A residual or a failure count stays within the tolerance, a bound stays
-# strictly below it, and a witness's smallest margin must exceed it.
+# strictly below it, and a witness's smallest margin must exceed it.  The
+# folds propagate NaN, and every pass test is false for NaN.
 _KINDS = {
-    "residual": (max, 0.0, operator.le),
+    "residual": (_nan_max, 0.0, operator.le),
     "count": (operator.add, 0.0, operator.le),
-    "bound": (max, 0.0, operator.lt),
-    "witness": (min, np.inf, operator.gt),
+    "bound": (_nan_max, 0.0, operator.lt),
+    "witness": (_nan_min, np.inf, operator.gt),
 }
 
 
@@ -688,7 +699,7 @@ def _run(pid: int, row: _Row, ctx: _Ctx) -> PropertyResult:
         value, extra, n = _sweep(ctx.families[row.family],
                                  row.draws(ctx.samples), rng, row.body, row.kind)
         if row.detail:
-            return judge(n, max(value, extra), {row.detail: extra})
+            return judge(n, _nan_max(value, extra), {row.detail: extra})
         return judge(n, value)
     except RelkinError as exc:
         return PropertyResult(row.name, 0, float("inf"), 0.0, False, False,

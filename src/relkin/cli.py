@@ -360,8 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="speed ceiling; overrides the scenario value")
         sp.add_argument("--tol-rel", type=float, default=1e-9,
                         help="relative tolerance (default 1e-9)")
-        sp.add_argument("--tol-abs", type=float, default=1e-12,
-                        help="absolute tolerance (default 1e-12)")
+        if name in _NEEDS_SCENARIO:
+            # Only the spaces built from a scenario take an absolute tolerance.
+            sp.add_argument("--tol-abs", type=float, default=1e-12,
+                            help="absolute tolerance (default 1e-12)")
         sp.add_argument("--out", default=None,
                         help="write output to this file instead of stdout")
         sp.add_argument("--format", choices=("json", "csv"), default="json",
@@ -383,7 +385,7 @@ def main(argv=None) -> int:
                 f"scenario {scenario.name!r} is written for "
                 f"{scenario.command!r}, not {args.command!r}")
         space = scenario.build_space(args.tol_rel, args.tol_abs) \
-            if scenario is not None else None
+            if args.command in _NEEDS_SCENARIO else None
         records, stats, passed = _RUNNERS[args.command](args, scenario, space)
         objects.extend(records)
         summary = {

@@ -14,6 +14,7 @@ the unit-time-like specializations used by kinematics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .metric_core import (
     SimpleBivector,
     Vector,
     _frozen,
-    bivector_product,
     idempotent_of,
     maxabs,
     same_space,
@@ -63,7 +63,8 @@ class LinkProblem:
     """Link data: source R, target S and an optional preferred ray P.
 
     R and S must have equal squared magnitude within tol_rel.  When P is
-    omitted the planar link acts as the default solution.
+    omitted the planar link acts as the default solution.  The scalars that
+    admissibility, mu and the link share are evaluated once per problem.
     """
 
     R: Vector
@@ -89,6 +90,91 @@ class LinkProblem:
         """The preferred ray, defaulting to R (a planar choice) when omitted."""
         return self.R if self.P is None else self.P
 
+    @cached_property
+    def _terms(self) -> "_Terms":
+        return _Terms.of(self)
+
+    @cached_property
+    def _mu(self) -> float:
+        # A refusal is not cached: it raises again on every call.
+        t = self._terms
+        if not t.generic:
+            raise DegenerateLinkError("(R-S)^2 = 0; no generic link exists")
+        if abs(t.psum) <= self.space.tol_abs * t.sum_scale:
+            raise ZeroMuError("P.(R+S) = 0; the ray cannot parametrize a link")
+        if not t.p_transversal:
+            raise DegenerateLinkError("P^(R-S) = 0; the ray is not transversal")
+        return 2.0 * t.psum / _wedge_denominator(t, self.space.tol_abs)
+
+
+@dataclass(frozen=True)
+class _Terms:
+    """The scalars of a link problem, for the effective ray P.
+
+    ``d`` is R - S, ``d2`` its square, ``psum`` P.(R+S) with ``sum_scale``
+    its degeneracy scale, ``pp``, ``pr`` and ``ps`` the products P.P, P.R
+    and P.S, ``w2`` the wedge square {P^(R-S)}^2 and ``denominator``
+    D = P.P (R-S)^2 + 4 (P.R)(P.S).  ``coincide`` marks R = S to tolerance
+    and ``norms`` is the largest component of P, R and S.
+    """
+
+    p: Vector
+    d: Vector
+    d2: float
+    psum: float
+    sum_scale: float
+    pp: float
+    pr: float
+    ps: float
+    w2: float
+    denominator: float
+    generic: bool
+    p_transversal: bool
+    coincide: bool
+    norms: float
+
+    @classmethod
+    def of(cls, problem: LinkProblem) -> "_Terms":
+        tol = problem.space.tol_abs
+        r, s = problem.R, problem.S
+        p = problem.effective_p()
+        d = r - s
+        d2 = d.square()
+        p_max = maxabs(p.components)
+        r_max = maxabs(r.components)
+        s_max = maxabs(s.components)
+        d_max = maxabs(d.components)
+        u = r + s
+        psum = scalar_product(p, u)
+        sum_scale = max(1.0, p_max * maxabs(u.components))
+        pp = p.square()
+        pr = scalar_product(p, r)
+        ps = scalar_product(p, s)
+        pd = scalar_product(p, d)
+        # The wedge P^(R-S) must be non-zero both squared and entrywise.
+        wedge_max = maxabs(SimpleBivector(p, d).components())
+        leg_scale = p_max * d_max
+        p_transversal = (abs(psum) > tol * sum_scale
+                         and wedge_max ** 2 > (tol * max(1.0, leg_scale ** 2)) ** 2
+                         and wedge_max > tol * max(1.0, leg_scale))
+        return cls(
+            p=p, d=d, d2=d2, psum=psum, sum_scale=sum_scale,
+            pp=pp, pr=pr, ps=ps, w2=pp * d2 - pd * pd,
+            denominator=pp * d2 + 4.0 * pr * ps,
+            generic=bool(abs(d2) > tol * max(1.0, d_max ** 2)),
+            p_transversal=bool(p_transversal),
+            coincide=bool(d_max <= tol * max(1.0, r_max, s_max)),
+            norms=max(p_max, r_max, s_max))
+
+
+def _wedge_denominator(t: _Terms, tol: float) -> float:
+    """{P^(R-S)}^2 + {P.(R+S)}^2; raises DegenerateLinkError when it vanishes."""
+    psum2 = t.psum * t.psum
+    denom = t.w2 + psum2
+    if abs(denom) <= tol * max(1.0, abs(t.w2), psum2):
+        raise DegenerateLinkError("degenerate link denominator")
+    return denom
+
 
 @dataclass(frozen=True)
 class LinkAdmissibility:
@@ -106,40 +192,19 @@ class LinkAdmissibility:
     planar: bool
 
 
-def _difference_square(problem: LinkProblem) -> float:
-    return (problem.R - problem.S).square()
-
-
-def _wedge_square(p: Vector, d: Vector) -> float:
-    return bivector_product(SimpleBivector(p, d), SimpleBivector(p, d))
-
-
 def admissibility(problem: LinkProblem) -> LinkAdmissibility:
     """Evaluate the genericity flags of a link problem.
 
     With P omitted the flags are those of the planar default ray P = R.
+    The flags other than ``planar`` come from the problem's shared terms;
+    only the planarity witness P^R^S is evaluated here, and the link path
+    (:func:`mu_scalar`, :func:`p_link`) never evaluates it.
     """
-    space = problem.space
-    r, s = problem.R, problem.S
-    p = problem.effective_p()
-    d = r - s
-    d2 = d.square()
-    generic = abs(d2) > space.tol_abs * max(1.0, maxabs(d.components) ** 2)
-
-    psum = scalar_product(p, r + s)
-    sum_scale = max(1.0, maxabs(p.components) * maxabs((r + s).components))
-    wedge = SimpleBivector(p, d)
-    wedge_scale = max(1.0, (maxabs(p.components) * maxabs(d.components)) ** 2)
-    p_transversal = (abs(psum) > space.tol_abs * sum_scale
-                     and maxabs(wedge.components()) ** 2 > (space.tol_abs * wedge_scale) ** 2
-                     and not wedge.is_zero())
-
-    denominator = p.square() * d2 + 4.0 * scalar_product(p, r) * scalar_product(p, s)
-
-    norms = max(maxabs(p.components), maxabs(r.components), maxabs(s.components))
-    planar = trivector_maxabs(p, r, s) <= space.tol_abs * max(1.0, norms ** 3)
-    return LinkAdmissibility(bool(generic), bool(p_transversal),
-                             float(denominator), bool(planar))
+    t = problem._terms
+    planar = (trivector_maxabs(t.p, problem.R, problem.S)
+              <= problem.space.tol_abs * max(1.0, t.norms ** 3))
+    return LinkAdmissibility(t.generic, t.p_transversal,
+                             float(t.denominator), bool(planar))
 
 
 def mu_scalar(problem: LinkProblem) -> float:
@@ -148,24 +213,10 @@ def mu_scalar(problem: LinkProblem) -> float:
     Homogeneous of degree -1 in P, so mu P is invariant under rescaling the
     ray.  Requires a generic, P-transversal problem; P.(R+S) = 0 raises
     ZeroMuError and a vanishing denominator raises DegenerateLinkError.
+    Reads the problem's shared terms, without the planarity witness of
+    :func:`admissibility`, and is evaluated once per problem.
     """
-    space = problem.space
-    flags = admissibility(problem)
-    if not flags.generic:
-        raise DegenerateLinkError("(R-S)^2 = 0; no generic link exists")
-    p = problem.effective_p()
-    d = problem.R - problem.S
-    psum = scalar_product(p, problem.R + problem.S)
-    sum_scale = max(1.0, maxabs(p.components) * maxabs((problem.R + problem.S).components))
-    if abs(psum) <= space.tol_abs * sum_scale:
-        raise ZeroMuError("P.(R+S) = 0; the ray cannot parametrize a link")
-    if not flags.p_transversal:
-        raise DegenerateLinkError("P^(R-S) = 0; the ray is not transversal")
-    w2 = _wedge_square(p, d)
-    denom = w2 + psum * psum
-    if abs(denom) <= space.tol_abs * max(1.0, abs(w2), psum * psum):
-        raise DegenerateLinkError("degenerate link denominator")
-    return 2.0 * psum / denom
+    return problem._mu
 
 
 def _verify_links(iso: Isometry, r: Vector, s: Vector) -> None:
@@ -190,32 +241,31 @@ def p_link(problem: LinkProblem) -> Isometry:
 
     The generator record is (mu P)^(R-S) with gamma + 1 = mu P.(R+S); note
     the recorded gamma is signed.  R = S returns the identity, and an
-    omitted P falls back to the planar link.
+    omitted P falls back to the planar link.  The link reads mu and the
+    problem's shared terms; it never evaluates the planarity witness of
+    :func:`admissibility`.
     """
     space = problem.space
     r, s = problem.R, problem.S
-    if _vectors_coincide(r, s):
+    t = problem._terms
+    if t.coincide:
         return Isometry(space.identity())
     if problem.P is None:
         return planar_link(r, s)
-    mu = mu_scalar(problem)
-    p = problem.P
-    d = r - s
-    d2 = d.square()
-    dd = p.square() * d2 + 4.0 * scalar_product(p, r) * scalar_product(p, s)
+    mu = problem._mu
+    p, d, dd = t.p, t.d, t.denominator
     if abs(dd) <= space.tol_abs:
         raise DegenerateLinkError("degenerate link denominator")
     g = space.g
     gp = g @ p.components
     gd = g @ d.components
-    alpha = 2.0 * (d2 * gp - 2.0 * scalar_product(p, r) * gd) / dd
-    beta = (2.0 * p.square() * gd + 4.0 * scalar_product(p, s) * gp) / dd
+    alpha = 2.0 * (t.d2 * gp - 2.0 * t.pr * gd) / dd
+    beta = (2.0 * t.pp * gd + 4.0 * t.ps * gp) / dd
     ent = (np.eye(space.dim)
-           - np.outer(p.components, alpha)
-           - np.outer(d.components, beta))
-    gamma = mu * scalar_product(p, r + s) - 1.0
+           - p.components[:, None] * alpha
+           - d.components[:, None] * beta)
     iso = Isometry(Endomorphism(_frozen(ent), space),
-                   SimpleBivector(mu * p, d), gamma)
+                   SimpleBivector(mu * p, d), mu * t.psum - 1.0)
     _verify_links(iso, r, s)
     return iso
 
@@ -292,13 +342,10 @@ def null_link_conditions(problem: LinkProblem, gamma: float) -> tuple[float, flo
     """
     if problem.P is None:
         raise NotNullCaseError("null-case conditions need an explicit P")
-    space = problem.space
-    d = problem.R - problem.S
-    d2 = d.square()
-    if abs(d2) > space.tol_abs * max(1.0, maxabs(d.components) ** 2):
-        raise NotNullCaseError(f"(R-S)^2 = {d2!r} does not vanish")
-    pr = scalar_product(problem.P, problem.R)
-    ps = scalar_product(problem.P, problem.S)
+    t = problem._terms
+    if t.generic:
+        raise NotNullCaseError(f"(R-S)^2 = {t.d2!r} does not vanish")
+    pr, ps = t.pr, t.ps
     first = (gamma + 1.0) * (pr - 1.0) - pr * (pr - ps)
     second = gamma * gamma - 1.0 - (pr - ps) ** 2
     return float(first), float(second)
@@ -341,12 +388,11 @@ def ternary_velocity(problem: LinkProblem, c: float = 1.0) -> Vector:
         if abs(v.square() + 1.0) > space.tol_rel:
             raise NotUnitTimelikeError(
                 "ternary velocity requires unit time-like P, R, S")
-    if _vectors_coincide(problem.R, problem.S):
+    t = problem._terms
+    if t.coincide:
         return space.zero_vector()
-    mu = mu_scalar(LinkProblem(problem.R, problem.S, p))
-    proj = idempotent_of(p)
-    d = problem.R - problem.S
-    vbar = mu * (d - proj.apply(d))
+    d = t.d
+    vbar = mu_scalar(problem) * (d - idempotent_of(p).apply(d))
     vbar2 = vbar.square()
     if vbar2 < 0.0:
         raise InternalConsistencyError(f"vbar.vbar = {vbar2!r} should be non-negative")
@@ -362,14 +408,8 @@ def gamma_of_link(problem: LinkProblem) -> float:
     With P omitted the planar default applies; for unit time-like planar
     problems the value reduces to |R.S|.  R = S gives 1.
     """
-    space = problem.space
-    if _vectors_coincide(problem.R, problem.S):
+    t = problem._terms
+    if t.coincide:
         return 1.0
-    p = problem.effective_p()
-    d = problem.R - problem.S
-    psum = scalar_product(p, problem.R + problem.S)
-    w2 = _wedge_square(p, d)
-    denom = psum * psum + w2
-    if abs(denom) <= space.tol_abs * max(1.0, psum * psum, abs(w2)):
-        raise DegenerateLinkError("degenerate link denominator")
-    return abs((psum * psum - w2) / denom)
+    denom = _wedge_denominator(t, problem.space.tol_abs)
+    return abs((t.psum * t.psum - t.w2) / denom)

@@ -10,6 +10,7 @@ function, so objects can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,9 +45,13 @@ DEFAULT_TOL_ABS = 1e-12
 
 
 def maxabs(values) -> float:
-    """Largest absolute entry of an array (the operator norm used throughout)."""
+    """Largest absolute entry of an array (the operator norm used throughout).
+
+    Calls the ufunc reduction directly; it is what ``np.max`` runs, without
+    the wrapper, and a NaN entry still propagates.
+    """
     arr = np.asarray(values, dtype=float)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.maximum.reduce(np.abs(arr), axis=None)) if arr.size else 0.0
 
 
 def _frozen(values) -> np.ndarray:
@@ -106,13 +111,18 @@ class MetricSpace:
 
     def signature(self) -> tuple[int, int]:
         """(number of negative, number of positive) metric eigenvalues."""
+        return self._signature
+
+    @cached_property
+    def _signature(self) -> tuple[int, int]:
+        # g is read-only, so one eigendecomposition serves every call.
         eig = np.linalg.eigvalsh(self.g)
         return int(np.sum(eig < 0.0)), int(np.sum(eig > 0.0))
 
     @property
     def is_lorentzian(self) -> bool:
         """True when the signature is (-, +, ..., +)."""
-        return self.signature() == (1, self.dim - 1)
+        return self._signature == (1, self.dim - 1)
 
     def vector(self, components) -> "Vector":
         arr = _frozen(components)
@@ -327,12 +337,14 @@ def scalar_product(a: Vector, b: Vector) -> float:
     """Metric pairing a.b.
 
     Evaluated through the symmetrized outer product so that the result is
-    bit-identical under argument exchange.
+    bit-identical under argument exchange.  The outer product and the sum
+    call the ufuncs directly: the same operations as ``np.outer`` and
+    ``np.sum``, without their Python-level wrappers.
     """
     space = same_space(a, b)
-    sym = np.outer(a.components, b.components)
+    sym = a.components[:, None] * b.components
     sym = sym + sym.T
-    return 0.5 * float(np.sum(space.g * sym))
+    return 0.5 * float(np.add.reduce(space.g * sym, axis=None))
 
 
 def bivector_product(b1: SimpleBivector, b2: SimpleBivector) -> float:

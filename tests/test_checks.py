@@ -79,6 +79,25 @@ class TestMutationSensitivity:
         failed = {r.name for r in results if not r.passed}
         assert failed, "perturbed link scale slipped through every property"
 
+    def test_nan_residual_fails_its_property(self, monkeypatch):
+        """A NaN residual must not fold away: max(0.0, nan) is 0.0."""
+        monkeypatch.setattr(chk.iso, "minimal_poly_residual",
+                            lambda op: float("nan"))
+        results = chk.run_all(seed=0, samples=2, dims=(4,))
+        cubic = next(r for r in results if r.id == 12)
+        assert cubic.name == "annihilating-cubic"
+        assert np.isnan(cubic.max_residual)
+        assert not cubic.passed and not cubic.tolerance_induced
+
+    def test_nan_detail_fails_its_property(self, monkeypatch):
+        """A NaN in a row's second value reaches the judged residual."""
+        monkeypatch.setattr(chk.lnk, "mu_scalar", lambda problem: float("nan"))
+        results = chk.run_all(seed=0, samples=2, dims=(4,))
+        solves = next(r for r in results if r.id == 15)
+        assert solves.name == "link-solves"
+        assert np.isnan(solves.detail["target_action_residual"])
+        assert np.isnan(solves.max_residual) and not solves.passed
+
     def test_broken_gamma_is_caught(self, monkeypatch):
         true_gamma = chk.kin.gamma
 

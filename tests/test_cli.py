@@ -151,6 +151,12 @@ class TestCheckCommand:
         assert tail["passed"] is False
         assert tail["tolerance_induced_failures"] == len(failed)
 
+    def test_tol_abs_is_a_usage_error(self):
+        """check has no absolute tolerance, so the flag is refused, not ignored."""
+        proc = run_cli("check", "--samples", "1", "--tol-abs", "1", expect=2)
+        assert proc.stdout == ""
+        assert "--tol-abs" in proc.stderr
+
 
 class TestOutputContract:
     def test_deterministic_modulo_wall_time(self):

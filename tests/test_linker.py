@@ -27,6 +27,7 @@ from relkin import (
     ternary_velocity,
 )
 import relkin
+from relkin import checks, linker
 from relkin.sampling import SIGNATURES, make_space, random_link_triple, rng_for
 
 
@@ -426,3 +427,73 @@ class TestGammaOfLink:
             link = p_link(problem)
             assert gamma_of_link(problem) == pytest.approx(abs(link.gamma),
                                                            rel=1e-9, abs=1e-10)
+
+
+def _outcome(fn, problem):
+    """Comparable result of ``fn(problem)``: the value, or the error raised."""
+    try:
+        value = fn(problem)
+    except relkin.RelkinError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, relkin.Isometry):
+        return value.mapping.entries.tobytes(), value.gamma
+    return value
+
+
+class TestSharedTerms:
+    """A problem evaluates its shared scalars once; reuse changes no result."""
+
+    def triples(self, golden):
+        mink4, r, s = golden
+        null_r = mink4.vector([1.0, 1.0, 0.0, 0.0])
+        rng = rng_for(41)
+        yield r, s, mink4.vector([1.0, 3.0, 0.0, 0.0])   # P.(R+S) = 0
+        yield null_r, 2.0 * null_r, r                     # (R-S)^2 = 0
+        yield r, r, mink4.vector([0.3, 0.1, 0.9, 0.0])   # R = S
+        yield r, s, r                                     # planar ray
+        yield r, s, None                                  # planar default
+        for kind in SIGNATURES:
+            for _ in range(5):
+                problem = random_link_triple(make_space(4, kind), rng)
+                yield problem.R, problem.S, problem.P
+
+    def test_reused_problem_matches_fresh_problems(self, golden):
+        for r, s, p in self.triples(golden):
+            reused = LinkProblem(r, s, p)
+            for _ in range(2):
+                for fn in (admissibility, mu_scalar, p_link, gamma_of_link):
+                    assert (_outcome(fn, reused)
+                            == _outcome(fn, LinkProblem(r, s, p))), (fn, r, s, p)
+
+    def test_refusals_raise_on_every_call(self, golden):
+        mink4, r, s = golden
+        zero_mu = LinkProblem(r, s, mink4.vector([1.0, 3.0, 0.0, 0.0]))
+        null_r = mink4.vector([1.0, 1.0, 0.0, 0.0])
+        not_generic = LinkProblem(null_r, 2.0 * null_r, r)
+        for _ in range(3):
+            for fn in (mu_scalar, p_link):
+                with pytest.raises(ZeroMuError):
+                    fn(zero_mu)
+                with pytest.raises(relkin.DegenerateLinkError):
+                    fn(not_generic)
+
+    def test_scan_evaluates_one_witness_per_ray_draw(self, golden, monkeypatch):
+        _, r, s = golden
+        counts = {"draws": 0, "witnesses": 0}
+        true_witness = linker.trivector_maxabs
+
+        class CountedProblem(LinkProblem):
+            def __post_init__(self):
+                counts["draws"] += 1
+                super().__post_init__()
+
+        def counted_witness(u, v, w):
+            counts["witnesses"] += 1
+            return true_witness(u, v, w)
+
+        monkeypatch.setattr(linker, "LinkProblem", CountedProblem)
+        monkeypatch.setattr(linker, "trivector_maxabs", counted_witness)
+        scan = checks.link_ray_scan(r, s, seed=11, n_general=40, n_planar=10)
+        assert len(scan["records"]) == 50
+        assert counts["draws"] > 50  # some draws are rejected
+        assert counts["witnesses"] == counts["draws"]

@@ -58,6 +58,17 @@ class TestMetricSpace:
         assert mink4.is_lorentzian
         assert not split4.is_lorentzian
 
+    def test_signature_is_computed_once_per_space(self, monkeypatch):
+        calls = []
+        true_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda g: calls.append(1) or true_eigvalsh(g))
+        space = MetricSpace.from_metric(np.diag([-1.0, 1.0, 1.0]))
+        for _ in range(3):
+            assert space.signature() == (1, 2)
+            assert space.is_lorentzian
+        assert len(calls) == 1
+
     def test_vectors_are_read_only(self, mink4):
         v = mink4.vector([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError):
