@@ -24,7 +24,7 @@ from . import groupoid as grp
 from . import isometry as iso
 from . import kinematics as kin
 from . import linker as lnk
-from .errors import NotIsomagnitudeError, RelkinError
+from .errors import InternalConsistencyError, NotIsomagnitudeError, RelkinError
 from .metric_core import (
     SimpleBivector,
     bivector_product,
@@ -70,14 +70,21 @@ class PropertyResult:
     id: int = 0
 
 
-def _nan_max(a, b):
-    """``max(a, b)``, except that a NaN operand wins (``max(0.0, nan)`` is 0.0)."""
-    return b if b > a or b != b else a
+def _nan_max(first, *rest):
+    """``max(first, *rest)``, except that a NaN operand wins (``max(0.0, nan)``
+    is 0.0)."""
+    for value in rest:
+        if value > first or value != value:
+            first = value
+    return first
 
 
-def _nan_min(a, b):
-    """``min(a, b)``, except that a NaN operand wins."""
-    return b if b < a or b != b else a
+def _nan_min(first, *rest):
+    """``min(first, *rest)``, except that a NaN operand wins."""
+    for value in rest:
+        if value < first or value != value:
+            first = value
+    return first
 
 
 # kind -> (fold over draws, start value, pass test against the tolerance).
@@ -216,14 +223,14 @@ def _contract_identity(space, rng):
 
 def _idempotent(space, rng):
     proj = idempotent_of(random_nonnull_vector(space, rng))
-    return max(maxabs((proj @ proj).entries - proj.entries),
-               abs(proj.trace() - 1.0))
+    return _nan_max(maxabs((proj @ proj).entries - proj.entries),
+                    abs(proj.trace() - 1.0))
 
 
 def _lie_skew(space, rng):
     m = lie_map(random_admissible_bivector(space, rng)).entries
     gm = space.g @ m
-    return max(maxabs(gm + gm.T), abs(np.trace(m)))
+    return _nan_max(maxabs(gm + gm.T), abs(np.trace(m)))
 
 
 def _isometry_residual(space, rng):
@@ -257,13 +264,13 @@ def _action_formulas(space, rng):
     m2 = b.square()
     lp = (1.0 + pq - m2 / (gam + 1.0)) * p - p.square() * q
     lq = (1.0 - pq - m2 / (gam + 1.0)) * q + q.square() * p
-    return max(_gap(op.apply(p), lp), _gap(op.apply(q), lq))
+    return _nan_max(_gap(op.apply(p), lp), _gap(op.apply(q), lq))
 
 
 def _reflection(space, rng):
     p = random_nonnull_vector(space, rng)
     ref = iso.reflection(p)
-    return max(_identity_gap(ref, ref), _relative_gap(ref.apply(p), -p))
+    return _nan_max(_identity_gap(ref, ref), _relative_gap(ref.apply(p), -p))
 
 
 def _reflection_link(space, rng):
@@ -385,9 +392,9 @@ def _reciprocal_presentation(space, rng):
     rhs = SimpleBivector(mu * reflected, d)
     rest = d - idempotent_of(p).apply(d)
     wedge2 = bivector_product(SimpleBivector(p, d), SimpleBivector(p, d))
-    return max(maxabs(lhs.components() - rhs.components())
-               / max(1.0, maxabs(lhs.components())),
-               abs(rest.square() - wedge2 / p.square()) / max(1.0, abs(wedge2)))
+    return _nan_max(maxabs(lhs.components() - rhs.components())
+                    / max(1.0, maxabs(lhs.components())),
+                    abs(rest.square() - wedge2 / p.square()) / max(1.0, abs(wedge2)))
 
 
 def _gamma_formula(ctx, rng, judge):
@@ -407,7 +414,7 @@ def _gamma_formula(ctx, rng, judge):
 
     links, _, n_links = _sweep(ctx.families["all"], ctx.samples, rng, triple)
     obs, _, n_obs = _sweep(ctx.families["mink4"], ctx.samples, rng, observers)
-    return judge(n_links + n_obs, max(links, obs))
+    return judge(n_links + n_obs, _nan_max(links, obs))
 
 
 def _boost_reciprocity(space, rng):
@@ -422,7 +429,7 @@ def _boost_generator(space, rng):
     vbar = (gam / c) * v.vector
     generated = iso.isometry_from_bivector(SimpleBivector(p.vector, vbar))
     target = gam * (p.vector + (1.0 / c) * v.vector)
-    return max(op.distance(generated), _gap(op.apply(p.vector), target))
+    return _nan_max(op.distance(generated), _gap(op.apply(p.vector), target))
 
 
 def _observer_family(ctx, rng, judge):
@@ -457,7 +464,7 @@ def _observer_family(ctx, rng, judge):
 
     residuals = [residual(chi, phi) for chi in np.linspace(0.0, 1.2, 5)
                  for phi in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)]
-    return judge(len(residuals), max(0.0, *residuals))
+    return judge(len(residuals), _nan_max(0.0, *residuals))
 
 
 def _interval_invariance(space, rng):
@@ -479,25 +486,25 @@ def _transform_cross_check(ctx, rng, judge):
         res = kin.coordinate_transform(r, p, v, e)
         moved = kin.boost(p, kin.negate(v)).apply(e)
         ct_ref = -scalar_product(r.vector, moved)
-        return max(abs(res.t_prime - ct_ref / c),
-                   _gap(res.x_prime, r.rest_projection(moved)))
+        return _nan_max(abs(res.t_prime - ct_ref / c),
+                        _gap(res.x_prime, r.rest_projection(moved)))
 
     def against_einstein(space, rng):
         r, c, v = _observed(space, rng)
         e = random_vector(space, rng, scale=2.0)
         res = kin.coordinate_transform(r, r, v, e)
         t_e, x_e = kin.einstein_transform(r, v, e)
-        worst = max(abs(res.t_prime - t_e), _gap(res.x_prime, x_e))
+        worst = _nan_max(abs(res.t_prime - t_e), _gap(res.x_prime, x_e))
         coords = kin.event_coordinates(r, e, c)
         if abs(coords.t + t_e) > 1e-3:
             recovered = kin.urbantke_velocity(coords.t, coords.x, t_e, x_e, c)
-            worst = max(worst, _gap(recovered, v.vector))
+            worst = _nan_max(worst, _gap(recovered, v.vector))
         return worst
 
     mink4 = ctx.families["mink4"]
     boosted, _, n_boost = _sweep(mink4, ctx.samples, rng, against_boost)
     einstein, _, n_einstein = _sweep(mink4, ctx.samples, rng, against_einstein)
-    return judge(n_boost + n_einstein, max(boosted, einstein))
+    return judge(n_boost + n_einstein, _nan_max(boosted, einstein))
 
 
 def _lightspeed_closure(space, rng):
@@ -529,7 +536,7 @@ def _nonassociativity(ctx, rng, judge):
     # working witness keeps the third leg inside that plane.
     orthogonal_associator = _associator(u, v, w)
     assoc, order, n = _sweep((space,), 100, rng, rotated, "witness")
-    return judge(n, min(order, assoc),
+    return judge(n, _nan_min(order, assoc),
                  {"orthogonal_triple_associator": orthogonal_associator,
                   "in_plane_associator_min": float(assoc),
                   "order_discrepancy_min": float(order)})
@@ -578,15 +585,15 @@ def _acceleration_identities(space, rng):
     a_par = (va / v.vector.square()) * v.vector
     lhs3 = kin.acceleration_transform(v, kin.Velocity3(
         space.zero_vector(), p, c), a_par)
-    return max(_gap(lhs1, c2 * (1.0 - 1.0 / gam) * a), _gap(lhs2, rhs2),
-               _gap(lhs3, (1.0 / gam ** 3) * a_par))
+    return _nan_max(_gap(lhs1, c2 * (1.0 - 1.0 / gam) * a), _gap(lhs2, rhs2),
+                    _gap(lhs3, (1.0 / gam ** 3) * a_par))
 
 
 def _velocity_roundtrip(space, rng):
     p, c, u = _observed(space, rng)
     v = random_observed_velocity(p, rng, c)
     back = kin.velocity_subtract(u, kin.velocity_add(u, kin.negate(v)))
-    return max(_gap(back.vector, v.vector), abs(kin.gamma(back) - kin.gamma(v)))
+    return _nan_max(_gap(back.vector, v.vector), abs(kin.gamma(back) - kin.gamma(v)))
 
 
 def _groupoid_axioms(space, rng):
@@ -718,13 +725,13 @@ def run_all(seed: int = 0, tol_rel: float = 1e-9, samples: int = 40,
     return [_run(pid, row, ctx) for pid, row in _PROPERTIES]
 
 
-def _clusters(ops, cut):
-    """Greedy class count of ``ops`` at distance ``cut``, the number of pairs
-    farther apart than ``cut``, and the largest distance from the first op.
+def _clusters(entries, cut):
+    """Greedy class count of the operators ``entries`` at distance ``cut``, the
+    number of pairs farther apart than ``cut``, and the largest distance from
+    the first operator.
 
     Builds one row of max-abs distances per operator, to those before it.
     """
-    entries = np.array([op.mapping.entries for op in ops])
     reps, above, spread = [], 0, 0.0
     for i in range(len(entries)):
         row = np.abs(entries[:i] - entries[i]).max(axis=(1, 2))
@@ -736,6 +743,22 @@ def _clusters(ops, cut):
     return len(reps), above, spread
 
 
+def _check_first_link(r, s, record, entries, ray):
+    """Build a scan's first link again through the object path.
+
+    Its operator and its record must equal the stacked row bit for bit.
+    """
+    problem = lnk.LinkProblem(r, s, r.space.vector(ray))
+    link = lnk.p_link(problem)
+    expected = (lnk.mu_scalar(problem) if problem._terms.generic else None,
+                link.gamma if link.gamma is not None else lnk.gamma_of_link(problem),
+                _gap(link.apply(r), s))
+    if ((record["mu"], record["gamma"], record["residual"]) != expected
+            or not np.array_equal(link.mapping.entries, entries)):
+        raise InternalConsistencyError(
+            "the stacked link of the first ray differs from p_link")
+
+
 def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
                   n_planar: int = 10, distinct_cut: float = 1e-6) -> dict:
     """Scan random preferred rays for one link problem.
@@ -744,41 +767,66 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
     ``n_planar`` rays from the plane of R and S (stream (seed, 2, j)), builds
     the selected links and reports how many are pairwise distinct, how large
     the planar cluster is, and the recorded gamma range.
+
+    An index draws from its own stream until a ray is accepted, at most 1000
+    times.  The draws are linked round by round: round k stacks the k-th draw
+    of every index still open and evaluates it as one batch, with every check
+    of one link on every row.  A refusal raises the error of the first
+    refused index in scan order.  The first link is also built by
+    :func:`~relkin.linker.p_link`, and its record must come out the same.
     """
+    dim = r.space.dim
+    rc, sc = r.components, s.components
+
+    def general_ray(rng):
+        return rng.normal(size=dim)  # the draw of random_vector
+
     def planar_ray(rng):
         a, b = rng.normal(size=2)
-        return a * r + b * s
+        return a * rc + b * sc
 
-    streams = (("general", 1, int(n_general), lambda rng: random_vector(r.space, rng)),
-               ("planar", 2, int(n_planar), planar_ray))
-    links = {"general": [], "planar": []}
-    records = []
-    for kind, stream, count, draw in streams:
-        for i in range(count):
-            rng = rng_for(seed, stream, i)
-            for _ in range(1000):
-                p = draw(rng)
-                problem = lnk.LinkProblem(r, s, p)
-                flags = lnk.admissibility(problem)
-                if flags.generic and not flags.p_transversal:
-                    continue
-                if (abs(scalar_product(p, r + s)) < 0.05
-                        or abs(flags.denominator) < 0.05):
-                    continue
-                link = lnk.p_link(problem)
-                gamma = (link.gamma if link.gamma is not None
-                         else lnk.gamma_of_link(problem))
-                links[kind].append(link)
-                records.append({"index": i, "ray_kind": kind,
-                                "planar": bool(flags.planar),
-                                "mu": (lnk.mu_scalar(problem)
-                                       if flags.generic else None),
-                                "gamma": gamma,
-                                "residual": _gap(link.apply(r), s)})
-                break
-    distinct, pairs_above, _ = _clusters(links["general"], distinct_cut)
-    planar_cluster, _, planar_spread = _clusters(links["planar"], distinct_cut)
-    n = len(links["general"])
+    # One slot per index, in scan order: (kind, index, stream, draw).
+    slots = [(kind, i, rng_for(seed, stream, i), draw)
+             for kind, stream, count, draw in (("general", 1, int(n_general), general_ray),
+                                               ("planar", 2, int(n_planar), planar_ray))
+             for i in range(count)]
+    problem = lnk.LinkProblem(r, s) if slots else None
+    found, error, error_at = {}, None, len(slots)
+    pending = range(len(slots))
+    for _ in range(1000):
+        pending = [k for k in pending if k < error_at]
+        if not pending:
+            break
+        terms = lnk._Terms.stacked(problem, np.array(
+            [draw(rng) for _, _, rng, draw in (slots[k] for k in pending)]))
+        planar = lnk._planar_rows(problem, terms)
+        keep = np.flatnonzero(~(terms.generic & ~terms.p_transversal)
+                              & ~(np.abs(terms.psum) < 0.05)
+                              & ~(np.abs(terms.denominator) < 0.05))
+        links = lnk._link_rows(problem, terms.rows(keep))
+        mus = [None] * len(links.gamma) if links.mu is None else links.mu.tolist()
+        for j, fields in enumerate(zip(planar[keep].tolist(), mus, links.gamma.tolist(),
+                                       links.residual.tolist())):
+            k = pending[keep[j]]
+            record = dict(zip(("index", "ray_kind", "planar", "mu", "gamma", "residual"),
+                              (slots[k][1], slots[k][0]) + fields))
+            found[k] = record, links.entries[j], terms.p[keep[j]]
+        if links.error is not None:
+            error, error_at = links.error, pending[keep[len(links.gamma)]]
+        accepted = {pending[j] for j in keep}
+        pending = [k for k in pending if k not in accepted]
+    if error is not None:
+        raise error
+    ordered = [found[k] for k in sorted(found)]
+    if ordered:
+        _check_first_link(r, s, *ordered[0])
+    records = [record for record, _, _ in ordered]
+    entries = {kind: np.array([ent for record, ent, _ in ordered
+                               if record["ray_kind"] == kind])
+               for kind in ("general", "planar")}
+    distinct, pairs_above, _ = _clusters(entries["general"], distinct_cut)
+    planar_cluster, _, planar_spread = _clusters(entries["planar"], distinct_cut)
+    n = len(entries["general"])
     pairs_total = n * (n - 1) // 2
     gammas = [rec["gamma"] for rec in records]
     return {

@@ -22,6 +22,7 @@ from .errors import (
     NullVectorError,
     OutOfDomainError,
 )
+from .kernels import GAMMA_MESSAGE, LAW_MESSAGE, gamma_defect, law_bound, law_defect
 from .metric_core import (
     Covector,
     Endomorphism,
@@ -49,9 +50,7 @@ __all__ = [
 
 def isometry_residual(mapping: Endomorphism) -> float:
     """Max-norm of L* g L - g, the defect of the metric-preservation law."""
-    g = mapping.space.g
-    ent = mapping.entries
-    return maxabs(ent.T @ g @ ent - g)
+    return maxabs(law_defect(mapping.space.g, mapping.entries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,17 +70,14 @@ class Isometry:
 
     def __post_init__(self):
         space = self.mapping.space
-        scale = max(1.0, maxabs(space.g) * self.mapping.max_norm() ** 2)
         res = isometry_residual(self.mapping)
-        if res > space.tol_rel * scale:
-            raise InternalConsistencyError(
-                f"operator fails the isometry law, residual {res:.3e}")
+        if res > law_bound(space.tol_rel, maxabs(space.g), self.mapping.max_norm()):
+            raise InternalConsistencyError(LAW_MESSAGE.format(res))
         if self.generator is not None and self.gamma is not None:
-            m2 = self.generator.square()
-            defect = abs(self.gamma ** 2 - (1.0 - m2))
-            if defect > space.tol_rel * max(1.0, abs(m2), self.gamma ** 2):
-                raise InternalConsistencyError(
-                    f"gamma record inconsistent with generator, defect {defect:.3e}")
+            defect, bound = gamma_defect(self.gamma, self.generator.square(),
+                                         space.tol_rel)
+            if defect > bound:
+                raise InternalConsistencyError(GAMMA_MESSAGE.format(defect))
 
     @property
     def space(self) -> MetricSpace:

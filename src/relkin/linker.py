@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     DegenerateLinkError,
     DegenerateSumError,
@@ -28,6 +30,7 @@ from .errors import (
     NotUnitTimelikeError,
     NullVectorError,
     OrthogonalPairError,
+    RelkinError,
     ZeroMuError,
 )
 from .isometry import Isometry
@@ -91,34 +94,75 @@ class LinkProblem:
         return self.R if self.P is None else self.P
 
     @cached_property
+    def _pair(self) -> "_PairTerms":
+        return _PairTerms.of(self.R, self.S, self.space.tol_abs)
+
+    @cached_property
     def _terms(self) -> "_Terms":
         return _Terms.of(self)
 
     @cached_property
     def _mu(self) -> float:
         # A refusal is not cached: it raises again on every call.
-        t = self._terms
-        if not t.generic:
-            raise DegenerateLinkError("(R-S)^2 = 0; no generic link exists")
-        if abs(t.psum) <= self.space.tol_abs * t.sum_scale:
-            raise ZeroMuError("P.(R+S) = 0; the ray cannot parametrize a link")
-        if not t.p_transversal:
-            raise DegenerateLinkError("P^(R-S) = 0; the ray is not transversal")
-        return 2.0 * t.psum / _wedge_denominator(t, self.space.tol_abs)
+        tests, denom = _mu_tests(self._terms, self.space.tol_abs)
+        for failed, (error, message) in zip(tests, _MU_REFUSALS):
+            if failed:
+                raise error(message)
+        return kernels.link_mu(self._terms.psum, denom)
 
 
-@dataclass(frozen=True)
-class _Terms:
-    """The scalars of a link problem, for the effective ray P.
+class _PairTerms(NamedTuple):
+    """The scalars of a link problem that do not depend on the ray.
+
+    ``d`` is R - S with square ``d2``, ``u`` is R + S, and ``r_max``,
+    ``s_max``, ``d_max`` and ``u_max`` are the largest components of R, S,
+    R - S and R + S.  ``generic`` marks (R-S)^2 != 0 and ``coincide`` marks
+    R = S, both to tolerance.
+    """
+
+    d: Vector
+    d2: float
+    u: Vector
+    r_max: float
+    s_max: float
+    d_max: float
+    u_max: float
+    generic: bool
+    coincide: bool
+
+    @classmethod
+    def of(cls, r: Vector, s: Vector, tol: float) -> "_PairTerms":
+        d = r - s
+        d2 = d.square()
+        r_max = maxabs(r.components)
+        s_max = maxabs(s.components)
+        d_max = maxabs(d.components)
+        u = r + s
+        return cls(d, d2, u, r_max, s_max, d_max, maxabs(u.components),
+                   bool(abs(d2) > tol * max(1.0, d_max ** 2)),
+                   bool(d_max <= tol * max(1.0, r_max, s_max)))
+
+
+# The ray fields of _Terms: one value per ray when the terms are stacked.
+_RAY_FIELDS = ("p", "psum", "sum_scale", "pp", "pr", "ps", "w2", "denominator",
+               "p_transversal", "norms")
+
+
+class _Terms(NamedTuple):
+    """The scalars of a link problem, for the effective ray P or stacked rays.
 
     ``d`` is R - S, ``d2`` its square, ``psum`` P.(R+S) with ``sum_scale``
     its degeneracy scale, ``pp``, ``pr`` and ``ps`` the products P.P, P.R
     and P.S, ``w2`` the wedge square {P^(R-S)}^2 and ``denominator``
     D = P.P (R-S)^2 + 4 (P.R)(P.S).  ``coincide`` marks R = S to tolerance
     and ``norms`` is the largest component of P, R and S.
+
+    Built by :meth:`stacked`, ``p`` is the (N, d) array of rays and every
+    other field of ``_RAY_FIELDS`` an (N,) array, row by row equal to the
+    terms of one ray.
     """
 
-    p: Vector
+    p: Vector | np.ndarray
     d: Vector
     d2: float
     psum: float
@@ -135,43 +179,73 @@ class _Terms:
 
     @classmethod
     def of(cls, problem: LinkProblem) -> "_Terms":
-        tol = problem.space.tol_abs
-        r, s = problem.R, problem.S
         p = problem.effective_p()
-        d = r - s
-        d2 = d.square()
-        p_max = maxabs(p.components)
-        r_max = maxabs(r.components)
-        s_max = maxabs(s.components)
-        d_max = maxabs(d.components)
-        u = r + s
-        psum = scalar_product(p, u)
-        sum_scale = max(1.0, p_max * maxabs(u.components))
-        pp = p.square()
-        pr = scalar_product(p, r)
-        ps = scalar_product(p, s)
-        pd = scalar_product(p, d)
-        # The wedge P^(R-S) must be non-zero both squared and entrywise.
-        wedge_max = maxabs(SimpleBivector(p, d).components())
-        leg_scale = p_max * d_max
-        p_transversal = (abs(psum) > tol * sum_scale
-                         and wedge_max ** 2 > (tol * max(1.0, leg_scale ** 2)) ** 2
-                         and wedge_max > tol * max(1.0, leg_scale))
-        return cls(
-            p=p, d=d, d2=d2, psum=psum, sum_scale=sum_scale,
-            pp=pp, pr=pr, ps=ps, w2=pp * d2 - pd * pd,
-            denominator=pp * d2 + 4.0 * pr * ps,
-            generic=bool(abs(d2) > tol * max(1.0, d_max ** 2)),
-            p_transversal=bool(p_transversal),
-            coincide=bool(d_max <= tol * max(1.0, r_max, s_max)),
-            norms=max(p_max, r_max, s_max))
+        pair = problem._pair
+        return cls._combine(
+            problem, p, maxabs(p.components),
+            # P.(R+S), P.P, P.R, P.S and P.(R-S), each as scalar_product
+            # evaluates it, in one stacked pairing.
+            *kernels.pairing_rows(problem.space.g, p.components,
+                                  _pair_partners(problem, p.components)).tolist(),
+            maxabs(SimpleBivector(p, pair.d).components()))
+
+    @classmethod
+    def stacked(cls, problem: LinkProblem, rays: np.ndarray) -> "_Terms":
+        """The terms of ``problem`` for each row of the (N, d) array ``rays``."""
+        d = problem._pair.d.components
+        wedge = rays[:, :, None] * d - d[:, None] * rays[:, None, :]
+        return cls._combine(
+            problem, rays, kernels.maxabs_rows(rays),
+            *kernels.pairing_rows(problem.space.g, rays,
+                                  _pair_partners(problem, rays)),
+            kernels.maxabs_rows(wedge))
+
+    @classmethod
+    def _combine(cls, problem, p, p_max, psum, pp, pr, ps, pd, wedge_max):
+        pair = problem._pair
+        sum_scale, w2, denominator, p_transversal, norms = kernels.link_terms(
+            psum, pp, pr, ps, pd, p_max, wedge_max, pair.d2, pair.d_max,
+            pair.u_max, pair.r_max, pair.s_max, problem.space.tol_abs)
+        return cls(p, pair.d, pair.d2, psum, sum_scale, pp, pr, ps, w2, denominator,
+                   pair.generic, p_transversal, pair.coincide, norms)
+
+    def rows(self, index) -> "_Terms":
+        """The stacked terms of the rays selected by ``index``."""
+        return self._replace(**{name: getattr(self, name)[index]
+                                for name in _RAY_FIELDS})
+
+
+def _pair_partners(problem: LinkProblem, p: np.ndarray) -> np.ndarray:
+    """R + S, P, R, S and R - S, stacked to pair with the ray or rays ``p``."""
+    pair = problem._pair
+    partners = (pair.u.components, p, problem.R.components, problem.S.components,
+                pair.d.components)
+    return np.array(np.broadcast_arrays(*partners) if p.ndim > 1 else partners)
+
+
+# mu's refusals, in the order they are raised.
+_MU_REFUSALS = (
+    (DegenerateLinkError, "(R-S)^2 = 0; no generic link exists"),
+    (ZeroMuError, "P.(R+S) = 0; the ray cannot parametrize a link"),
+    (DegenerateLinkError, "P^(R-S) = 0; the ray is not transversal"),
+    (DegenerateLinkError, "degenerate link denominator"),
+)
+
+
+def _mu_tests(t: _Terms, tol: float):
+    """The tests of ``_MU_REFUSALS`` and mu's wedge denominator.
+
+    Each test is a bool for one ray, or a mask for stacked rays.
+    """
+    denom, degenerate = kernels.wedge_denominator(t.psum, t.w2, tol)
+    return (not t.generic, abs(t.psum) <= tol * t.sum_scale,
+            np.logical_not(t.p_transversal), degenerate), denom
 
 
 def _wedge_denominator(t: _Terms, tol: float) -> float:
     """{P^(R-S)}^2 + {P.(R+S)}^2; raises DegenerateLinkError when it vanishes."""
-    psum2 = t.psum * t.psum
-    denom = t.w2 + psum2
-    if abs(denom) <= tol * max(1.0, abs(t.w2), psum2):
+    denom, degenerate = kernels.wedge_denominator(t.psum, t.w2, tol)
+    if degenerate:
         raise DegenerateLinkError("degenerate link denominator")
     return denom
 
@@ -202,7 +276,7 @@ def admissibility(problem: LinkProblem) -> LinkAdmissibility:
     """
     t = problem._terms
     planar = (trivector_maxabs(t.p, problem.R, problem.S)
-              <= problem.space.tol_abs * max(1.0, t.norms ** 3))
+              <= kernels.planar_bound(problem.space.tol_abs, t.norms))
     return LinkAdmissibility(t.generic, t.p_transversal,
                              float(t.denominator), bool(planar))
 
@@ -220,10 +294,9 @@ def mu_scalar(problem: LinkProblem) -> float:
 
 
 def _verify_links(iso: Isometry, r: Vector, s: Vector) -> None:
-    space = r.space
     res = maxabs(iso.apply(r).components - s.components)
-    if res > space.tol_rel * max(1.0, maxabs(s.components)):
-        raise InternalConsistencyError(f"link fails LR = S, residual {res:.3e}")
+    if res > kernels.link_bound(r.space.tol_rel, maxabs(s.components)):
+        raise InternalConsistencyError(kernels.LINK_MESSAGE.format(res))
 
 
 def _vectors_coincide(r: Vector, s: Vector) -> bool:
@@ -257,17 +330,97 @@ def p_link(problem: LinkProblem) -> Isometry:
     if abs(dd) <= space.tol_abs:
         raise DegenerateLinkError("degenerate link denominator")
     g = space.g
-    gp = g @ p.components
-    gd = g @ d.components
-    alpha = 2.0 * (t.d2 * gp - 2.0 * t.pr * gd) / dd
-    beta = (2.0 * t.pp * gd + 4.0 * t.ps * gp) / dd
-    ent = (np.eye(space.dim)
-           - p.components[:, None] * alpha
-           - d.components[:, None] * beta)
+    alpha, beta = kernels.link_covectors(t.d2, t.pp, t.pr, t.ps, dd,
+                                         g @ p.components, g @ d.components)
+    ent = kernels.link_entries(p.components, d.components, alpha, beta)
     iso = Isometry(Endomorphism(_frozen(ent), space),
                    SimpleBivector(mu * p, d), mu * t.psum - 1.0)
     _verify_links(iso, r, s)
     return iso
+
+
+@dataclass(frozen=True)
+class _RayLinks:
+    """The links of stacked rays, one row per ray up to the first refused ray.
+
+    ``entries`` holds the operators, ``mu`` the ray scalars (None when mu is
+    not evaluated), ``gamma`` the recorded gammas and ``residual`` the LR = S
+    residuals.  ``error`` is what :func:`p_link`, :func:`gamma_of_link` and
+    :func:`mu_scalar` raise for the first refused ray, the row after the
+    last one kept; None when every ray is linked.
+    """
+
+    entries: np.ndarray
+    mu: np.ndarray | None
+    gamma: np.ndarray
+    residual: np.ndarray
+    error: RelkinError | None
+
+
+def _planar_rows(problem: LinkProblem, t: _Terms) -> np.ndarray:
+    """The ``planar`` flag of :func:`admissibility` for each stacked ray."""
+    witness = kernels.trivector_rows(t.p, problem.R.components,
+                                     problem.S.components)
+    return witness <= kernels.planar_bound(problem.space.tol_abs, t.norms)
+
+
+def _link_rows(problem: LinkProblem, t: _Terms) -> _RayLinks:
+    """The links of the stacked rays of ``t``, with every check of one link.
+
+    Each row gets what :func:`p_link` builds for its ray, with the gamma of
+    :func:`gamma_of_link` for R = S, and mu when the problem is generic.  The
+    refusals of mu, the denominator test, the isometry law, the gamma record
+    and LR = S run on every row, in that order and with the bounds and
+    messages of the object path; the rows stop at the first refused ray.
+    """
+    space = problem.space
+    tol_rel = space.tol_rel
+    n = len(t.psum)
+    error = None
+
+    def check(failed, kind, message):
+        nonlocal n, error
+        rows = failed[:n] if np.ndim(failed) else failed
+        hit = np.flatnonzero(np.broadcast_to(rows, (n,)))
+        if hit.size:
+            n = int(hit[0])
+            error = kind(message if isinstance(message, str) else message(n))
+
+    mu = None
+    if t.generic or not t.coincide:
+        tests, denom = _mu_tests(t, space.tol_abs)
+        for failed, (kind, message) in zip(tests, _MU_REFUSALS):
+            check(failed, kind, message)
+        mu = kernels.link_mu(t.psum[:n], denom[:n])
+    r, s = problem.R.components, problem.S.components
+    if t.coincide:
+        eye = np.eye(space.dim)
+        return _RayLinks(np.broadcast_to(eye, (n,) + eye.shape), mu, np.ones(n),
+                         np.full(n, maxabs(eye @ r - s)), error)
+    check(abs(t.denominator) <= space.tol_abs, DegenerateLinkError,
+          "degenerate link denominator")
+    g = space.g
+    p = t.p[:n]
+    gp = np.matmul(g, p[:, :, None])[..., 0]
+    alpha, beta = kernels.link_covectors(
+        t.d2, t.pp[:n, None], t.pr[:n, None], t.ps[:n, None],
+        t.denominator[:n, None], gp, g @ t.d.components)
+    entries = kernels.link_entries(p, t.d.components, alpha, beta)
+    law = kernels.maxabs_rows(kernels.law_defect(g, entries))
+    check(law > kernels.law_bound(tol_rel, maxabs(g), kernels.maxabs_rows(entries)),
+          InternalConsistencyError, lambda j: kernels.LAW_MESSAGE.format(law[j]))
+    # The generator record (mu P)^(R-S), with gamma + 1 = mu P.(R+S).
+    q = mu[:n, None] * p[:n]
+    d = np.broadcast_to(t.d.components, q.shape)
+    m2 = kernels.bivector_pairing(g, q, d, q, d)
+    gamma = mu[:n] * t.psum[:n] - 1.0
+    defect, bound = kernels.gamma_defect(gamma, m2, tol_rel)
+    check(defect > bound, InternalConsistencyError,
+          lambda j: kernels.GAMMA_MESSAGE.format(defect[j]))
+    residual = kernels.maxabs_rows(entries[:n] @ r - s)
+    check(residual > kernels.link_bound(tol_rel, maxabs(s)),
+          InternalConsistencyError, lambda j: kernels.LINK_MESSAGE.format(residual[j]))
+    return _RayLinks(entries[:n], mu[:n], gamma[:n], residual[:n], error)
 
 
 def planar_link(r: Vector, s: Vector) -> Isometry:

@@ -20,6 +20,7 @@ from .errors import (
     NullVectorError,
     SpaceMismatchError,
 )
+from .kernels import bivector_pairing
 
 __all__ = [
     "DEFAULT_TOL_ABS",
@@ -350,10 +351,9 @@ def scalar_product(a: Vector, b: Vector) -> float:
 def bivector_product(b1: SimpleBivector, b2: SimpleBivector) -> float:
     """Induced pairing (A^B).(P^Q) = (A.P)(B.Q) - (A.Q)(B.P)."""
     same_space(b1.first, b2.first)
-    a, b = b1.first, b1.second
-    p, q = b2.first, b2.second
-    return (scalar_product(a, p) * scalar_product(b, q)
-            - scalar_product(a, q) * scalar_product(b, p))
+    return float(bivector_pairing(b1.space.g, b1.first.components,
+                                  b1.second.components, b2.first.components,
+                                  b2.second.components))
 
 
 def contract(v: Vector, b: SimpleBivector) -> Vector:

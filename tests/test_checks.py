@@ -98,6 +98,15 @@ class TestMutationSensitivity:
         assert np.isnan(solves.detail["target_action_residual"])
         assert np.isnan(solves.max_residual) and not solves.passed
 
+    def test_nan_term_fails_its_property(self, monkeypatch):
+        """A body that combines several terms keeps a NaN in second place."""
+        monkeypatch.setattr(chk.iso.Endomorphism, "trace",
+                            lambda self: float("nan"))
+        results = chk.run_all(seed=0, samples=2, dims=(4,))
+        idempotent = next(r for r in results if r.id == 4)
+        assert idempotent.name == "idempotent-laws"
+        assert np.isnan(idempotent.max_residual) and not idempotent.passed
+
     def test_broken_gamma_is_caught(self, monkeypatch):
         true_gamma = chk.kin.gamma
 

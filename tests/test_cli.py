@@ -201,6 +201,9 @@ class TestRecordedOutput:
         ("link_scan_seed0_samples30.jsonl",
          ("link-scan", "--scenario", str(DATA / "golden_scan.json"),
           "--samples", "30", "--seed", "0")),
+        ("matrix_scan_seed0_samples30.jsonl",
+         ("link-scan", "--scenario", str(DATA / "matrix_scan.json"),
+          "--samples", "30", "--seed", "0")),
     ])
     def test_matches_recording(self, recording, args):
         out = re.sub(r',"wall_time_s":[^,}]+', "", run_cli(*args).stdout)

@@ -27,7 +27,7 @@ from relkin import (
     ternary_velocity,
 )
 import relkin
-from relkin import checks, linker
+from relkin import checks, kernels
 from relkin.sampling import SIGNATURES, make_space, random_link_triple, rng_for
 
 
@@ -478,21 +478,28 @@ class TestSharedTerms:
                     fn(not_generic)
 
     def test_scan_evaluates_one_witness_per_ray_draw(self, golden, monkeypatch):
+        """The scan links its draws in stacked rounds; each draw is one row
+        of one stacked witness evaluation."""
         _, r, s = golden
         counts = {"draws": 0, "witnesses": 0}
-        true_witness = linker.trivector_maxabs
+        true_witness = kernels.trivector_rows
+        true_rng_for = checks.rng_for
 
-        class CountedProblem(LinkProblem):
-            def __post_init__(self):
+        class CountedRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def normal(self, *args, **kwargs):
                 counts["draws"] += 1
-                super().__post_init__()
+                return self.rng.normal(*args, **kwargs)
 
-        def counted_witness(u, v, w):
-            counts["witnesses"] += 1
-            return true_witness(u, v, w)
+        def counted_witness(rays, r, s):
+            counts["witnesses"] += len(rays)
+            return true_witness(rays, r, s)
 
-        monkeypatch.setattr(linker, "LinkProblem", CountedProblem)
-        monkeypatch.setattr(linker, "trivector_maxabs", counted_witness)
+        monkeypatch.setattr(checks, "rng_for",
+                            lambda *key: CountedRng(true_rng_for(*key)))
+        monkeypatch.setattr(kernels, "trivector_rows", counted_witness)
         scan = checks.link_ray_scan(r, s, seed=11, n_general=40, n_planar=10)
         assert len(scan["records"]) == 50
         assert counts["draws"] > 50  # some draws are rejected
