@@ -25,6 +25,7 @@ from . import isometry as iso
 from . import kinematics as kin
 from . import linker as lnk
 from .errors import InternalConsistencyError, NotIsomagnitudeError, RelkinError
+from .isometry import operator_classes as _clusters
 from .metric_core import (
     SimpleBivector,
     bivector_product,
@@ -723,24 +724,6 @@ def run_all(seed: int = 0, tol_rel: float = 1e-9, samples: int = 40,
                 "mink4": (make_space(4, "lorentzian"),)}
     ctx = _Ctx(int(seed), float(tol_rel), int(samples), families)
     return [_run(pid, row, ctx) for pid, row in _PROPERTIES]
-
-
-def _clusters(entries, cut):
-    """Greedy class count of the operators ``entries`` at distance ``cut``, the
-    number of pairs farther apart than ``cut``, and the largest distance from
-    the first operator.
-
-    Builds one row of max-abs distances per operator, to those before it.
-    """
-    reps, above, spread = [], 0, 0.0
-    for i in range(len(entries)):
-        row = np.abs(entries[:i] - entries[i]).max(axis=(1, 2))
-        above += int(np.count_nonzero(row > cut))
-        if not (row[reps] <= cut).any():
-            reps.append(i)
-        if i:
-            spread = max(spread, float(row[0]))
-    return len(reps), above, spread
 
 
 def _check_first_link(r, s, record, entries, ray):

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 import time
 
@@ -35,9 +37,21 @@ __all__ = ["main"]
 _NEEDS_SCENARIO = ("link", "link-scan", "boost", "transform", "add", "accel",
                    "groupoid")
 
+# Compact JSON, as json.dumps(obj, separators=(",", ":")) writes it.
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
 
 def _round10(value):
     """Round floats to 10 significant digits, recursively; NaN/inf to None."""
+    # The exact types of most record fields come first; subclasses such as
+    # np.float64 and bool take the general path below.
+    kind = type(value)
+    if kind is float:
+        return float(f"{value:.10g}") if math.isfinite(value) else None
+    if kind is dict:
+        return {str(k): _round10(v) for k, v in value.items()}
+    if kind is str or value is None:
+        return value
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (float, np.floating)):
@@ -63,7 +77,7 @@ def _flatten(obj, prefix=""):
         if isinstance(val, dict):
             out.update(_flatten(val, prefix=f"{name}."))
         elif isinstance(val, list):
-            out[name] = json.dumps(val, separators=(",", ":"))
+            out[name] = _JSON.encode(val)
         else:
             out[name] = val
     return out
@@ -72,7 +86,7 @@ def _flatten(obj, prefix=""):
 def _render(objects, fmt: str) -> str:
     objects = [_round10(o) for o in objects]
     if fmt == "json":
-        return "".join(json.dumps(o, separators=(",", ":")) + "\n"
+        return "".join(_JSON.encode(o) + "\n"
                        for o in objects)
     # csv: tabulate the records, keep the other lines as '#' comments
     records = [o for o in objects if o.get("type") == "record"]
@@ -90,7 +104,7 @@ def _render(objects, fmt: str) -> str:
         writer.writeheader()
         writer.writerows(rows)
     for o in rest:
-        buf.write("# " + json.dumps(o, separators=(",", ":")) + "\n")
+        buf.write("# " + _JSON.encode(o) + "\n")
     return buf.getvalue()
 
 
@@ -343,7 +357,9 @@ _HELP = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``relkin`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="relkin",
         description="coordinate-free pseudo-Euclidean isometries and "

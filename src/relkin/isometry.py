@@ -43,6 +43,7 @@ __all__ = [
     "isometry_residual",
     "minimal_poly_residual",
     "minimal_poly_residual_alt",
+    "operator_classes",
     "reflection",
     "stabilizer_element",
 ]
@@ -220,3 +221,111 @@ def stabilizer_element(r: Vector, b: SimpleBivector) -> Isometry:
         raise InternalConsistencyError(
             f"stabilizer element moved its fixed vector by {res:.3e}")
     return iso
+
+
+def _max_abs_rows(flat, which, op):
+    """The distance ``max(|a - op|)`` from ``op`` to each operator ``a`` of
+    ``flat[which]``, one flattened operator per row.
+
+    Unlike ``kernels.maxabs_rows(flat[which] - op)``, it holds one temporary
+    of the rows' size, not two.
+    """
+    gaps = flat[which]
+    gaps -= op
+    np.abs(gaps, out=gaps)
+    return gaps.max(axis=1)
+
+
+def _units(flat, finite):
+    """Group the operators ``flat`` into units: one per set of equal finite
+    operators, then one per non-finite operator.
+
+    Returns the first index and the size of each unit, and the keys of the
+    finite units: their entry where the finite operators range widest.  The
+    finite units come first, in key order.
+    """
+    fin = np.flatnonzero(finite)
+    mask = finite[:, None]
+    widest = np.argmax(flat.max(axis=0, where=mask, initial=-np.inf)
+                       - flat.min(axis=0, where=mask, initial=np.inf))
+    order = np.argsort(flat[fin, widest], kind="stable")
+    keys = flat[fin[order], widest]
+    fresh = np.ones(len(fin), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    if not fresh.all():  # equal operators have equal keys: order ties by every entry
+        order = np.lexsort(flat[fin].T)  # stable, so equal rows keep index order
+        order = order[np.argsort(flat[fin[order], widest], kind="stable")]
+        rows = flat[fin[order]]
+        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(fresh)
+    index = np.concatenate([fin[order[starts]], np.flatnonzero(~finite)])
+    size = np.concatenate([np.diff(starts, append=len(fin)),
+                           np.ones(len(flat) - len(fin), dtype=int)])
+    return index, size, keys[starts]
+
+
+def operator_classes(entries, cut):
+    """Greedy class count of the stacked operators ``entries`` at distance
+    ``cut``, the number of pairs farther apart than ``cut``, and the largest
+    distance from the first operator.
+
+    The distance of two operators is that of :meth:`Isometry.distance`, the
+    largest ``|a - b|`` over their entries (NaN when one is NaN).  An
+    operator starts a class when no earlier class starter lies within
+    ``cut``.
+
+    Two operators within ``cut`` are within it in every entry, so the finite
+    operators are sorted by the entry that ranges widest, and only pairs
+    whose keys lie within ``cut`` (plus a rounding margin) get an exact
+    distance: every other pair of distinct finite operators is farther apart.
+    Equal finite operators form one unit, which starts at most one class,
+    and an operator with a non-finite entry gets one exact row to all the
+    others.  Work and memory stay linear in the number of operators, apart
+    from the sorts and from operators crowding within ``cut`` of one key.
+    """
+    n = len(entries)
+    if n < 2:
+        return n, 0, 0.0
+    flat = np.reshape(entries, (n, -1))
+    finite = np.isfinite(flat).all(axis=1)
+    index, size, keys = _units(flat, finite)
+    units, n_keyed = len(index), len(keys)
+    # Equal operators lie equally far from the first; a fold of Python max
+    # from 0.0 passes NaN over.
+    gaps = _max_abs_rows(flat, index[index > 0], flat[0])
+    gaps = gaps[gaps > 0.0]
+    spread = float(gaps.max()) if gaps.size else 0.0
+
+    # A finite unit is compared with the finite units whose key can lie
+    # within cut of its own, a non-finite unit with all.  The margin covers
+    # the rounding of the key differences and of the window bounds.
+    reach = cut + 2.0 * np.finfo(float).eps * (cut + np.abs(keys).max(initial=0.0))
+    first = np.searchsorted(keys, keys - reach, "left")
+    last = np.searchsorted(keys, keys + reach, "right")
+    visit = np.flatnonzero(np.concatenate([last - first > 1,
+                                           np.ones(units - n_keyed, dtype=bool)]))
+
+    starter = np.ones(units, dtype=bool)
+    near_pairs = above = 0
+    for u in visit[np.argsort(index[visit])]:  # in index order
+        others = np.arange(first[u], last[u]) if u < n_keyed else np.arange(units)
+        others = others[others != u]
+        row = _max_abs_rows(flat, index[others], flat[index[u]])
+        near = others[row <= cut]
+        earlier = index[near] < index[u]
+        if starter[near[earlier]].any():
+            starter[u] = False
+        if u < n_keyed:  # a near pair of finite units is counted from its earlier unit
+            near_pairs += int(size[u]) * int(size[near[~earlier]].sum())
+        else:  # a pair with a non-finite operator is counted from that one
+            counted = (others < n_keyed) | (index[others] < index[u])
+            above += int(size[others[counted & (row > cut)]].sum())
+            if starter[u]:
+                starter[near[~earlier]] = False
+
+    # The other pairs of finite operators are near or farther than cut.
+    n_finite = int(size[:n_keyed].sum())
+    equal = int((size * (size - 1) // 2).sum())  # pairs at distance 0
+    apart = n_finite * (n_finite - 1) // 2 - equal - near_pairs
+    above += (apart if cut == cut else 0) + (equal if 0.0 > cut else 0)
+    return (int(starter.sum()) if 0.0 <= cut else n), above, spread

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from relkin import cli
 
 DATA = Path(__file__).parent / "data"
 
@@ -14,6 +17,10 @@ def run_cli(*args, expect=0):
                           capture_output=True, text=True)
     assert proc.returncode == expect, proc.stdout + proc.stderr
     return proc
+
+
+def scrub_wall_time(text):
+    return re.sub(r'"wall_time_s":[0-9.e+-]+', '"wall_time_s":0', text)
 
 
 def records_of(proc):
@@ -208,3 +215,73 @@ class TestRecordedOutput:
     def test_matches_recording(self, recording, args):
         out = re.sub(r',"wall_time_s":[^,}]+', "", run_cli(*args).stdout)
         assert out == (DATA / recording).read_text()
+
+
+def old_round10(value):
+    """The renderer's rounding before it checked exact types first."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if not np.isfinite(v):
+            return None
+        return float(f"{v:.10g}")
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return [old_round10(x) for x in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [old_round10(x) for x in value]
+    if isinstance(value, dict):
+        return {str(k): old_round10(v) for k, v in value.items()}
+    return value
+
+
+class TestRenderer:
+    VALUES = [1 / 3, 123456.78901234, 1e-300, np.float64(2 / 3), np.float32(0.1),
+              0.0, -0.0, float("nan"), float("inf"), float("-inf"), np.float64("nan"),
+              True, False, np.bool_(True), 7, np.int64(-3), None, "text",
+              {"a": {1: [1.5, (2, np.float64("inf"))]}, 2.5: None},
+              [0.1, [np.float32(2.2), True]], (np.int32(4), -0.0, "x"),
+              np.array([[0.1, np.inf], [2.0, -0.0]]), np.array([True, False]),
+              np.array([1, 2])]
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_rounding_matches_the_general_path(self, value):
+        assert repr(cli._round10(value)) == repr(old_round10(value))
+
+    def test_csv_scan_matches_the_general_path(self, capsys, monkeypatch):
+        args = ["link-scan", "--scenario", str(DATA / "golden_scan.json"),
+                "--samples", "30", "--format", "csv"]
+        outputs = []
+        for rounding in (cli._round10, old_round10):
+            monkeypatch.setattr(cli, "_round10", rounding)
+            assert cli.main(args) == 0
+            outputs.append(scrub_wall_time(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\n") == 1 + 50 + 1  # header, rays, summary
+
+
+class TestInProcessRuns:
+    """The parser is built once per process; a command run after another
+    gives what it gives when it runs alone."""
+
+    @pytest.mark.parametrize("second, code", [
+        (("check", "--samples", "1", "--tol-abs", "1"), 2),
+        (("link", "--scenario", str(DATA / "golden_link.json")), 0),
+    ])
+    def test_second_command_runs_as_alone(self, capsys, second, code):
+        first = ["link-scan", "--scenario", str(DATA / "golden_scan.json"),
+                 "--samples", "5", "--seed", "3"]
+        assert cli.main(first) == 0
+        capsys.readouterr()
+        try:
+            got = cli.main(list(second))
+        except SystemExit as exc:
+            got = exc.code
+        out, err = capsys.readouterr()
+        alone = run_cli(*second, expect=code)
+        assert got == code
+        assert scrub_wall_time(out) == scrub_wall_time(alone.stdout)
+        assert err == alone.stderr
+        assert cli.build_parser() is cli.build_parser()

@@ -3,8 +3,13 @@
 ``reference_scan`` is the per-ray loop that ``link_ray_scan`` used before it
 linked its rays as stacked batches: one ``LinkProblem``, one
 ``admissibility`` and one ``p_link`` per draw.  The stacked scan must return
-the same dict, or raise the same error.
+the same dict, or raise the same error.  ``reference_clusters`` is the class
+count the scan used before its sort-and-sweep: one distance row per
+operator, to those before it.
 """
+
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from relkin import (
     p_link,
     trivector_maxabs,
 )
+from relkin.scenario import load as load_scenario
 from relkin.sampling import (SIGNATURES, make_space, random_link_triple,
                              random_vector, rng_for)
 
@@ -31,6 +37,21 @@ from relkin.sampling import (SIGNATURES, make_space, random_link_triple,
 MATRIX = MetricSpace.from_metric([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
 MATRIX_R = MATRIX.vector([1.0, 0.0, 0.0])
 MATRIX_S = MATRIX.vector([0.0, 0.0, 1.4142135623730951])
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def reference_clusters(entries, cut):
+    reps, above, spread = [], 0, 0.0
+    for i in range(len(entries)):
+        row = np.abs(entries[:i] - entries[i]).max(axis=(1, 2))
+        above += int(np.count_nonzero(row > cut))
+        if not (row[reps] <= cut).any():
+            reps.append(i)
+        if i:
+            spread = max(spread, float(row[0]))
+    return len(reps), above, spread
 
 
 def reference_scan(r, s, seed=0, n_general=100, n_planar=10, distinct_cut=1e-6):
@@ -67,8 +88,8 @@ def reference_scan(r, s, seed=0, n_general=100, n_planar=10, distinct_cut=1e-6):
                 break
 
     def clusters(ops):
-        return checks._clusters(np.array([op.mapping.entries for op in ops]),
-                                distinct_cut)
+        return reference_clusters(np.array([op.mapping.entries for op in ops]),
+                                  distinct_cut)
 
     distinct, pairs_above, _ = clusters(links["general"])
     planar_cluster, _, planar_spread = clusters(links["planar"])
@@ -285,3 +306,110 @@ class TestStackedScan:
             with pytest.raises(InternalConsistencyError) as exc:
                 checks.link_ray_scan(r, s, seed=seed, n_general=n_general, n_planar=0)
             assert str(exc.value) == expected
+
+
+def _near_duplicates(rng, n, dim):
+    """n operators: a few centres, each copied exactly or moved by about
+    1e-7 to 1, with up to two entries set to NaN or +-inf."""
+    centres = rng.normal(size=(int(rng.integers(1, 5)), dim, dim))
+    ops = centres[rng.integers(0, len(centres), size=n)]
+    ops = ops + rng.normal(size=ops.shape) * rng.choice(
+        [0.0, 0.0, 3e-7, 1e-6, 1.0], size=(n, 1, 1))
+    for _ in range(int(rng.integers(0, 3))):
+        if n:
+            ops[rng.integers(0, n)][tuple(rng.integers(0, dim, size=2))] = rng.choice(
+                [np.nan, np.inf, -np.inf])
+    return ops
+
+
+class TestClassCount:
+    """The sort-and-sweep class count against the per-operator loop: the
+    same ints and the same float, whatever the operators."""
+
+    CUT = 1e-6
+
+    def assert_same(self, entries, cut=CUT):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert (repr(checks._clusters(entries, cut))
+                    == repr(reference_clusters(entries, cut)))
+
+    def test_no_one_and_two_operators(self):
+        ops = rng_for(20).normal(size=(2, 3, 3))
+        self.assert_same(np.array([]))  # what a scan without rays passes
+        for n in (0, 1, 2):
+            self.assert_same(ops[:n])
+        self.assert_same(ops[[0, 0]])
+        self.assert_same(ops[[1, 1]], cut=0.0)
+
+    @pytest.mark.parametrize("base", [0.0, 0.7, -3e3])
+    def test_distances_at_the_cut_and_one_ulp_either_side(self, base):
+        for gap in (np.nextafter(self.CUT, 0.0), self.CUT, np.nextafter(self.CUT, 1.0)):
+            ops = np.full((5, 3, 3), base)
+            ops[1, 0, 2] += gap
+            ops[2, 1, 1] -= gap
+            ops[3, 0, 2] += 2.0 * gap
+            ops[4, 2, 0] += gap
+            for cut in (self.CUT, gap):
+                self.assert_same(ops, cut)
+        ops = np.zeros((3, 2, 2))
+        ops[1, 0, 0], ops[2, 0, 0] = self.CUT, np.nextafter(self.CUT, 1.0)
+        assert checks._clusters(ops, self.CUT) == (2, 1, ops[2, 0, 0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows(self, value):
+        ops = np.repeat(rng_for(21).normal(size=(4, 3, 3)), 2, axis=0)
+        ops[4:] += 1e-8
+        ops[1, 0, 0] = ops[5, 2, 1] = value
+        ops[6] = value
+        ops[7, 1, 1] = -value
+        for cut in (self.CUT, 0.0, -1.0, np.inf, np.nan):
+            self.assert_same(ops, cut)
+            self.assert_same(ops[::-1].copy(), cut)
+        self.assert_same(np.full((3, 2, 2), value))
+
+    def test_random_near_duplicate_sets(self):
+        rng = rng_for(22)
+        for k in range(400):
+            ops = _near_duplicates(rng, int(rng.integers(0, 30)), int(rng.integers(2, 5)))
+            self.assert_same(ops, (self.CUT, 0.0, 1e-3, 0.5)[k % 4])
+
+    def test_scan_families(self, monkeypatch):
+        """The golden scan's links share column 0 (R = e0, so L e0 = S), its
+        50 planar rays form one cluster, and with R = S every link is the
+        identity; the matrix-metric scan is dimension 3."""
+        seen = []
+        count = checks._clusters
+
+        def recording(entries, cut):
+            seen.append((entries, cut))
+            return count(entries, cut)
+
+        monkeypatch.setattr(checks, "_clusters", recording)
+        golden = load_scenario(str(DATA / "golden_scan.json"))
+        space = golden.build_space()
+        r, s = golden.vector(space, "R"), golden.vector(space, "S")
+        scan = checks.link_ray_scan(r, s, seed=0, n_general=300, n_planar=50)
+        assert (scan["distinct_links"], scan["planar_cluster"]) == (300, 1)
+        assert np.ptp(seen[0][0][:, :, 0], axis=0).max() < 1e-12
+        checks.link_ray_scan(r, r, seed=1, n_general=300, n_planar=20)
+        assert count(*seen[2]) == (1, 0, 0.0)
+        checks.link_ray_scan(MATRIX_R, MATRIX_S, seed=0, n_general=200, n_planar=20)
+        monkeypatch.undo()
+        assert len(seen) == 6
+        for entries, cut in seen:
+            self.assert_same(entries, cut)
+
+    def test_memory_stays_linear(self):
+        """20,000 equal operators are one class: no array grows with the
+        400 million pairs (the operators themselves take 2.6 MB)."""
+        for ops, classes in ((np.tile(np.eye(4), (20000, 1, 1)), 1),
+                             (rng_for(23).normal(size=(20000, 4, 4)), 20000)):
+            tracemalloc.start()
+            try:
+                result = checks._clusters(ops, self.CUT)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result[0] == classes
+            assert peak < 6e6
+        assert checks._clusters(np.tile(np.eye(4), (20000, 1, 1)), self.CUT) == (1, 0, 0.0)
