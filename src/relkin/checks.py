@@ -24,7 +24,8 @@ from . import groupoid as grp
 from . import isometry as iso
 from . import kinematics as kin
 from . import linker as lnk
-from .errors import InternalConsistencyError, NotIsomagnitudeError, RelkinError
+from .errors import (DrawsExhaustedError, InternalConsistencyError, NotIsomagnitudeError,
+                     RelkinError)
 from .isometry import operator_classes as _clusters
 from .metric_core import (
     SimpleBivector,
@@ -37,6 +38,7 @@ from .metric_core import (
     scalar_product,
 )
 from .sampling import (
+    _MAX_TRIES,
     SIGNATURES,
     make_space,
     random_admissible_bivector,
@@ -55,6 +57,8 @@ __all__ = ["PropertyResult", "link_ray_scan", "run_all", "NUMERICAL_FLOOR"]
 NUMERICAL_FLOOR = 1e-8
 
 _FIXTURE_DIMS = (2, 3, 4, 5, 6)
+
+_DISTINCT_CUT = 1e-6  # scan links closer than this in every entry count as one
 
 
 @dataclass(frozen=True)
@@ -743,7 +747,7 @@ def _check_first_link(r, s, record, entries, ray):
 
 
 def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
-                  n_planar: int = 10, distinct_cut: float = 1e-6) -> dict:
+                  n_planar: int = 10) -> dict:
     """Scan random preferred rays for one link problem.
 
     Draws ``n_general`` rays from the whole space (stream (seed, 1, i)) and
@@ -754,8 +758,9 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
     An index draws from its own stream until a ray is accepted, at most 1000
     times.  The draws are linked round by round: round k stacks the k-th draw
     of every index still open and evaluates it as one batch, with every check
-    of one link on every row.  A refusal raises the error of the first
-    refused index in scan order.  The first link is also built by
+    of one link on every row.  A refused ray, or an index that spends its
+    1000 draws (DrawsExhaustedError), stops the scan: the first such index
+    in scan order decides what is raised.  The first link is also built by
     :func:`~relkin.linker.p_link`, and its record must come out the same.
     """
     dim = r.space.dim
@@ -768,20 +773,19 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
         a, b = rng.normal(size=2)
         return a * rc + b * sc
 
-    # One slot per index, in scan order: (kind, index, stream, draw).
-    slots = [(kind, i, rng_for(seed, stream, i), draw)
+    # One slot per index, in scan order: (kind, index, stream, rng, draw).
+    slots = [(kind, i, stream, rng_for(seed, stream, i), draw)
              for kind, stream, count, draw in (("general", 1, int(n_general), general_ray),
                                                ("planar", 2, int(n_planar), planar_ray))
              for i in range(count)]
     problem = lnk.LinkProblem(r, s) if slots else None
     found, error, error_at = {}, None, len(slots)
     pending = range(len(slots))
-    for _ in range(1000):
-        pending = [k for k in pending if k < error_at]
+    for _ in range(_MAX_TRIES):
         if not pending:
             break
         terms = lnk._Terms.stacked(problem, np.array(
-            [draw(rng) for _, _, rng, draw in (slots[k] for k in pending)]))
+            [draw(rng) for *_, rng, draw in (slots[k] for k in pending)]))
         planar = lnk._planar_rows(problem, terms)
         keep = np.flatnonzero(~(terms.generic & ~terms.p_transversal)
                               & ~(np.abs(terms.psum) < 0.05)
@@ -797,7 +801,11 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
         if links.error is not None:
             error, error_at = links.error, pending[keep[len(links.gamma)]]
         accepted = {pending[j] for j in keep}
-        pending = [k for k in pending if k not in accepted]
+        pending = [k for k in pending if k not in accepted and k < error_at]
+    if pending:  # the first index left has spent its draws
+        kind, i, stream, *_ = slots[pending[0]]
+        raise DrawsExhaustedError(f"{kind} ray index {i} (stream ({seed}, {stream}, {i})) "
+                                  f"accepted no ray in {_MAX_TRIES} draws")
     if error is not None:
         raise error
     ordered = [found[k] for k in sorted(found)]
@@ -807,8 +815,8 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
     entries = {kind: np.array([ent for record, ent, _ in ordered
                                if record["ray_kind"] == kind])
                for kind in ("general", "planar")}
-    distinct, pairs_above, _ = _clusters(entries["general"], distinct_cut)
-    planar_cluster, _, planar_spread = _clusters(entries["planar"], distinct_cut)
+    distinct, pairs_above, _ = _clusters(entries["general"], _DISTINCT_CUT)
+    planar_cluster, _, planar_spread = _clusters(entries["planar"], _DISTINCT_CUT)
     n = len(entries["general"])
     pairs_total = n * (n - 1) // 2
     gammas = [rec["gamma"] for rec in records]

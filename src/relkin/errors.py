@@ -10,6 +10,7 @@ __all__ = [
     "RelkinError",
     "SpaceMismatchError",
     "DegenerateMetricError",
+    "NonFiniteError",
     "NullVectorError",
     "NotUnimodularError",
     "OutOfDomainError",
@@ -30,6 +31,7 @@ __all__ = [
     "DegenerateEpochError",
     "DegenerateDenominatorError",
     "NotComposableError",
+    "DrawsExhaustedError",
     "ScenarioError",
     "InternalConsistencyError",
 ]
@@ -45,6 +47,10 @@ class SpaceMismatchError(RelkinError):
 
 class DegenerateMetricError(RelkinError):
     """Metric tensor is not symmetric and invertible to tolerance."""
+
+
+class NonFiniteError(RelkinError):
+    """An input quantity has a NaN or infinite component."""
 
 
 class NullVectorError(RelkinError):
@@ -125,6 +131,10 @@ class DegenerateDenominatorError(RelkinError):
 
 class NotComposableError(RelkinError):
     """Morphism endpoints do not match, so composition is undefined."""
+
+
+class DrawsExhaustedError(RelkinError):
+    """A seeded sampler spent all its draws without accepting one."""
 
 
 class ScenarioError(RelkinError):

@@ -9,14 +9,14 @@ the non-associative velocity composition of the isometric picture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotComposableError
 from .kinematics import Observer, Velocity3, velocity_add
 from .linker import LinkProblem, binary_velocity, ternary_velocity
-from .metric_core import Vector, maxabs, same_space
+from .metric_core import Vector, maxabs
 
 __all__ = [
     "ObserverObject",
@@ -45,10 +45,7 @@ class ObserverObject:
     def __eq__(self, other):
         if not isinstance(other, ObserverObject):
             return NotImplemented
-        same_space(self.observer.vector, other.observer.vector)
-        diff = maxabs(self.observer.vector.components
-                      - other.observer.vector.components)
-        return diff <= self.space.tol_rel
+        return self.observer.agrees_with(other.observer)
 
     __hash__ = None
 
@@ -76,7 +73,6 @@ def hom(p: ObserverObject, q: ObserverObject, c: float = 1.0) -> VelocityMorphis
     strictly sub-luminal.  Depends only on the observer vectors, never on
     labels.  hom(p, p) is the zero morphism.
     """
-    same_space(p.observer.vector, q.observer.vector)
     w = binary_velocity(p.observer.vector, q.observer.vector)
     return VelocityMorphism(p, q, float(c) * w, float(c))
 
@@ -106,7 +102,6 @@ def compare_with_isometric(p: ObserverObject, q: ObserverObject,
     two orders differ and how far each lands from the direct velocity of r.
     All discrepancies vanish for coplanar chains and generically do not.
     """
-    same_space(p.observer.vector, q.observer.vector, r.observer.vector)
     h_pq = hom(p, q, c)
     h_qr = hom(q, r, c)
     h_pr = hom(p, r, c)

@@ -22,7 +22,8 @@ from .errors import (
     NullVectorError,
     OutOfDomainError,
 )
-from .kernels import GAMMA_MESSAGE, LAW_MESSAGE, gamma_defect, law_bound, law_defect
+from .kernels import (GAMMA_MESSAGE, LAW_MESSAGE, LINK_MESSAGE, gamma_defect,
+                      law_bound, law_defect, link_bound)
 from .metric_core import (
     Covector,
     Endomorphism,
@@ -126,6 +127,15 @@ def reflection(p: Vector) -> Isometry:
     return Isometry(Endomorphism(_frozen(ent), space))
 
 
+def _principal_gamma(b: SimpleBivector) -> float:
+    """The principal root gamma of gamma^2 = 1 - (P^Q)^2; raises
+    OutOfDomainError outside the domain (P^Q)^2 <= 1."""
+    m2 = b.square()
+    if m2 > 1.0 + b.space.tol_abs:
+        raise OutOfDomainError(f"(P^Q)^2 = {m2!r} exceeds 1")
+    return float(np.sqrt(max(0.0, 1.0 - m2)))
+
+
 def isometry_from_bivector(b: SimpleBivector) -> Isometry:
     """Binomial isometry id + M + M^2/(gamma+1) of a simple bivector.
 
@@ -134,10 +144,7 @@ def isometry_from_bivector(b: SimpleBivector) -> Isometry:
     zero bivector yields the identity with gamma = 1.
     """
     space = b.space
-    m2 = b.square()
-    if m2 > 1.0 + space.tol_abs:
-        raise OutOfDomainError(f"(P^Q)^2 = {m2!r} exceeds 1")
-    gamma = float(np.sqrt(max(0.0, 1.0 - m2)))
+    gamma = _principal_gamma(b)
     if abs(gamma + 1.0) <= space.tol_abs:
         raise DegenerateGammaError("gamma + 1 vanishes")
     m = lie_map(b).entries
@@ -161,10 +168,7 @@ def covector_pair(b: SimpleBivector) -> tuple[Covector, Covector]:
         zero = space.covector(np.zeros(space.dim))
         return zero, zero
     p, q = b.first, b.second
-    m2 = b.square()
-    if m2 > 1.0 + space.tol_abs:
-        raise OutOfDomainError(f"(P^Q)^2 = {m2!r} exceeds 1")
-    gamma = float(np.sqrt(max(0.0, 1.0 - m2)))
+    gamma = _principal_gamma(b)
     gp = space.g @ p.components
     gq = space.g @ q.components
     pq = scalar_product(p, q)
@@ -181,12 +185,8 @@ def minimal_poly_residual(iso: Isometry) -> float:
     residual vanishes for every generated isometry.  Requires the generator
     record.
     """
-    if iso.generator is None or iso.gamma is None:
-        raise MissingGeneratorError("operator carries no generator record")
-    ent = iso.mapping.entries
-    eye = np.eye(iso.space.dim)
-    quad = ent @ ent - 2.0 * iso.gamma * ent + eye
-    return maxabs((ent - eye) @ quad)
+    ent, eye = _generated_entries(iso)
+    return maxabs((ent - eye) @ (ent @ ent - 2.0 * iso.gamma * ent + eye))
 
 
 def minimal_poly_residual_alt(iso: Isometry) -> float:
@@ -195,12 +195,16 @@ def minimal_poly_residual_alt(iso: Isometry) -> float:
     This variant factor does not annihilate generic generated isometries;
     it is evaluated alongside the corrected one so reports can show both.
     """
+    ent, eye = _generated_entries(iso)
+    return maxabs((ent - eye) @ (ent @ ent + 2.0 * (iso.gamma - 2.0) * (ent + eye)))
+
+
+def _generated_entries(iso: Isometry) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``iso`` and the identity; raises MissingGeneratorError
+    when ``iso`` carries no generator record."""
     if iso.generator is None or iso.gamma is None:
         raise MissingGeneratorError("operator carries no generator record")
-    ent = iso.mapping.entries
-    eye = np.eye(iso.space.dim)
-    quad = ent @ ent + 2.0 * (iso.gamma - 2.0) * (ent + eye)
-    return maxabs((ent - eye) @ quad)
+    return iso.mapping.entries, np.eye(iso.space.dim)
 
 
 def stabilizer_element(r: Vector, b: SimpleBivector) -> Isometry:
@@ -215,11 +219,16 @@ def stabilizer_element(r: Vector, b: SimpleBivector) -> Isometry:
         bound = space.tol_abs * scale_r * max(1.0, maxabs(leg.components))
         if abs(scalar_product(r, leg)) > bound:
             raise NotInStabilizerError("generator legs must be orthogonal to R")
-    iso = isometry_from_bivector(b)
-    res = maxabs(iso.apply(r).components - r.components)
-    if res > space.tol_rel * max(1.0, maxabs(r.components)):
-        raise InternalConsistencyError(
-            f"stabilizer element moved its fixed vector by {res:.3e}")
+    return _verified(isometry_from_bivector(b), r, r,
+                     "stabilizer element moved its fixed vector by {:.3e}")
+
+
+def _verified(iso: Isometry, r: Vector, s: Vector, message: str = LINK_MESSAGE):
+    """``iso`` once it is checked to map R to S within the link bound; raises
+    InternalConsistencyError with ``message`` and the residual otherwise."""
+    res = maxabs(iso.apply(r).components - s.components)
+    if res > link_bound(r.space.tol_rel, maxabs(s.components)):
+        raise InternalConsistencyError(message.format(res))
     return iso
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "LINK_MESSAGE",
     "bivector_pairing",
     "gamma_defect",
+    "is_null",
     "larger",
     "law_bound",
     "law_defect",
@@ -90,6 +91,12 @@ def link_terms(psum, pp, pr, ps, pd, p_max, wedge_max, d2, d_max, u_max,
                    & (wedge_max > tol * top(1.0, leg_scale)))
     return (sum_scale, pp * d2 - pd * pd, pp * d2 + 4.0 * pr * ps, transversal,
             top(p_max, r_max, s_max))
+
+
+def is_null(square, comp_max, tol):
+    """Whether a vector of square ``square`` and largest component ``comp_max``
+    is null to tolerance ``tol``, relative to its component scale."""
+    return abs(square) <= tol * max(1.0, comp_max ** 2)
 
 
 def planar_bound(tol, norms):

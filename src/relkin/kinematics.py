@@ -19,7 +19,6 @@ from .errors import (
     DegenerateEpochError,
     InternalConsistencyError,
     NotObservedError,
-    NotUnitTimelikeError,
     NotFutureDirectedError,
     PreferredObserverMismatchError,
     SpaceMismatchError,
@@ -32,6 +31,7 @@ from .metric_core import (
     SimpleBivector,
     Vector,
     _frozen,
+    _check_unit_timelike,
     idempotent_of,
     maxabs,
     same_space,
@@ -75,9 +75,7 @@ class Observer:
         space = self.vector.space
         if not space.is_lorentzian:
             raise SpaceMismatchError("observers require a Lorentzian space")
-        if abs(self.vector.square() + 1.0) > space.tol_rel:
-            raise NotUnitTimelikeError(
-                f"observer square is {self.vector.square()!r}, expected -1")
+        _check_unit_timelike(space, "observer square is {!r}, expected -1", self.vector)
         if self.vector.components[TIME_AXIS] <= 0.0:
             raise NotFutureDirectedError("observer must be future-directed")
 
@@ -116,10 +114,8 @@ class Velocity3:
         space = same_space(self.vector, self.observer.vector)
         if self.c <= 0.0:
             raise SpaceMismatchError("c must be positive")
-        ortho = scalar_product(self.vector, self.observer.vector)
-        if abs(ortho) > space.tol_abs * max(1.0, maxabs(self.vector.components)):
-            raise NotObservedError(
-                f"velocity not orthogonal to its observer (P.v = {ortho!r})")
+        _check_observed(space, self.observer.vector, self.vector,
+                        "velocity not orthogonal to its observer (P.v = {!r})")
         v2 = self.vector.square()
         c2 = self.c * self.c
         if self.luminal:
@@ -135,6 +131,15 @@ class Velocity3:
 
     def speed(self) -> float:
         return float(np.sqrt(max(0.0, self.vector.square())))
+
+
+def _check_observed(space: MetricSpace, p: Vector, v: Vector, message: str) -> None:
+    """Raise NotObservedError, with ``message`` formatted with P.v, unless the
+    velocity v is orthogonal to the observer vector P to the tolerance of
+    ``space``."""
+    ortho = scalar_product(p, v)
+    if abs(ortho) > space.tol_abs * max(1.0, maxabs(v.components)):
+        raise NotObservedError(message.format(ortho))
 
 
 def negate(v: Velocity3) -> Velocity3:
@@ -182,11 +187,6 @@ def gamma(v: Velocity3) -> float:
     return float(1.0 / np.sqrt(1.0 - ratio))
 
 
-def _vbar(v: Velocity3) -> Vector:
-    """Scaled velocity gamma v / c, the spatial leg of the boost generator."""
-    return (gamma(v) / v.c) * v.vector
-
-
 def boost(p: Observer, v: Velocity3) -> Isometry:
     """Boost taking the observer P to the worldline moving at v, written
 
@@ -197,9 +197,7 @@ def boost(p: Observer, v: Velocity3) -> Isometry:
     of -v.  Requires P.v = 0.
     """
     space = same_space(p.vector, v.vector)
-    ortho = scalar_product(p.vector, v.vector)
-    if abs(ortho) > space.tol_abs * max(1.0, maxabs(v.vector.components)):
-        raise NotObservedError("boost requires a velocity orthogonal to P")
+    _check_observed(space, p.vector, v.vector, "boost requires a velocity orthogonal to P")
     gam = gamma(v)
     g = space.g
     pc = p.vector.components
@@ -208,8 +206,9 @@ def boost(p: Observer, v: Velocity3) -> Isometry:
            - (gam - 1.0) * np.outer(pc, g @ pc)
            + gam * (np.outer(pc, g @ vc) - np.outer(vc, g @ pc))
            + (gam * gam / (gam + 1.0)) * np.outer(vc, g @ vc))
+    # The generator's spatial leg is vbar = gamma v / c.
     return Isometry(Endomorphism(_frozen(ent), space),
-                    SimpleBivector(p.vector, _vbar(v)), gam)
+                    SimpleBivector(p.vector, (gam / v.c) * v.vector), gam)
 
 
 def coordinate_transform(r: Observer, p: Observer, v: Velocity3,
@@ -227,11 +226,10 @@ def coordinate_transform(r: Observer, p: Observer, v: Velocity3,
     construction.)  Also returns the scalars (P.R, R.v, P.x).
     """
     space = same_space(r.vector, p.vector, v.vector, e)
-    ortho = scalar_product(p.vector, v.vector)
-    if abs(ortho) > space.tol_abs * max(1.0, maxabs(v.vector.components)):
-        raise NotObservedError("transform requires a velocity orthogonal to P")
+    _check_observed(space, p.vector, v.vector,
+                    "transform requires a velocity orthogonal to P")
     gam = gamma(v)
-    vbar = _vbar(v)
+    vbar = (gam / v.c) * v.vector
     ct = -scalar_product(r.vector, e)
     x = r.rest_projection(e)
 
@@ -259,9 +257,8 @@ def einstein_transform(r: Observer, v: Velocity3,
         x' = x + gamma^2/(gamma+1) (v.x/c^2) v - gamma v t.
     """
     space = same_space(r.vector, v.vector, e)
-    ortho = scalar_product(r.vector, v.vector)
-    if abs(ortho) > space.tol_abs * max(1.0, maxabs(v.vector.components)):
-        raise NotObservedError("einstein transform requires R to observe v")
+    _check_observed(space, r.vector, v.vector,
+                    "einstein transform requires R to observe v")
     gam = gamma(v)
     c2 = v.c * v.c
     coords = event_coordinates(r, e, v.c)
@@ -289,7 +286,6 @@ def urbantke_velocity(t: float, x: Vector, t_prime: float, x_prime: Vector,
 
 
 def _check_same_frame(u: Velocity3, v: Velocity3) -> None:
-    same_space(u.vector, v.vector)
     if not u.observer.agrees_with(v.observer):
         raise PreferredObserverMismatchError(
             "velocities are referred to different preferred observers")

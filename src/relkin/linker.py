@@ -27,18 +27,18 @@ from .errors import (
     NotFutureDirectedError,
     NotIsomagnitudeError,
     NotNullCaseError,
-    NotUnitTimelikeError,
     NullVectorError,
     OrthogonalPairError,
     RelkinError,
     ZeroMuError,
 )
-from .isometry import Isometry
+from .isometry import Isometry, _verified
 from .metric_core import (
     Endomorphism,
     SimpleBivector,
     Vector,
     _frozen,
+    _check_unit_timelike,
     idempotent_of,
     maxabs,
     same_space,
@@ -75,10 +75,7 @@ class LinkProblem:
     P: Vector | None = None
 
     def __post_init__(self):
-        if self.P is None:
-            same_space(self.R, self.S)
-        else:
-            same_space(self.R, self.S, self.P)
+        same_space(*(v for v in (self.R, self.S, self.P) if v is not None))
         r2 = self.R.square()
         s2 = self.S.square()
         if abs(r2 - s2) > self.space.tol_rel * max(1.0, abs(r2), abs(s2)):
@@ -139,7 +136,7 @@ class _PairTerms(NamedTuple):
         d_max = maxabs(d.components)
         u = r + s
         return cls(d, d2, u, r_max, s_max, d_max, maxabs(u.components),
-                   bool(abs(d2) > tol * max(1.0, d_max ** 2)),
+                   not kernels.is_null(d2, d_max, tol),
                    bool(d_max <= tol * max(1.0, r_max, s_max)))
 
 
@@ -242,14 +239,6 @@ def _mu_tests(t: _Terms, tol: float):
             np.logical_not(t.p_transversal), degenerate), denom
 
 
-def _wedge_denominator(t: _Terms, tol: float) -> float:
-    """{P^(R-S)}^2 + {P.(R+S)}^2; raises DegenerateLinkError when it vanishes."""
-    denom, degenerate = kernels.wedge_denominator(t.psum, t.w2, tol)
-    if degenerate:
-        raise DegenerateLinkError("degenerate link denominator")
-    return denom
-
-
 @dataclass(frozen=True)
 class LinkAdmissibility:
     """Diagnostic flags for a link problem.
@@ -293,17 +282,6 @@ def mu_scalar(problem: LinkProblem) -> float:
     return problem._mu
 
 
-def _verify_links(iso: Isometry, r: Vector, s: Vector) -> None:
-    res = maxabs(iso.apply(r).components - s.components)
-    if res > kernels.link_bound(r.space.tol_rel, maxabs(s.components)):
-        raise InternalConsistencyError(kernels.LINK_MESSAGE.format(res))
-
-
-def _vectors_coincide(r: Vector, s: Vector) -> bool:
-    scale = max(1.0, maxabs(r.components), maxabs(s.components))
-    return maxabs(r.components - s.components) <= r.space.tol_abs * scale
-
-
 def p_link(problem: LinkProblem) -> Isometry:
     """The link selected by the preferred ray P.
 
@@ -314,17 +292,15 @@ def p_link(problem: LinkProblem) -> Isometry:
 
     The generator record is (mu P)^(R-S) with gamma + 1 = mu P.(R+S); note
     the recorded gamma is signed.  R = S returns the identity, and an
-    omitted P falls back to the planar link.  The link reads mu and the
-    problem's shared terms; it never evaluates the planarity witness of
-    :func:`admissibility`.
+    omitted P falls back to the planar link; every branch verifies LR = S.
+    The link reads mu and the problem's shared terms; it never evaluates the
+    planarity witness of :func:`admissibility`.
     """
     space = problem.space
     r, s = problem.R, problem.S
+    if problem._pair.coincide or problem.P is None:
+        return _planar_link(problem)
     t = problem._terms
-    if t.coincide:
-        return Isometry(space.identity())
-    if problem.P is None:
-        return planar_link(r, s)
     mu = problem._mu
     p, d, dd = t.p, t.d, t.denominator
     if abs(dd) <= space.tol_abs:
@@ -333,10 +309,8 @@ def p_link(problem: LinkProblem) -> Isometry:
     alpha, beta = kernels.link_covectors(t.d2, t.pp, t.pr, t.ps, dd,
                                          g @ p.components, g @ d.components)
     ent = kernels.link_entries(p.components, d.components, alpha, beta)
-    iso = Isometry(Endomorphism(_frozen(ent), space),
-                   SimpleBivector(mu * p, d), mu * t.psum - 1.0)
-    _verify_links(iso, r, s)
-    return iso
+    return _verified(Isometry(Endomorphism(_frozen(ent), space),
+                              SimpleBivector(mu * p, d), mu * t.psum - 1.0), r, s)
 
 
 @dataclass(frozen=True)
@@ -371,7 +345,8 @@ def _link_rows(problem: LinkProblem, t: _Terms) -> _RayLinks:
     :func:`gamma_of_link` for R = S, and mu when the problem is generic.  The
     refusals of mu, the denominator test, the isometry law, the gamma record
     and LR = S run on every row, in that order and with the bounds and
-    messages of the object path; the rows stop at the first refused ray.
+    messages of the object path (the identity rows of R = S skip the
+    denominator, law and gamma checks); the rows stop at the first refused ray.
     """
     space = problem.space
     tol_rel = space.tol_rel
@@ -395,32 +370,33 @@ def _link_rows(problem: LinkProblem, t: _Terms) -> _RayLinks:
     r, s = problem.R.components, problem.S.components
     if t.coincide:
         eye = np.eye(space.dim)
-        return _RayLinks(np.broadcast_to(eye, (n,) + eye.shape), mu, np.ones(n),
-                         np.full(n, maxabs(eye @ r - s)), error)
-    check(abs(t.denominator) <= space.tol_abs, DegenerateLinkError,
-          "degenerate link denominator")
-    g = space.g
-    p = t.p[:n]
-    gp = np.matmul(g, p[:, :, None])[..., 0]
-    alpha, beta = kernels.link_covectors(
-        t.d2, t.pp[:n, None], t.pr[:n, None], t.ps[:n, None],
-        t.denominator[:n, None], gp, g @ t.d.components)
-    entries = kernels.link_entries(p, t.d.components, alpha, beta)
-    law = kernels.maxabs_rows(kernels.law_defect(g, entries))
-    check(law > kernels.law_bound(tol_rel, maxabs(g), kernels.maxabs_rows(entries)),
-          InternalConsistencyError, lambda j: kernels.LAW_MESSAGE.format(law[j]))
-    # The generator record (mu P)^(R-S), with gamma + 1 = mu P.(R+S).
-    q = mu[:n, None] * p[:n]
-    d = np.broadcast_to(t.d.components, q.shape)
-    m2 = kernels.bivector_pairing(g, q, d, q, d)
-    gamma = mu[:n] * t.psum[:n] - 1.0
-    defect, bound = kernels.gamma_defect(gamma, m2, tol_rel)
-    check(defect > bound, InternalConsistencyError,
-          lambda j: kernels.GAMMA_MESSAGE.format(defect[j]))
+        entries, gamma = np.broadcast_to(eye, (n,) + eye.shape), np.ones(n)
+    else:
+        check(abs(t.denominator) <= space.tol_abs, DegenerateLinkError,
+              "degenerate link denominator")
+        g = space.g
+        p = t.p[:n]
+        gp = np.matmul(g, p[:, :, None])[..., 0]
+        alpha, beta = kernels.link_covectors(
+            t.d2, t.pp[:n, None], t.pr[:n, None], t.ps[:n, None],
+            t.denominator[:n, None], gp, g @ t.d.components)
+        entries = kernels.link_entries(p, t.d.components, alpha, beta)
+        law = kernels.maxabs_rows(kernels.law_defect(g, entries))
+        check(law > kernels.law_bound(tol_rel, maxabs(g), kernels.maxabs_rows(entries)),
+              InternalConsistencyError, lambda j: kernels.LAW_MESSAGE.format(law[j]))
+        # The generator record (mu P)^(R-S), with gamma + 1 = mu P.(R+S).
+        q = mu[:n, None] * p[:n]
+        d = np.broadcast_to(t.d.components, q.shape)
+        m2 = kernels.bivector_pairing(g, q, d, q, d)
+        gamma = mu[:n] * t.psum[:n] - 1.0
+        defect, bound = kernels.gamma_defect(gamma, m2, tol_rel)
+        check(defect > bound, InternalConsistencyError,
+              lambda j: kernels.GAMMA_MESSAGE.format(defect[j]))
     residual = kernels.maxabs_rows(entries[:n] @ r - s)
     check(residual > kernels.link_bound(tol_rel, maxabs(s)),
           InternalConsistencyError, lambda j: kernels.LINK_MESSAGE.format(residual[j]))
-    return _RayLinks(entries[:n], mu[:n], gamma[:n], residual[:n], error)
+    return _RayLinks(entries[:n], None if mu is None else mu[:n], gamma[:n],
+                     residual[:n], error)
 
 
 def planar_link(r: Vector, s: Vector) -> Isometry:
@@ -429,29 +405,33 @@ def planar_link(r: Vector, s: Vector) -> Isometry:
         L = id - 2 (R+S) (x) g(R+S) / (R+S)^2 + 2 S (x) gR / S.S
 
     Requires R.R = S.S != 0 and (R+S)^2 != 0.  The generator record is
-    (S/S.S)^R with gamma = R.S / R.R; R = S returns the identity.
+    (S/S.S)^R with gamma = R.S / R.R; R = S returns the identity.  Every
+    branch verifies LR = S.
     """
-    space = same_space(r, s)
-    r2, s2 = r.square(), s.square()
-    if abs(r2 - s2) > space.tol_rel * max(1.0, abs(r2), abs(s2)):
-        raise NotIsomagnitudeError("planar link requires R.R = S.S")
-    if _vectors_coincide(r, s):
-        return Isometry(space.identity())
+    return _planar_link(LinkProblem(r, s))
+
+
+def _planar_link(problem: LinkProblem) -> Isometry:
+    """:func:`planar_link` for the R and S of ``problem``, whose construction
+    has already checked R.R = S.S."""
+    space = problem.space
+    r, s, pair = problem.R, problem.S, problem._pair
+    if pair.coincide:
+        return _verified(Isometry(space.identity()), r, s)
     if r.is_null() or s.is_null():
         raise NullVectorError("planar link requires non-null vectors")
-    u = r + s
+    u = pair.u
     u2 = u.square()
-    if abs(u2) <= space.tol_abs * max(1.0, maxabs(u.components) ** 2):
+    if kernels.is_null(u2, pair.u_max, space.tol_abs):
         raise DegenerateSumError("(R+S)^2 = 0; planar link undefined")
     g = space.g
+    s2 = s.square()
     ent = (np.eye(space.dim)
            - 2.0 * np.outer(u.components, g @ u.components) / u2
            + 2.0 * np.outer(s.components, g @ r.components) / s2)
-    gamma = scalar_product(r, s) / r2
-    iso = Isometry(Endomorphism(_frozen(ent), space),
-                   SimpleBivector((1.0 / s2) * s, r), gamma)
-    _verify_links(iso, r, s)
-    return iso
+    gamma = scalar_product(r, s) / r.square()
+    return _verified(Isometry(Endomorphism(_frozen(ent), space),
+                              SimpleBivector((1.0 / s2) * s, r), gamma), r, s)
 
 
 def fahnline_boost(r: Vector, s: Vector) -> Isometry:
@@ -460,26 +440,24 @@ def fahnline_boost(r: Vector, s: Vector) -> Isometry:
         L = id - 2 S (x) gR + (R+S) (x) g(R+S) / (1 - R.S).
 
     Requires R.R = S.S = -1 within tol_rel and R.S <= -1 within tolerance.
-    Coincides with the planar link; gamma = -R.S.
+    Coincides with the planar link; gamma = -R.S.  R = S returns the
+    identity, and every branch verifies LR = S.
     """
     space = same_space(r, s)
-    for v in (r, s):
-        if abs(v.square() + 1.0) > space.tol_rel:
-            raise NotUnitTimelikeError("vectors must be unit time-like (square -1)")
+    _check_unit_timelike(space, "vectors must be unit time-like (square -1)", r, s)
     rs = scalar_product(r, s)
     if rs > -1.0 + space.tol_rel:
         raise NotFutureDirectedError(f"R.S = {rs!r} must not exceed -1")
-    if _vectors_coincide(r, s):
-        return Isometry(space.identity())
+    pair = _PairTerms.of(r, s, space.tol_abs)
+    if pair.coincide:
+        return _verified(Isometry(space.identity()), r, s)
     g = space.g
-    u = r + s
+    u = pair.u
     ent = (np.eye(space.dim)
            - 2.0 * np.outer(s.components, g @ r.components)
            + np.outer(u.components, g @ u.components) / (1.0 - rs))
-    iso = Isometry(Endomorphism(_frozen(ent), space),
-                   SimpleBivector(r, s), -rs)
-    _verify_links(iso, r, s)
-    return iso
+    return _verified(Isometry(Endomorphism(_frozen(ent), space),
+                              SimpleBivector(r, s), -rs), r, s)
 
 
 def null_link_conditions(problem: LinkProblem, gamma: float) -> tuple[float, float]:
@@ -537,10 +515,8 @@ def ternary_velocity(problem: LinkProblem, c: float = 1.0) -> Vector:
     """
     space = problem.space
     p = problem.effective_p()
-    for v in (p, problem.R, problem.S):
-        if abs(v.square() + 1.0) > space.tol_rel:
-            raise NotUnitTimelikeError(
-                "ternary velocity requires unit time-like P, R, S")
+    _check_unit_timelike(space, "ternary velocity requires unit time-like P, R, S",
+                        p, problem.R, problem.S)
     t = problem._terms
     if t.coincide:
         return space.zero_vector()
@@ -564,5 +540,7 @@ def gamma_of_link(problem: LinkProblem) -> float:
     t = problem._terms
     if t.coincide:
         return 1.0
-    denom = _wedge_denominator(t, problem.space.tol_abs)
+    denom, degenerate = kernels.wedge_denominator(t.psum, t.w2, problem.space.tol_abs)
+    if degenerate:
+        raise DegenerateLinkError("degenerate link denominator")
     return abs((t.psum * t.psum - t.w2) / denom)

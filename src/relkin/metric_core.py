@@ -16,11 +16,13 @@ import numpy as np
 
 from .errors import (
     DegenerateMetricError,
+    NonFiniteError,
     NotUnimodularError,
+    NotUnitTimelikeError,
     NullVectorError,
     SpaceMismatchError,
 )
-from .kernels import bivector_pairing
+from .kernels import bivector_pairing, is_null
 
 __all__ = [
     "DEFAULT_TOL_ABS",
@@ -61,6 +63,13 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
+def _finite(arr: np.ndarray, quantity: str, error=NonFiniteError) -> np.ndarray:
+    """``arr``, once every entry is finite; raises ``error`` otherwise."""
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+        raise error(f"{quantity} has non-finite entries: {arr.tolist()}")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class MetricSpace:
     """Dimension, metric tensor and tolerance policy shared by all values.
@@ -92,6 +101,7 @@ class MetricSpace:
         dim = g.shape[0]
         if dim < 2:
             raise DegenerateMetricError("dimension must be at least 2")
+        _finite(g, "metric tensor", DegenerateMetricError)
         if maxabs(g - g.T) > tol_abs * max(1.0, maxabs(g)):
             raise DegenerateMetricError("metric tensor is not symmetric")
         g = (g + g.T) / 2.0
@@ -130,21 +140,21 @@ class MetricSpace:
         if arr.shape != (self.dim,):
             raise SpaceMismatchError(
                 f"vector needs {self.dim} components, got shape {arr.shape}")
-        return Vector(arr, self)
+        return Vector(_finite(arr, "vector"), self)
 
     def covector(self, components) -> "Covector":
         arr = _frozen(components)
         if arr.shape != (self.dim,):
             raise SpaceMismatchError(
                 f"covector needs {self.dim} components, got shape {arr.shape}")
-        return Covector(arr, self)
+        return Covector(_finite(arr, "covector"), self)
 
     def endomorphism(self, entries) -> "Endomorphism":
         arr = _frozen(entries)
         if arr.shape != (self.dim, self.dim):
             raise SpaceMismatchError(
                 f"endomorphism needs shape {(self.dim, self.dim)}, got {arr.shape}")
-        return Endomorphism(arr, self)
+        return Endomorphism(_finite(arr, "endomorphism"), self)
 
     def identity(self) -> "Endomorphism":
         return Endomorphism(_frozen(np.eye(self.dim)), self)
@@ -167,8 +177,31 @@ def same_space(*objs) -> MetricSpace:
     return space
 
 
-@dataclass(frozen=True, eq=False)
-class Vector:
+class _Components:
+    """Componentwise arithmetic of vectors and covectors in one space."""
+
+    def __add__(self, other):
+        same_space(self, other)
+        return type(self)(_frozen(self.components + other.components), self.space)
+
+    def __sub__(self, other):
+        same_space(self, other)
+        return type(self)(_frozen(self.components - other.components), self.space)
+
+    def __neg__(self):
+        return type(self)(_frozen(-self.components), self.space)
+
+    def __mul__(self, scale):
+        return type(self)(_frozen(self.components * float(scale)), self.space)
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return f"{type(self).__name__}({np.array2string(self.components, separator=', ')})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Vector(_Components):
     """Element of the space, stored by components in the ambient basis."""
 
     components: np.ndarray
@@ -190,30 +223,11 @@ class Vector:
 
     def is_null(self, tol: float | None = None) -> bool:
         tol = self.space.tol_abs if tol is None else tol
-        return abs(self.square()) <= tol * max(1.0, maxabs(self.components) ** 2)
-
-    def __add__(self, other: "Vector") -> "Vector":
-        same_space(self, other)
-        return Vector(_frozen(self.components + other.components), self.space)
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        same_space(self, other)
-        return Vector(_frozen(self.components - other.components), self.space)
-
-    def __neg__(self) -> "Vector":
-        return Vector(_frozen(-self.components), self.space)
-
-    def __mul__(self, scale) -> "Vector":
-        return Vector(_frozen(self.components * float(scale)), self.space)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"Vector({np.array2string(self.components, separator=', ')})"
+        return is_null(self.square(), maxabs(self.components), tol)
 
 
-@dataclass(frozen=True, eq=False)
-class Covector:
+@dataclass(frozen=True, eq=False, repr=False)
+class Covector(_Components):
     """Linear functional, stored by components in the dual ambient basis."""
 
     components: np.ndarray
@@ -226,25 +240,6 @@ class Covector:
     def raise_index(self) -> Vector:
         """Metric-dual vector (inverse metric applied to the components)."""
         return Vector(_frozen(self.space.g_inv @ self.components), self.space)
-
-    def __add__(self, other: "Covector") -> "Covector":
-        same_space(self, other)
-        return Covector(_frozen(self.components + other.components), self.space)
-
-    def __sub__(self, other: "Covector") -> "Covector":
-        same_space(self, other)
-        return Covector(_frozen(self.components - other.components), self.space)
-
-    def __neg__(self) -> "Covector":
-        return Covector(_frozen(-self.components), self.space)
-
-    def __mul__(self, scale) -> "Covector":
-        return Covector(_frozen(self.components * float(scale)), self.space)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"Covector({np.array2string(self.components, separator=', ')})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,12 +335,23 @@ def scalar_product(a: Vector, b: Vector) -> float:
     Evaluated through the symmetrized outer product so that the result is
     bit-identical under argument exchange.  The outer product and the sum
     call the ufuncs directly: the same operations as ``np.outer`` and
-    ``np.sum``, without their Python-level wrappers.
+    ``np.sum``, without their Python-level wrappers.  ``kernels.pairing_rows``
+    repeats this arithmetic for stacked pairs; one pair costs about 1 us more
+    through it, which the kinematics benchmark shows.
     """
     space = same_space(a, b)
     sym = a.components[:, None] * b.components
     sym = sym + sym.T
     return 0.5 * float(np.add.reduce(space.g * sym, axis=None))
+
+
+def _check_unit_timelike(space: MetricSpace, message: str, *vectors: Vector) -> None:
+    """Raise NotUnitTimelikeError, with ``message`` formatted with the square,
+    unless every vector has square -1 to the tol_rel of ``space``."""
+    for v in vectors:
+        square = v.square()
+        if abs(square + 1.0) > space.tol_rel:
+            raise NotUnitTimelikeError(message.format(square))
 
 
 def bivector_product(b1: SimpleBivector, b2: SimpleBivector) -> float:

@@ -53,9 +53,9 @@ def metric_for(dim: int, kind: str) -> np.ndarray:
     return np.diag(diag)
 
 
-def make_space(dim: int, kind: str = "lorentzian",
-               tol_rel: float = 1e-9, tol_abs: float = 1e-12) -> MetricSpace:
-    return MetricSpace.from_metric(metric_for(dim, kind), tol_rel, tol_abs)
+def make_space(dim: int, kind: str = "lorentzian") -> MetricSpace:
+    """The space of the named signature family, with the default tolerances."""
+    return MetricSpace.from_metric(metric_for(dim, kind))
 
 
 def random_vector(space: MetricSpace, rng: np.random.Generator,
@@ -72,23 +72,27 @@ def random_nonnull_vector(space: MetricSpace, rng: np.random.Generator,
     raise InternalConsistencyError("could not sample a non-null vector")
 
 
-def random_admissible_bivector(space: MetricSpace,
-                               rng: np.random.Generator) -> SimpleBivector:
-    """Simple bivector with squared magnitude in [-9, 0.9].
+def _capped(b: SimpleBivector, m2: float) -> SimpleBivector | None:
+    """P^Q, of square ``m2``, with Q rescaled so that the square lies in
+    [-9, 0.9]; None when the rescaled square still exceeds 0.9.
 
     The cap keeps gamma between about 0.3 and sqrt(10), so the binomial
     operator and its inverse stay well-conditioned.
     """
+    if m2 > 0.9:
+        b = SimpleBivector(b.first, float(np.sqrt(0.8 / m2)) * b.second)
+    elif m2 < -9.0:
+        b = SimpleBivector(b.first, float(np.sqrt(8.0 / -m2)) * b.second)
+    return b if b.square() <= 0.9 else None
+
+
+def random_admissible_bivector(space: MetricSpace,
+                               rng: np.random.Generator) -> SimpleBivector:
+    """Simple bivector with squared magnitude in [-9, 0.9]."""
     for _ in range(_MAX_TRIES):
-        p = random_vector(space, rng)
-        q = random_vector(space, rng)
-        b = SimpleBivector(p, q)
-        m2 = b.square()
-        if m2 > 0.9:
-            b = SimpleBivector(p, float(np.sqrt(0.8 / m2)) * q)
-        elif m2 < -9.0:
-            b = SimpleBivector(p, float(np.sqrt(8.0 / -m2)) * q)
-        if b.square() <= 0.9:
+        b = SimpleBivector(random_vector(space, rng), random_vector(space, rng))
+        b = _capped(b, b.square())
+        if b is not None:
             return b
     raise InternalConsistencyError("could not sample an admissible bivector")
 
@@ -107,13 +111,11 @@ def random_link_triple(space: MetricSpace, rng: np.random.Generator,
         d = r - s
         if abs(d.square()) < margin * max(1.0, maxabs(d.components) ** 2):
             continue
-        p = random_vector(space, rng)
-        problem = LinkProblem(r, s, p)
-        psum = scalar_product(p, r + s)
+        problem = LinkProblem(r, s, random_vector(space, rng))
         flags = admissibility(problem)
         if not (flags.generic and flags.p_transversal):
             continue
-        if abs(psum) < margin or abs(flags.denominator) < margin:
+        if abs(problem._terms.psum) < margin or abs(flags.denominator) < margin:
             continue
         return problem
     raise InternalConsistencyError("could not sample an admissible link triple")
@@ -159,10 +161,7 @@ def random_stabilizer_bivector(r: Vector, rng: np.random.Generator) -> SimpleBiv
         m2 = b.square()
         if abs(m2) <= space.tol_abs:
             continue
-        if m2 > 0.9:
-            b = SimpleBivector(legs[0], float(np.sqrt(0.8 / m2)) * legs[1])
-        elif m2 < -9.0:
-            b = SimpleBivector(legs[0], float(np.sqrt(8.0 / -m2)) * legs[1])
-        if b.square() <= 0.9:
+        b = _capped(b, m2)
+        if b is not None:
             return b
     raise InternalConsistencyError("could not sample a stabilizer bivector")

@@ -152,3 +152,19 @@ class TestLinkRayScan:
         assert scan["distinct_links"] == 1
         for rec in scan["records"]:
             assert rec["gamma"] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestExhaustedRays:
+    """An index that spends its 1000 draws stops the scan with a named
+    error; the 0.01-scaled golden problem rejects every ray by the absolute
+    filters of the scan."""
+
+    @pytest.mark.parametrize("n_general, n_planar, named", [
+        (2, 1, r"general ray index 0 \(stream \(5, 1, 0\)\)"),
+        (0, 2, r"planar ray index 0 \(stream \(5, 2, 0\)\)"),
+    ])
+    def test_first_exhausted_index_is_named(self, mink4, n_general, n_planar, named):
+        r = mink4.vector([0.01, 0.0, 0.0, 0.0])
+        s = mink4.vector([0.0125, 0.0075, 0.0, 0.0])
+        with pytest.raises(chk.DrawsExhaustedError, match=named + " accepted no ray in 1000 draws"):
+            link_ray_scan(r, s, seed=5, n_general=n_general, n_planar=n_planar)

@@ -285,3 +285,67 @@ class TestInProcessRuns:
         assert scrub_wall_time(out) == scrub_wall_time(alone.stdout)
         assert err == alone.stderr
         assert cli.build_parser() is cli.build_parser()
+
+
+class TestScenarioRecordings:
+    """Every scenario in tests/data, run at default flags, matches its
+    recording ``<name>.jsonl`` byte for byte, apart from the summary's
+    wall_time_s; the recording's last line holds the exit code."""
+
+    @pytest.mark.parametrize("scenario", sorted(DATA.glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_matches_recording(self, scenario):
+        command = json.loads(scenario.read_text())["command"]
+        proc = subprocess.run([sys.executable, "-m", "relkin.cli", command,
+                               "--scenario", str(scenario)],
+                              capture_output=True, text=True)
+        out = re.sub(r',"wall_time_s":[^,}]+', "", proc.stdout)
+        exit_line = f'{{"exit_code":{proc.returncode}}}\n'
+        assert out + exit_line == scenario.with_suffix(".jsonl").read_text()
+
+
+def write_scenario(tmp_path, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    return str(path)
+
+
+class TestLibraryVerdicts:
+    """link and link-scan report the library's own checks: an R = S link
+    that misses LR = S exits 3, a scan whose rays run out and non-finite
+    input exit 2."""
+
+    NEAR = ('{"name": "near", "command": "%s", "metric": {"dim": 4, '
+            '"signature": "lorentzian"}, "vectors": {"R": [1, 0, 0, 0], '
+            '"S": [1, 0, 1e-13, 0]}}')
+
+    @pytest.mark.parametrize("command", ["link", "link-scan"])
+    def test_near_coincident_link_beyond_bound_exits_three(self, tmp_path, command):
+        path = write_scenario(tmp_path, self.NEAR % command)
+        proc = run_cli(command, "--scenario", path, "--tol-rel", "1e-15", expect=3)
+        error = records_of(proc)[-1]
+        assert error["error"] == "InternalConsistency"
+        assert "LR = S" in error["message"]
+
+    def test_scaled_scan_that_runs_out_of_rays_exits_two(self, tmp_path):
+        scaled = tmp_path / "scaled.json"
+        doc = json.loads((DATA / "golden_scan.json").read_text())
+        doc["vectors"] = {k: [0.01 * x for x in v] for k, v in doc["vectors"].items()}
+        scaled.write_text(json.dumps(doc))
+        proc = run_cli("link-scan", "--scenario", str(scaled), "--samples", "1",
+                       expect=2)
+        error = records_of(proc)[-1]
+        assert error["error"] == "DrawsExhausted"
+        assert error["message"] == ("general ray index 0 (stream (0, 1, 0)) "
+                                    "accepted no ray in 1000 draws")
+        recs = records_of(run_cli("link-scan", "--scenario", str(scaled),
+                                  "--samples", "0"))
+        assert summary_of(recs)["passed"] is True
+
+    def test_non_finite_metric_exits_two(self, tmp_path):
+        path = write_scenario(tmp_path, (
+            '{"name": "nan-metric", "command": "link", "metric": {"dim": 2, '
+            '"matrix": [NaN, 0, 0, 1]}, "vectors": {"R": [1, 0], "S": [0, 1]}}'))
+        error = records_of(run_cli("link", "--scenario", path, expect=2))[-1]
+        assert error["error"] == "DegenerateMetric"
+        assert "metric tensor has non-finite entries" in error["message"]

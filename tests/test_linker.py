@@ -504,3 +504,48 @@ class TestSharedTerms:
         assert len(scan["records"]) == 50
         assert counts["draws"] > 50  # some draws are rejected
         assert counts["witnesses"] == counts["draws"]
+
+
+class TestIdentityBranchesVerifyLink:
+    """R = S to tolerance gives the identity, which is checked against LR = S
+    like any other link: S lies 1e-13 from R, within tol_abs, but beyond a
+    tol_rel of 1e-15."""
+
+    @staticmethod
+    def _near_pair(tol_rel):
+        space = relkin.MetricSpace.from_metric(np.diag([-1.0, 1.0, 1.0, 1.0]),
+                                               tol_rel=tol_rel)
+        return space.vector([1.0, 0.0, 0.0, 0.0]), space.vector([1.0, 0.0, 1e-13, 0.0])
+
+    BUILDERS = {
+        "p_link": lambda r, s: p_link(LinkProblem(r, s, r + s)),
+        "p_link_without_ray": lambda r, s: p_link(LinkProblem(r, s)),
+        "planar_link": planar_link,
+        "fahnline_boost": fahnline_boost,
+        "scan": lambda r, s: checks.link_ray_scan(r, s, n_general=3, n_planar=2),
+    }
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_identity_beyond_the_link_bound_raises(self, name):
+        r, s = self._near_pair(1e-15)
+        with pytest.raises(relkin.InternalConsistencyError,
+                           match=r"link fails LR = S, residual 1\.000e-13"):
+            self.BUILDERS[name](r, s)
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_identity_within_the_link_bound_is_returned(self, name):
+        r, s = self._near_pair(1e-9)
+        link = self.BUILDERS[name](r, s)
+        if name == "scan":
+            assert {rec["residual"] for rec in link["records"]} == {1e-13}
+        else:
+            assert np.array_equal(link.mapping.entries, np.eye(4))
+
+
+class TestPlanarLinkProblemChecks:
+    def test_isomagnitude_message_gives_the_squares(self, mink4):
+        r = mink4.vector([1.0, 0.0, 0.0, 0.0])
+        s = mink4.vector([2.0, 0.0, 0.0, 0.0])
+        with pytest.raises(NotIsomagnitudeError,
+                           match=r"R\.R = -1\.0 and S\.S = -4\.0 differ"):
+            planar_link(r, s)

@@ -346,3 +346,44 @@ class TestVectorArithmetic:
         v = mink4.vector([1.0, 2.0, 0.0, 0.0])
         alpha = v.lower()
         assert alpha.apply(v) == pytest.approx(v.square(), abs=1e-15)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_metric_rejected(self, bad):
+        with pytest.raises(DegenerateMetricError, match="metric tensor has non-finite"):
+            MetricSpace.from_metric(np.diag([bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("quantity, shape", [
+        ("vector", (4,)), ("covector", (4,)), ("endomorphism", (4, 4))])
+    def test_constructors_reject(self, mink4, quantity, shape, bad):
+        values = np.zeros(shape)
+        values.flat[-1] = bad
+        with pytest.raises(relkin.NonFiniteError, match=f"{quantity} has non-finite"):
+            getattr(mink4, quantity)(values)
+
+
+class TestComponentArithmetic:
+    """Vectors and covectors share one componentwise arithmetic; each result
+    keeps the operand's type and space."""
+
+    @pytest.mark.parametrize("quantity", ["vector", "covector"])
+    def test_operations_keep_the_type(self, mink4, quantity):
+        a = getattr(mink4, quantity)([1.0, 2.0, 0.0, -1.0])
+        b = getattr(mink4, quantity)([0.5, 0.0, 3.0, 1.0])
+        results = {"a + b": (a + b, [1.5, 2.0, 3.0, 0.0]),
+                   "a - b": (a - b, [0.5, 2.0, -3.0, -2.0]),
+                   "-a": (-a, [-1.0, -2.0, -0.0, 1.0]),
+                   "2 a": (2 * a, [2.0, 4.0, 0.0, -2.0]),
+                   "a 2": (a * 2, [2.0, 4.0, 0.0, -2.0])}
+        for name, (value, expected) in results.items():
+            assert type(value) is type(a), name
+            assert value.space is mink4, name
+            assert value.components.tolist() == expected, name
+            assert not value.components.flags.writeable, name
+        assert repr(a) == f"{type(a).__name__}([ 1.,  2.,  0., -1.])"
+
+    def test_mixed_spaces_rejected(self, mink4, split4):
+        with pytest.raises(SpaceMismatchError):
+            mink4.covector([1.0, 0.0, 0.0, 0.0]) + split4.covector([1.0, 0.0, 0.0, 0.0])
