@@ -5,10 +5,14 @@ performs its computation and writes one JSON record per result followed by
 a single summary record.  Output is deterministic for a fixed scenario and
 seed apart from the ``wall_time_s`` field of the summary.  Exit codes:
 
-* 0: run completed and every checked property held,
-* 1: run completed but at least one property failed,
+* 0: run completed (and, for ``check``, every property held),
+* 1: ``check`` completed but at least one property failed,
 * 2: invalid input (bad scenario, domain error in the data),
 * 3: internal error (a verified invariant broke, or an unexpected fault).
+
+The library verifies every result it returns, so no command other than
+``check`` judges its results: a result beyond its bound never reaches the
+output, and the run ends with an error record instead.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from . import checks as chk
 from . import groupoid as grp
 from . import kinematics as kin
 from . import linker as lnk
-from .errors import InternalConsistencyError, RelkinError, ScenarioError
-from .metric_core import maxabs, scalar_product
+from .errors import (DegenerateEpochError, InternalConsistencyError,
+                     NotObservedError, RelkinError, ScenarioError)
+from .metric_core import maxabs
 from .scenario import load as load_scenario
 
 __all__ = ["main"]
@@ -136,7 +141,8 @@ def _velocity(space, scenario, role, observer, c):
 
 # name -> (runner, help text, whether the command reads a scenario), in the
 # order the commands are defined below.  A runner returns its records, which
-# main marks as records, the summary's fields and whether the run passed.
+# main marks as records, and the summary's fields; only check's include
+# n_failed, the count that decides whether the run passed.
 _COMMANDS = {}
 
 
@@ -171,8 +177,7 @@ def _run_link(args, scenario, space):
             rec["mu"] = lnk.mu_scalar(problem)
         except RelkinError:
             pass
-    # p_link verifies LR = S on every branch, so a returned link passes.
-    return [rec], {"n_records": 1}, True
+    return [rec], {"n_records": 1}
 
 
 @_command("link-scan", "scan many preferred rays for one linking problem")
@@ -192,8 +197,7 @@ def _run_link_scan(args, scenario, space):
         "gamma_min": scan["gamma_min"],
         "gamma_max": scan["gamma_max"],
     }
-    # The scan verifies LR = S on every ray it returns.
-    return objects, stats, True
+    return objects, stats
 
 
 @_command("check", "run the full property suite", needs_scenario=False)
@@ -220,7 +224,7 @@ def _run_check(args, scenario, space):
         "tolerance_induced_failures": sum(
             1 for o in failed if o["tolerance_induced"]),
     }
-    return objects, stats, not failed
+    return objects, stats
 
 
 @_command("boost", "build the boost fixed by an observer and a velocity")
@@ -228,13 +232,8 @@ def _run_boost(args, scenario, space):
     c = _resolve_c(args, scenario)
     obs = kin.Observer(scenario.vector(space, "P"))
     vel = _velocity(space, scenario, "v", obs, c)
-    op = kin.boost(obs, vel)
+    op, residual_p, inverse_residual = kin.verified_boost(obs, vel)
     gam = kin.gamma(vel)
-    target = gam * (obs.vector + (1.0 / c) * vel.vector)
-    residual_p = maxabs(op.apply(obs.vector).components - target.components)
-    inverse_residual = maxabs(
-        (op.mapping @ kin.boost(obs, kin.negate(vel)).mapping).entries
-        - np.eye(space.dim))
     rec = {
         "kind": "boost",
         "c": c,
@@ -244,9 +243,7 @@ def _run_boost(args, scenario, space):
         "inverse_residual": inverse_residual,
         "matrix": op.mapping.entries.tolist(),
     }
-    tol = 1e2 * space.tol_rel
-    passed = residual_p <= tol * max(1.0, gam) and inverse_residual <= tol
-    return [rec], {"n_records": 1, "gamma": gam}, passed
+    return [rec], {"n_records": 1, "gamma": gam}
 
 
 @_command("transform", "transform event coordinates between observers")
@@ -258,8 +255,6 @@ def _run_transform(args, scenario, space):
     event = scenario.vector(space, "e")
     res = kin.coordinate_transform(robs, pobs, vel, event)
     coords = kin.event_coordinates(robs, event, c)
-    before = -(c * c) * coords.t ** 2 + coords.x.square()
-    after = -(c * c) * res.t_prime ** 2 + res.x_prime.square()
     rec = {
         "kind": "transform",
         "c": c,
@@ -267,19 +262,20 @@ def _run_transform(args, scenario, space):
         "x": coords.x.components.tolist(),
         "t_prime": res.t_prime,
         "x_prime": res.x_prime.components.tolist(),
-        "interval_before": before,
-        "interval_after": after,
+        "interval_before": res.interval[0],
+        "interval_after": res.interval[1],
     }
-    if abs(scalar_product(robs.vector, vel.vector)) \
-            <= space.tol_rel * max(1.0, maxabs(vel.vector.components)):
+    # The textbook transform and the velocity round trip are reported where
+    # the library accepts them: R must observe v, and t + t' must not vanish.
+    try:
         t_e, x_e = kin.einstein_transform(robs, vel, event)
         rec["t_prime_einstein"] = t_e
         rec["x_prime_einstein"] = x_e.components.tolist()
-        if abs(coords.t + t_e) > space.tol_abs * max(1.0, abs(coords.t)):
-            recovered = kin.urbantke_velocity(coords.t, coords.x, t_e, x_e, c)
-            rec["round_trip_speed"] = float(np.sqrt(max(recovered.square(), 0.0)))
-    passed = abs(before - after) <= 1e2 * space.tol_rel * max(1.0, abs(before))
-    return [rec], {"n_records": 1}, passed
+        recovered = kin.urbantke_velocity(coords.t, coords.x, t_e, x_e, c)
+        rec["round_trip_speed"] = float(np.sqrt(max(recovered.square(), 0.0)))
+    except (NotObservedError, DegenerateEpochError):
+        pass
+    return [rec], {"n_records": 1}
 
 
 @_command("add", "compose two velocities seen by one observer")
@@ -303,9 +299,7 @@ def _run_add(args, scenario, space):
     }
     if not total.luminal:
         rec["gamma"] = kin.gamma(total)
-    bound = c * (1.0 + 1e2 * space.tol_rel)
-    passed = total.speed() <= bound and reverse.speed() <= bound
-    return [rec], {"n_records": 1}, passed
+    return [rec], {"n_records": 1}
 
 
 @_command("accel", "transform an acceleration between frames")
@@ -322,8 +316,7 @@ def _run_accel(args, scenario, space):
         "a_prime": result.components.tolist(),
         "magnitude": float(np.sqrt(max(result.square(), 0.0))),
     }
-    passed = bool(np.all(np.isfinite(result.components)))
-    return [rec], {"n_records": 1}, passed
+    return [rec], {"n_records": 1}
 
 
 @_command("groupoid", "compare groupoid and isometric composition for three observers")
@@ -338,9 +331,8 @@ def _run_groupoid(args, scenario, space):
             for n in names[:3]]
     report = grp.compare_with_isometric(objs[0], objs[1], objs[2], c)
     rec = {"kind": "groupoid", "c": c, "observers": list(names[:3]), **report}
-    passed = report["groupoid_discrepancy"] == 0.0
     return [rec], {"n_records": 1,
-                   "order_discrepancy": report["order_discrepancy"]}, passed
+                   "order_discrepancy": report["order_discrepancy"]}
 
 
 @functools.cache
@@ -389,7 +381,8 @@ def main(argv=None) -> int:
                 f"{scenario.command!r}, not {args.command!r}")
         space = scenario.build_space(args.tol_rel, args.tol_abs) \
             if needs_scenario else None
-        records, stats, passed = run(args, scenario, space)
+        records, stats = run(args, scenario, space)
+        passed = not stats.get("n_failed")
         objects.extend({"type": "record", **rec} for rec in records)
         summary = {
             "type": "summary",

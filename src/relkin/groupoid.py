@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotComposableError
+from .errors import InternalConsistencyError, NotComposableError
 from .kinematics import Observer, Velocity3, velocity_add
 from .linker import LinkProblem, binary_velocity, ternary_velocity
 from .metric_core import Vector, maxabs
@@ -96,7 +96,8 @@ def compare_with_isometric(p: ObserverObject, q: ObserverObject,
     """Contrast the groupoid chain p -> q -> r with velocity composition.
 
     The groupoid side composes hom(p, q) with hom(q, r) and compares with
-    hom(p, r): identical by construction.  The isometric side extracts the
+    hom(p, r): identical by construction, so any discrepancy (NaN included)
+    raises InternalConsistencyError.  The isometric side extracts the
     ternary velocities of the same chain as seen by p and combines them with
     the relativistic sum in both composition orders, reporting how far the
     two orders differ and how far each lands from the direct velocity of r.
@@ -108,6 +109,9 @@ def compare_with_isometric(p: ObserverObject, q: ObserverObject,
     chain = compose(h_qr, h_pq)
     groupoid_discrepancy = maxabs(chain.velocity.components
                                   - h_pr.velocity.components)
+    if not groupoid_discrepancy == 0.0:
+        raise InternalConsistencyError(
+            f"groupoid chain p -> q -> r misses hom(p, r) by {groupoid_discrepancy:.3e}")
 
     pv, qv, rv = p.observer.vector, q.observer.vector, r.observer.vector
     leg_pq = ternary_velocity(LinkProblem(pv, qv, pv), c)

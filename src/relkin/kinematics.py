@@ -9,6 +9,7 @@ such an operator written out in scalars.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +19,7 @@ from .errors import (
     DegenerateDenominatorError,
     DegenerateEpochError,
     InternalConsistencyError,
+    NonFiniteError,
     NotObservedError,
     NotFutureDirectedError,
     PreferredObserverMismatchError,
@@ -30,6 +32,7 @@ from .metric_core import (
     MetricSpace,
     SimpleBivector,
     Vector,
+    _finite,
     _frozen,
     _check_unit_timelike,
     idempotent_of,
@@ -54,6 +57,7 @@ __all__ = [
     "urbantke_velocity",
     "velocity_add",
     "velocity_subtract",
+    "verified_boost",
 ]
 
 # Component index that decides time orientation in the ambient basis.
@@ -102,7 +106,8 @@ class Velocity3:
     """Velocity measured by an observer: spatial, orthogonal to the observer.
 
     Strictly sub-luminal unless constructed with ``luminal=True``, in which
-    case the magnitude must equal c to tolerance.
+    case v.v must equal c^2 within 2e2 tol_rel c^2, so that its speed stays
+    within c (1 + 1e2 tol_rel).  c must be positive and finite.
     """
 
     vector: Vector
@@ -114,12 +119,14 @@ class Velocity3:
         space = same_space(self.vector, self.observer.vector)
         if self.c <= 0.0:
             raise SpaceMismatchError("c must be positive")
+        if not math.isfinite(self.c):
+            raise NonFiniteError(f"c = {self.c!r} is not finite")
         _check_observed(space, self.observer.vector, self.vector,
                         "velocity not orthogonal to its observer (P.v = {!r})")
         v2 = self.vector.square()
         c2 = self.c * self.c
         if self.luminal:
-            if abs(v2 - c2) > 1e3 * space.tol_rel * c2:
+            if not abs(v2 - c2) <= 2e2 * space.tol_rel * c2:
                 raise SuperluminalError(
                     f"luminal velocity must have v.v = c^2, got {v2!r}")
         elif v2 >= c2:
@@ -157,11 +164,13 @@ class EventCoordinates:
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Primed coordinates of an event plus the invariant scalars that fix them."""
+    """Primed coordinates of an event, the invariant scalars that fix them,
+    and the interval -c^2 t^2 + x.x before and after the transform."""
 
     t_prime: float
     x_prime: Vector
     scalars: tuple[float, float, float]
+    interval: tuple[float, float]
 
 
 def event_coordinates(r: Observer, e: Vector, c: float = 1.0) -> EventCoordinates:
@@ -194,21 +203,53 @@ def boost(p: Observer, v: Velocity3) -> Isometry:
                + gamma^2/(gamma+1) v (x) gv / c^2.
 
     Generated by P^vbar; L P = gamma (P + v/c), and the inverse is the boost
-    of -v.  Requires P.v = 0.
+    of -v.  Requires P.v = 0.  Both identities are verified, as
+    :func:`verified_boost` describes.
+    """
+    return verified_boost(p, v)[0]
+
+
+def _boost_entries(p: Observer, v: Velocity3, gam: float):
+    """Entries of the boosts of v and of -v, even + odd + tail and
+    even - odd + tail, split by parity in v: the boost of -v reuses the
+    outer products of the boost of v and is bit for bit the boost that
+    ``negate(v)`` gives."""
+    g = p.space.g
+    pc = p.vector.components
+    vc = v.vector.components / v.c
+    even = np.eye(p.space.dim) - (gam - 1.0) * np.outer(pc, g @ pc)
+    odd = gam * (np.outer(pc, g @ vc) - np.outer(vc, g @ pc))
+    tail = (gam * gam / (gam + 1.0)) * np.outer(vc, g @ vc)
+    return even + odd + tail, even - odd + tail
+
+
+def verified_boost(p: Observer, v: Velocity3) -> tuple[Isometry, float, float]:
+    """``boost(p, v)`` with the two residuals that verified it:
+
+        max|L P - gamma (P + v/c)|   within 1e2 tol_rel max(1, gamma),
+        max|L L(-v) - id|            within 1e2 tol_rel.
+
+    A residual beyond its bound, or NaN, raises InternalConsistencyError.
     """
     space = same_space(p.vector, v.vector)
     _check_observed(space, p.vector, v.vector, "boost requires a velocity orthogonal to P")
     gam = gamma(v)
-    g = space.g
-    pc = p.vector.components
-    vc = v.vector.components / v.c
-    ent = (np.eye(space.dim)
-           - (gam - 1.0) * np.outer(pc, g @ pc)
-           + gam * (np.outer(pc, g @ vc) - np.outer(vc, g @ pc))
-           + (gam * gam / (gam + 1.0)) * np.outer(vc, g @ vc))
+    ent, inverse = _boost_entries(p, v, gam)
     # The generator's spatial leg is vbar = gamma v / c.
-    return Isometry(Endomorphism(_frozen(ent), space),
-                    SimpleBivector(p.vector, (gam / v.c) * v.vector), gam)
+    op = Isometry(Endomorphism(_frozen(ent), space),
+                  SimpleBivector(p.vector, (gam / v.c) * v.vector), gam)
+    pc = p.vector.components
+    target = (pc + v.vector.components * (1.0 / v.c)) * gam
+    observer_residual = maxabs(ent @ pc - target)
+    inverse_residual = maxabs(ent @ inverse - np.eye(space.dim))
+    tol = 1e2 * space.tol_rel
+    if not observer_residual <= tol * max(1.0, gam):
+        raise InternalConsistencyError(
+            f"boost fails L P = gamma (P + v/c), residual {observer_residual:.3e}")
+    if not inverse_residual <= tol:
+        raise InternalConsistencyError(
+            f"boost fails L L(-v) = id, residual {inverse_residual:.3e}")
+    return op, observer_residual, inverse_residual
 
 
 def coordinate_transform(r: Observer, p: Observer, v: Velocity3,
@@ -223,7 +264,9 @@ def coordinate_transform(r: Observer, p: Observer, v: Velocity3,
 
     via  c t' = c t + R.D  and  x' = x - (id - r) D,  D = nu(e) P - xi(e) vbar.
     (D is e minus the inverse boost of e, so intervals are preserved by
-    construction.)  Also returns the scalars (P.R, R.v, P.x).
+    construction.)  Also returns the scalars (P.R, R.v, P.x) and the two
+    intervals; intervals that differ by more than 1e2 tol_rel max(1, |before|),
+    or by NaN, raise InternalConsistencyError.
     """
     space = same_space(r.vector, p.vector, v.vector, e)
     _check_observed(space, p.vector, v.vector,
@@ -244,9 +287,16 @@ def coordinate_transform(r: Observer, p: Observer, v: Velocity3,
 
     ct_prime = ct + scalar_product(r.vector, delta)
     x_prime = x - r.rest_projection(delta)
+    t, t_prime = float(ct / v.c), float(ct_prime / v.c)
+    c2 = v.c * v.c
+    before = -c2 * t ** 2 + x.square()
+    after = -c2 * t_prime ** 2 + x_prime.square()
+    if not abs(before - after) <= 1e2 * space.tol_rel * max(1.0, abs(before)):
+        raise InternalConsistencyError(
+            f"coordinate transform changes the interval by {abs(before - after):.3e}")
     rv = scalar_product(r.vector, v.vector)
-    return TransformResult(float(ct_prime / v.c), x_prime,
-                           (float(pr), float(rv), float(px)))
+    return TransformResult(t_prime, x_prime, (float(pr), float(rv), float(px)),
+                           (before, after))
 
 
 def einstein_transform(r: Observer, v: Velocity3,
@@ -356,7 +406,7 @@ def acceleration_transform(v: Velocity3, u: Velocity3, a: Vector) -> Vector:
              / [gamma_v^2 (1 - v.u/c^2)^2].
 
     For v.u = 0 and a parallel to v this collapses to a' = a / gamma_v^3.
-    Requires c^2 - v.u != 0.
+    Requires c^2 - v.u != 0; a result that overflows raises NonFiniteError.
     """
     _check_same_frame(v, u)
     same_space(v.vector, a)
@@ -369,4 +419,6 @@ def acceleration_transform(v: Velocity3, u: Velocity3, a: Vector) -> Vector:
     va = scalar_product(v.vector, a)
     corr = u.vector - (gv / (gv + 1.0)) * v.vector
     numer = a + (va / denom) * corr
-    return (1.0 / (gv * gv * (1.0 - vu / c2) ** 2)) * numer
+    result = (1.0 / (gv * gv * (1.0 - vu / c2) ** 2)) * numer
+    _finite(result.components, "transformed acceleration")
+    return result
