@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, NotComposableError
-from .kinematics import Observer, Velocity3, velocity_add
-from .linker import LinkProblem, binary_velocity, ternary_velocity
-from .metric_core import Vector, maxabs
+from . import kernels
+from .errors import InternalConsistencyError, NotComposableError, SpaceMismatchError
+from .kinematics import Observer, Velocity3, _check_c, velocity_add
+from .linker import _binary_velocity, _ternary_velocities, binary_velocity
+from .metric_core import Vector, _fresh, maxabs, same_space
 
 __all__ = [
     "ObserverObject",
@@ -71,8 +72,10 @@ def hom(p: ObserverObject, q: ObserverObject, c: float = 1.0) -> VelocityMorphis
     Velocity is the relative-velocity vector of the observer pair scaled
     into velocity units by c; it is orthogonal to the source observer and
     strictly sub-luminal.  Depends only on the observer vectors, never on
-    labels.  hom(p, p) is the zero morphism.
+    labels.  hom(p, p) is the zero morphism.  c must be positive and finite,
+    as for a Velocity3.
     """
+    _check_c(c)
     w = binary_velocity(p.observer.vector, q.observer.vector)
     return VelocityMorphism(p, q, float(c) * w, float(c))
 
@@ -102,10 +105,33 @@ def compare_with_isometric(p: ObserverObject, q: ObserverObject,
     the relativistic sum in both composition orders, reporting how far the
     two orders differ and how far each lands from the direct velocity of r.
     All discrepancies vanish for coplanar chains and generically do not.
+    Both sides share one pass over the pairings of p, q and r, and the
+    idempotents the observers cache; the results and refusals are those of
+    the separate hom, ternary_velocity and velocity_add calls.
     """
-    h_pq = hom(p, q, c)
-    h_qr = hom(q, r, c)
-    h_pr = hom(p, r, c)
+    _check_c(c)
+    objs = (p, q, r)
+    pv, qv, rv = vecs = [o.observer.vector for o in objs]
+    try:
+        space = same_space(*vecs)
+    except SpaceMismatchError:
+        hom(p, q, c)        # hom(p, q)'s refusals come first
+        raise
+    comps = np.array([v.components for v in vecs])
+    # The six pairings of p, q and r, in one pass; dot[i][j] pairs objs i and j.
+    pp, qq, rr, pq, qr, pr = kernels.pairing_rows(
+        space.g, comps[[0, 1, 2, 0, 1, 0]], comps[[0, 1, 2, 1, 2, 2]]).tolist()
+    dot = [[pp, pq, pr], [pq, qq, qr], [pr, qr, rr]]
+    top = kernels.maxabs_rows(comps).tolist()
+    projector = [lambda o=o: o.observer.idempotent.entries for o in objs]
+
+    def morphism(i, j):
+        w = _binary_velocity(vecs[i].space, comps[i], comps[j], dot[i][i], dot[i][j],
+                             top[i], top[j], projector[i])
+        return VelocityMorphism(objs[i], objs[j],
+                                _fresh(Vector, w * float(c), vecs[i].space), float(c))
+
+    h_pq, h_qr, h_pr = morphism(0, 1), morphism(1, 2), morphism(0, 2)
     chain = compose(h_qr, h_pq)
     groupoid_discrepancy = maxabs(chain.velocity.components
                                   - h_pr.velocity.components)
@@ -113,10 +139,9 @@ def compare_with_isometric(p: ObserverObject, q: ObserverObject,
         raise InternalConsistencyError(
             f"groupoid chain p -> q -> r misses hom(p, r) by {groupoid_discrepancy:.3e}")
 
-    pv, qv, rv = p.observer.vector, q.observer.vector, r.observer.vector
-    leg_pq = ternary_velocity(LinkProblem(pv, qv, pv), c)
-    leg_qr = ternary_velocity(LinkProblem(qv, rv, pv), c)
-    direct = ternary_velocity(LinkProblem(pv, rv, pv), c)
+    # The link problems (R, S) = (p, q), (q, r), (p, r), all with P = p.
+    leg_pq, leg_qr, direct = _ternary_velocities(pv, [pv, qv, pv], [qv, rv, rv], c,
+                                                 projector[0])
 
     u = Velocity3(leg_pq, p.observer, c)
     v = Velocity3(leg_qr, p.observer, c)

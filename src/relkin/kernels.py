@@ -1,4 +1,5 @@
-"""Link formulas for one preferred ray and for stacked rays.
+"""Link formulas for one preferred ray and for stacked rays, and the stacked
+pairings that every formula of the library reads.
 
 The object API (:mod:`relkin.linker`, :class:`relkin.isometry.Isometry`)
 evaluates one ray at a time on Python floats; a ray scan evaluates many rays
@@ -6,7 +7,10 @@ of one link problem as the rows of an (N, d) array.  Each combination
 formula below is written once and serves both: its per-ray arguments are
 floats for one ray, or arrays with one entry per ray.  The ``*_rows``
 kernels repeat the scalar arithmetic operation for operation, so every row
-is bit-identical to the value the object API computes for that ray.
+is bit-identical to the value the object API computes for that ray.  The
+velocity formulas (:mod:`relkin.kinematics`, :mod:`relkin.linker`) take
+their pairings from one :func:`pairing_rows` pass per call, and the
+groupoid comparison from one pass over all its observers.
 
 Two details keep the rows exact.  A reduction over one row runs the same
 ufunc reduction over the same contiguous entries as the scalar one, and
@@ -40,6 +44,7 @@ __all__ = [
     "power",
     "trivector_rows",
     "wedge_denominator",
+    "wedge_maxabs_rows",
 ]
 
 LAW_MESSAGE = "operator fails the isometry law, residual {:.3e}"
@@ -164,6 +169,12 @@ def link_bound(tol_rel, s_max):
 def maxabs_rows(values) -> np.ndarray:
     """Largest absolute entry of each row (``maxabs`` row by row)."""
     return np.maximum.reduce(np.abs(values), axis=tuple(range(1, np.ndim(values))))
+
+
+def wedge_maxabs_rows(a, b) -> np.ndarray:
+    """Largest component of each a^b = a (x) b - b (x) a, the components of
+    ``SimpleBivector``, for stacked a or b broadcast over the leading axes."""
+    return maxabs_rows(a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :])
 
 
 def pairing_rows(g, a, b) -> np.ndarray:

@@ -27,13 +27,14 @@ from .errors import (
     SuperluminalError,
 )
 from .isometry import Isometry
+from .kernels import pairing_rows
 from .metric_core import (
     Endomorphism,
     MetricSpace,
     SimpleBivector,
     Vector,
     _finite,
-    _frozen,
+    _fresh,
     _check_unit_timelike,
     idempotent_of,
     maxabs,
@@ -79,7 +80,8 @@ class Observer:
         space = self.vector.space
         if not space.is_lorentzian:
             raise SpaceMismatchError("observers require a Lorentzian space")
-        _check_unit_timelike(space, "observer square is {!r}, expected -1", self.vector)
+        _check_unit_timelike(space, "observer square is {!r}, expected -1",
+                             self.vector.square())
         if self.vector.components[TIME_AXIS] <= 0.0:
             raise NotFutureDirectedError("observer must be future-directed")
 
@@ -117,13 +119,9 @@ class Velocity3:
 
     def __post_init__(self):
         space = same_space(self.vector, self.observer.vector)
-        if self.c <= 0.0:
-            raise SpaceMismatchError("c must be positive")
-        if not math.isfinite(self.c):
-            raise NonFiniteError(f"c = {self.c!r} is not finite")
-        _check_observed(space, self.observer.vector, self.vector,
-                        "velocity not orthogonal to its observer (P.v = {!r})")
-        v2 = self.vector.square()
+        _check_c(self.c)
+        v2 = _observed_square(space, self.observer.vector, self.vector,
+                              "velocity not orthogonal to its observer (P.v = {!r})")
         c2 = self.c * self.c
         if self.luminal:
             if not abs(v2 - c2) <= 2e2 * space.tol_rel * c2:
@@ -140,13 +138,22 @@ class Velocity3:
         return float(np.sqrt(max(0.0, self.vector.square())))
 
 
-def _check_observed(space: MetricSpace, p: Vector, v: Vector, message: str) -> None:
-    """Raise NotObservedError, with ``message`` formatted with P.v, unless the
-    velocity v is orthogonal to the observer vector P to the tolerance of
-    ``space``."""
-    ortho = scalar_product(p, v)
+def _check_c(c) -> None:
+    """Refuse a speed of light that is not positive, then one that is not finite."""
+    if c <= 0.0:
+        raise SpaceMismatchError("c must be positive")
+    if not math.isfinite(c):
+        raise NonFiniteError(f"c = {c!r} is not finite")
+
+
+def _observed_square(space: MetricSpace, p: Vector, v: Vector, message: str) -> float:
+    """v.v, once v is orthogonal to the observer vector P to the tolerance of
+    ``space``; raises NotObservedError, ``message`` formatted with P.v, otherwise."""
+    ortho, square = pairing_rows(space.g, v.components,
+                                 np.array([p.components, v.components])).tolist()
     if abs(ortho) > space.tol_abs * max(1.0, maxabs(v.components)):
         raise NotObservedError(message.format(ortho))
+    return square
 
 
 def negate(v: Velocity3) -> Velocity3:
@@ -188,9 +195,14 @@ def event_vector(r: Observer, coords: EventCoordinates, c: float = 1.0) -> Vecto
 
 def gamma(v: Velocity3) -> float:
     """Time-dilation factor (1 - v.v/c^2)^(-1/2); infinite at the light cone."""
-    if v.luminal:
+    return _gamma(v.vector.square(), v.c, v.luminal)
+
+
+def _gamma(v2: float, c: float, luminal: bool) -> float:
+    """:func:`gamma` of a velocity of square ``v2``."""
+    if luminal:
         raise SuperluminalError("gamma is undefined for a luminal velocity")
-    ratio = v.vector.square() / (v.c * v.c)
+    ratio = v2 / (c * c)
     if ratio >= 1.0:
         raise SuperluminalError(f"v.v/c^2 = {ratio!r} is not below 1")
     return float(1.0 / np.sqrt(1.0 - ratio))
@@ -232,11 +244,12 @@ def verified_boost(p: Observer, v: Velocity3) -> tuple[Isometry, float, float]:
     A residual beyond its bound, or NaN, raises InternalConsistencyError.
     """
     space = same_space(p.vector, v.vector)
-    _check_observed(space, p.vector, v.vector, "boost requires a velocity orthogonal to P")
-    gam = gamma(v)
+    gam = _gamma(_observed_square(space, p.vector, v.vector,
+                                  "boost requires a velocity orthogonal to P"),
+                 v.c, v.luminal)
     ent, inverse = _boost_entries(p, v, gam)
     # The generator's spatial leg is vbar = gamma v / c.
-    op = Isometry(Endomorphism(_frozen(ent), space),
+    op = Isometry(_fresh(Endomorphism, ent, space),
                   SimpleBivector(p.vector, (gam / v.c) * v.vector), gam)
     pc = p.vector.components
     target = (pc + v.vector.components * (1.0 / v.c)) * gam
@@ -269,32 +282,31 @@ def coordinate_transform(r: Observer, p: Observer, v: Velocity3,
     or by NaN, raise InternalConsistencyError.
     """
     space = same_space(r.vector, p.vector, v.vector, e)
-    _check_observed(space, p.vector, v.vector,
-                    "transform requires a velocity orthogonal to P")
-    gam = gamma(v)
+    gam = _gamma(_observed_square(space, p.vector, v.vector,
+                                  "transform requires a velocity orthogonal to P"),
+                 v.c, v.luminal)
     vbar = (gam / v.c) * v.vector
-    ct = -scalar_product(r.vector, e)
+    g, rc, pc = space.g, r.vector.components, p.vector.components
+    re, pr, rv = pairing_rows(g, rc, np.array([e.components, pc, v.vector.components])).tolist()
+    ct = -re
     x = r.rest_projection(e)
-
-    pr = scalar_product(p.vector, r.vector)
-    vbr = scalar_product(vbar, r.vector)
-    vbx = scalar_product(vbar, x)
-    px = scalar_product(p.vector, x)
+    xc, vbc = x.components, vbar.components
+    vbr, vbx, px, xx = pairing_rows(g, np.array([vbc, vbc, pc, xc]),
+                                    np.array([rc, xc, xc, xc])).tolist()
 
     nu_e = ct * ((gam - 1.0) * pr + vbr) + vbx + (gam - 1.0) * px
     xi_e = ct * (pr + vbr / (gam + 1.0)) + vbx / (gam + 1.0) + px
     delta = nu_e * p.vector - xi_e * vbar
 
-    ct_prime = ct + scalar_product(r.vector, delta)
+    ct_prime = ct + float(pairing_rows(g, rc, delta.components))
     x_prime = x - r.rest_projection(delta)
     t, t_prime = float(ct / v.c), float(ct_prime / v.c)
     c2 = v.c * v.c
-    before = -c2 * t ** 2 + x.square()
+    before = -c2 * t ** 2 + xx
     after = -c2 * t_prime ** 2 + x_prime.square()
     if not abs(before - after) <= 1e2 * space.tol_rel * max(1.0, abs(before)):
         raise InternalConsistencyError(
             f"coordinate transform changes the interval by {abs(before - after):.3e}")
-    rv = scalar_product(r.vector, v.vector)
     return TransformResult(t_prime, x_prime, (float(pr), float(rv), float(px)),
                            (before, after))
 
@@ -307,9 +319,9 @@ def einstein_transform(r: Observer, v: Velocity3,
         x' = x + gamma^2/(gamma+1) (v.x/c^2) v - gamma v t.
     """
     space = same_space(r.vector, v.vector, e)
-    _check_observed(space, r.vector, v.vector,
-                    "einstein transform requires R to observe v")
-    gam = gamma(v)
+    gam = _gamma(_observed_square(space, r.vector, v.vector,
+                                  "einstein transform requires R to observe v"),
+                 v.c, v.luminal)
     c2 = v.c * v.c
     coords = event_coordinates(r, e, v.c)
     t, x = coords.t, coords.x
@@ -358,21 +370,26 @@ def velocity_add(u: Velocity3, v: Velocity3) -> Velocity3:
     _check_same_frame(u, v)
     if v.luminal:
         return v
-    gam = gamma(v)
-    c2 = v.c * v.c
-    vu = scalar_product(v.vector, u.vector)
-    first = (1.0 / (gam * (1.0 + vu / c2))) * (u.vector + gam * v.vector)
-    w = first + (gam / (gam + 1.0)) * (vu / (c2 + vu)) * v.vector
+    uc, vc = u.vector.components, v.vector.components
+    vv, vu = pairing_rows(u.space.g, vc, np.array([vc, uc])).tolist()
+    w = _velocity_add(uc, vc, vu, vv, v.c, u.space.tol_rel)
+    return Velocity3(_fresh(Vector, w, u.space), u.observer, u.c, luminal=u.luminal)
 
-    alt_first = (1.0 / (1.0 + vu / c2)) * (u.vector + v.vector)
-    alt_tail = (gam / (gam + 1.0)) * (1.0 / (c2 + vu)) * (
-        vu * v.vector - v.vector.square() * u.vector)
-    w_alt = alt_first + alt_tail
-    defect = maxabs(w.components - w_alt.components)
-    if defect > 1e2 * u.space.tol_rel * max(1.0, maxabs(w.components)):
+
+def _velocity_add(u, v, vu, vv, c, tol_rel):
+    """:func:`velocity_add` on components, from v.u and v.v, for a sub-luminal v."""
+    gam = _gamma(vv, c, False)
+    c2 = c * c
+    first = (u + v * float(gam)) * float(1.0 / (gam * (1.0 + vu / c2)))
+    w = first + v * float((gam / (gam + 1.0)) * (vu / (c2 + vu)))
+    alt_first = (u + v) * float(1.0 / (1.0 + vu / c2))
+    alt_tail = ((v * float(vu) - u * float(vv))
+                * float((gam / (gam + 1.0)) * (1.0 / (c2 + vu))))
+    defect = maxabs(w - (alt_first + alt_tail))
+    if defect > 1e2 * tol_rel * max(1.0, maxabs(w)):
         raise InternalConsistencyError(
             f"the two composition forms disagree by {defect:.3e}")
-    return Velocity3(w, u.observer, u.c, luminal=u.luminal)
+    return w
 
 
 def velocity_subtract(u: Velocity3, w: Velocity3) -> Velocity3:
@@ -385,18 +402,25 @@ def velocity_subtract(u: Velocity3, w: Velocity3) -> Velocity3:
     Both operands must be strictly sub-luminal; u = w gives zero.
     """
     _check_same_frame(u, w)
-    gu = gamma(u)
-    gw = gamma(w)
-    k = (1.0 / (gu + gw)) * (gu * u.vector - gw * w.vector)
+    uc, wc = u.vector.components, w.vector.components
+    uu, ww = pairing_rows(u.space.g, np.array([uc, wc]), np.array([uc, wc])).tolist()
+    v = _velocity_subtract(uc, wc, _gamma(uu, u.c, u.luminal), _gamma(ww, w.c, w.luminal),
+                           u.c, u.space.g)
+    return Velocity3(_fresh(Vector, v, u.space), u.observer, u.c)
+
+
+def _velocity_subtract(u, w, gu, gw, c, g):
+    """:func:`velocity_subtract` on components, from gamma_u and gamma_w."""
+    diff = u * float(gu) - w * float(gw)
+    k = diff * float(1.0 / (gu + gw))
     y = (gu + gw) ** 2
-    x = (gu * u.vector - gw * w.vector).square()
-    denom = y - x / (u.c * u.c)
+    x = float(pairing_rows(g, diff, diff))
+    denom = y - x / (c * c)
     if denom <= 0.0:
         raise InternalConsistencyError(
             "velocity difference of sub-luminal inputs left the light cone")
-    gv = (y + x / (u.c * u.c)) / denom
-    v = ((gv + 1.0) / gv) * k
-    return Velocity3(v, u.observer, u.c)
+    gv = (y + x / (c * c)) / denom
+    return k * float((gv + 1.0) / gv)
 
 
 def acceleration_transform(v: Velocity3, u: Velocity3, a: Vector) -> Vector:
@@ -410,13 +434,14 @@ def acceleration_transform(v: Velocity3, u: Velocity3, a: Vector) -> Vector:
     """
     _check_same_frame(v, u)
     same_space(v.vector, a)
-    gv = gamma(v)
+    vc = v.vector.components
+    vv, vu, va = pairing_rows(v.space.g, vc, np.array([vc, u.vector.components,
+                                                      a.components])).tolist()
+    gv = _gamma(vv, v.c, v.luminal)
     c2 = v.c * v.c
-    vu = scalar_product(v.vector, u.vector)
     denom = c2 - vu
     if abs(denom) <= v.space.tol_rel * c2:
         raise DegenerateDenominatorError("c^2 - v.u = 0; transform undefined")
-    va = scalar_product(v.vector, a)
     corr = u.vector - (gv / (gv + 1.0)) * v.vector
     numer = a + (va / denom) * corr
     result = (1.0 / (gv * gv * (1.0 - vu / c2) ** 2)) * numer

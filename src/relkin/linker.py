@@ -37,6 +37,7 @@ from .metric_core import (
     Endomorphism,
     SimpleBivector,
     Vector,
+    _fresh,
     _frozen,
     _check_unit_timelike,
     idempotent_of,
@@ -76,11 +77,7 @@ class LinkProblem:
 
     def __post_init__(self):
         same_space(*(v for v in (self.R, self.S, self.P) if v is not None))
-        r2 = self.R.square()
-        s2 = self.S.square()
-        if abs(r2 - s2) > self.space.tol_rel * max(1.0, abs(r2), abs(s2)):
-            raise NotIsomagnitudeError(
-                f"R.R = {r2!r} and S.S = {s2!r} differ beyond tolerance")
+        _check_isomagnitude(self.space, self.R.square(), self.S.square())
 
     @property
     def space(self):
@@ -101,11 +98,14 @@ class LinkProblem:
     @cached_property
     def _mu(self) -> float:
         # A refusal is not cached: it raises again on every call.
-        tests, denom = _mu_tests(self._terms, self.space.tol_abs)
-        for failed, (error, message) in zip(tests, _MU_REFUSALS):
-            if failed:
-                raise error(message)
-        return kernels.link_mu(self._terms.psum, denom)
+        return _mu_of(self._terms, self.space.tol_abs)
+
+
+def _check_isomagnitude(space, r2: float, s2: float) -> None:
+    """Refuse a link problem whose R.R = ``r2`` and S.S = ``s2`` differ."""
+    if abs(r2 - s2) > space.tol_rel * max(1.0, abs(r2), abs(s2)):
+        raise NotIsomagnitudeError(
+            f"R.R = {r2!r} and S.S = {s2!r} differ beyond tolerance")
 
 
 class _PairTerms(NamedTuple):
@@ -129,13 +129,14 @@ class _PairTerms(NamedTuple):
 
     @classmethod
     def of(cls, r: Vector, s: Vector, tol: float) -> "_PairTerms":
-        d = r - s
-        d2 = d.square()
-        r_max = maxabs(r.components)
-        s_max = maxabs(s.components)
-        d_max = maxabs(d.components)
-        u = r + s
-        return cls(d, d2, u, r_max, s_max, d_max, maxabs(u.components),
+        d, u = r - s, r + s
+        return cls.build(d, d.square(), u, maxabs(r.components), maxabs(s.components),
+                         maxabs(d.components), maxabs(u.components), tol)
+
+    @classmethod
+    def build(cls, d, d2, u, r_max, s_max, d_max, u_max, tol) -> "_PairTerms":
+        """The terms of R - S = ``d`` of square ``d2`` and R + S = ``u``."""
+        return cls(d, d2, u, r_max, s_max, d_max, u_max,
                    not kernels.is_null(d2, d_max, tol),
                    bool(d_max <= tol * max(1.0, r_max, s_max)))
 
@@ -179,7 +180,7 @@ class _Terms(NamedTuple):
         p = problem.effective_p()
         pair = problem._pair
         return cls._combine(
-            problem, p, maxabs(p.components),
+            pair, problem.space.tol_abs, p, maxabs(p.components),
             # P.(R+S), P.P, P.R, P.S and P.(R-S), each as scalar_product
             # evaluates it, in one stacked pairing.
             *kernels.pairing_rows(problem.space.g, p.components,
@@ -190,19 +191,17 @@ class _Terms(NamedTuple):
     def stacked(cls, problem: LinkProblem, rays: np.ndarray) -> "_Terms":
         """The terms of ``problem`` for each row of the (N, d) array ``rays``."""
         d = problem._pair.d.components
-        wedge = rays[:, :, None] * d - d[:, None] * rays[:, None, :]
         return cls._combine(
-            problem, rays, kernels.maxabs_rows(rays),
+            problem._pair, problem.space.tol_abs, rays, kernels.maxabs_rows(rays),
             *kernels.pairing_rows(problem.space.g, rays,
                                   _pair_partners(problem, rays)),
-            kernels.maxabs_rows(wedge))
+            kernels.wedge_maxabs_rows(rays, d))
 
     @classmethod
-    def _combine(cls, problem, p, p_max, psum, pp, pr, ps, pd, wedge_max):
-        pair = problem._pair
+    def _combine(cls, pair, tol, p, p_max, psum, pp, pr, ps, pd, wedge_max):
         sum_scale, w2, denominator, p_transversal, norms = kernels.link_terms(
             psum, pp, pr, ps, pd, p_max, wedge_max, pair.d2, pair.d_max,
-            pair.u_max, pair.r_max, pair.s_max, problem.space.tol_abs)
+            pair.u_max, pair.r_max, pair.s_max, tol)
         return cls(p, pair.d, pair.d2, psum, sum_scale, pp, pr, ps, w2, denominator,
                    pair.generic, p_transversal, pair.coincide, norms)
 
@@ -227,6 +226,15 @@ _MU_REFUSALS = (
     (DegenerateLinkError, "P^(R-S) = 0; the ray is not transversal"),
     (DegenerateLinkError, "degenerate link denominator"),
 )
+
+
+def _mu_of(t: _Terms, tol: float) -> float:
+    """mu of one ray's terms, after the refusals of ``_MU_REFUSALS`` in order."""
+    tests, denom = _mu_tests(t, tol)
+    for failed, (error, message) in zip(tests, _MU_REFUSALS):
+        if failed:
+            raise error(message)
+    return kernels.link_mu(t.psum, denom)
 
 
 def _mu_tests(t: _Terms, tol: float):
@@ -444,7 +452,8 @@ def fahnline_boost(r: Vector, s: Vector) -> Isometry:
     identity, and every branch verifies LR = S.
     """
     space = same_space(r, s)
-    _check_unit_timelike(space, "vectors must be unit time-like (square -1)", r, s)
+    _check_unit_timelike(space, "vectors must be unit time-like (square -1)",
+                         r.square(), s.square())
     rs = scalar_product(r, s)
     if rs > -1.0 + space.tol_rel:
         raise NotFutureDirectedError(f"R.S = {rs!r} must not exceed -1")
@@ -491,17 +500,23 @@ def binary_velocity(r: Vector, s: Vector) -> Vector:
     exchanging the arguments, but its squared magnitude
     -R.R + R.R^3/(R.S)^2 is exchange-symmetric when R.R = S.S.
     """
-    same_space(r, s)
-    if r.is_null():
+    space = same_space(r, s)
+    rc, sc = r.components, s.components
+    rr, rs = kernels.pairing_rows(space.g, rc, np.array([rc, sc])).tolist()
+    w = _binary_velocity(space, rc, sc, rr, rs, maxabs(rc), maxabs(sc),
+                         lambda: idempotent_of(r).entries)
+    return _fresh(Vector, w, space)
+
+
+def _binary_velocity(space, r, s, rr, rs, r_max, s_max, projector):
+    """:func:`binary_velocity` on components, from R.R, R.S and the largest components
+    of R and S; ``projector()`` gives R's idempotent once both refusals passed."""
+    if kernels.is_null(rr, r_max, space.tol_abs):
         raise NullVectorError("binary velocity requires non-null R")
-    rs = scalar_product(r, s)
-    scale = max(1.0, maxabs(r.components) * maxabs(s.components))
-    if abs(rs) <= r.space.tol_abs * scale:
+    if abs(rs) <= space.tol_abs * max(1.0, r_max * s_max):
         raise OrthogonalPairError("R.S = 0; relative velocity undefined")
-    proj = idempotent_of(r)
     d = s - r
-    rest = d - proj.apply(d)
-    return (r.square() / rs) * rest
+    return (d - projector() @ d) * float(rr / rs)
 
 
 def ternary_velocity(problem: LinkProblem, c: float = 1.0) -> Vector:
@@ -513,20 +528,46 @@ def ternary_velocity(problem: LinkProblem, c: float = 1.0) -> Vector:
     satisfies P.v = 0.  R = S gives the zero velocity; an omitted P defaults
     to the planar choice P = R.
     """
-    space = problem.space
-    p = problem.effective_p()
-    _check_unit_timelike(space, "ternary velocity requires unit time-like P, R, S",
-                        p, problem.R, problem.S)
-    t = problem._terms
+    return _ternary_velocities(problem.effective_p(), [problem.R], [problem.S], c)[0]
+
+
+def _ternary_velocities(p: Vector, rs, ss, c, projector=None) -> list[Vector]:
+    """:func:`ternary_velocity` of the problems (R, S) of ``rs`` and ``ss`` with
+    the ray P = ``p``, problem by problem with every check in order; their
+    pairings take one pass.  ``projector()`` gives P's idempotent's entries."""
+    r, s = np.array([v.components for v in rs]), np.array([v.components for v in ss])
+    d, u, pc = r - s, r + s, np.broadcast_to(p.components, r.shape)
+    psum, pd, d2, pp, pr, ps, rr, s2 = kernels.pairing_rows(
+        p.space.g, np.concatenate((pc, pc, d, pc, pc, pc, r, s)),
+        np.concatenate((u, d, d, pc, r, s, r, s))).reshape(8, -1).tolist()
+    p_max, wedge_max = maxabs(p.components), kernels.wedge_maxabs_rows(p.components, d).tolist()
+    maxima = [kernels.maxabs_rows(x).tolist() for x in (r, s, d, u)]
+    projector = projector or (lambda: idempotent_of(p).entries)
+    out = []
+    for k, space in enumerate(v.space for v in rs):
+        _check_isomagnitude(space, rr[k], s2[k])
+        _check_unit_timelike(space, "ternary velocity requires unit time-like P, R, S",
+                             pp[k], rr[k], s2[k])
+        pair = _PairTerms.build(_fresh(Vector, d[k], space), d2[k], _fresh(Vector, u[k], space),
+                                *(m[k] for m in maxima), space.tol_abs)
+        t = _Terms._combine(pair, space.tol_abs, p, p_max, psum[k], pp[k], pr[k], ps[k],
+                            pd[k], wedge_max[k])
+        out.append(_fresh(Vector, _ternary_velocity(space, t, projector, c), space))
+    return out
+
+
+def _ternary_velocity(space, t: _Terms, projector, c) -> np.ndarray:
+    """:func:`ternary_velocity` on components, from the link terms ``t`` of a unit
+    time-like problem; ``projector()`` gives P's idempotent once mu passed."""
     if t.coincide:
-        return space.zero_vector()
-    d = t.d
-    vbar = mu_scalar(problem) * (d - idempotent_of(p).apply(d))
-    vbar2 = vbar.square()
+        return np.zeros(space.dim)
+    mu = _mu_of(t, space.tol_abs)
+    d = t.d.components
+    vbar = (d - projector() @ d) * float(mu)
+    vbar2 = float(kernels.pairing_rows(space.g, vbar, vbar))
     if vbar2 < 0.0:
         raise InternalConsistencyError(f"vbar.vbar = {vbar2!r} should be non-negative")
-    gamma_v = float(np.sqrt(1.0 + vbar2))
-    return (float(c) / gamma_v) * vbar
+    return vbar * float(float(c) / float(np.sqrt(1.0 + vbar2)))
 
 
 def gamma_of_link(problem: LinkProblem) -> float:

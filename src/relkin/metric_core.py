@@ -22,7 +22,7 @@ from .errors import (
     NullVectorError,
     SpaceMismatchError,
 )
-from .kernels import bivector_pairing, is_null
+from .kernels import bivector_pairing, is_null, pairing_rows
 
 __all__ = [
     "DEFAULT_TOL_ABS",
@@ -61,6 +61,13 @@ def _frozen(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+def _fresh(cls, values: np.ndarray, space: "MetricSpace"):
+    """``cls(values, space)`` for an array the library has just computed: frozen
+    in place, without the copy and checks of the public constructors."""
+    values.setflags(write=False)
+    return cls(values, space)
 
 
 def _finite(arr: np.ndarray, quantity: str, error=NonFiniteError) -> np.ndarray:
@@ -182,17 +189,17 @@ class _Components:
 
     def __add__(self, other):
         same_space(self, other)
-        return type(self)(_frozen(self.components + other.components), self.space)
+        return _fresh(type(self), self.components + other.components, self.space)
 
     def __sub__(self, other):
         same_space(self, other)
-        return type(self)(_frozen(self.components - other.components), self.space)
+        return _fresh(type(self), self.components - other.components, self.space)
 
     def __neg__(self):
-        return type(self)(_frozen(-self.components), self.space)
+        return _fresh(type(self), -self.components, self.space)
 
     def __mul__(self, scale):
-        return type(self)(_frozen(self.components * float(scale)), self.space)
+        return _fresh(type(self), self.components * float(scale), self.space)
 
     __rmul__ = __mul__
 
@@ -219,7 +226,7 @@ class Vector(_Components):
 
     def lower(self) -> "Covector":
         """Metric-dual covector g(v, .)."""
-        return Covector(_frozen(self.space.g @ self.components), self.space)
+        return _fresh(Covector, self.space.g @ self.components, self.space)
 
     def is_null(self, tol: float | None = None) -> bool:
         tol = self.space.tol_abs if tol is None else tol
@@ -239,7 +246,7 @@ class Covector(_Components):
 
     def raise_index(self) -> Vector:
         """Metric-dual vector (inverse metric applied to the components)."""
-        return Vector(_frozen(self.space.g_inv @ self.components), self.space)
+        return _fresh(Vector, self.space.g_inv @ self.components, self.space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,24 +305,24 @@ class Endomorphism:
 
     def apply(self, v: Vector) -> Vector:
         same_space(self, v)
-        return Vector(_frozen(self.entries @ v.components), self.space)
+        return _fresh(Vector, self.entries @ v.components, self.space)
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         same_space(self, other)
-        return Endomorphism(_frozen(self.entries @ other.entries), self.space)
+        return _fresh(Endomorphism, self.entries @ other.entries, self.space)
 
     __matmul__ = compose
 
     def __add__(self, other: "Endomorphism") -> "Endomorphism":
         same_space(self, other)
-        return Endomorphism(_frozen(self.entries + other.entries), self.space)
+        return _fresh(Endomorphism, self.entries + other.entries, self.space)
 
     def __sub__(self, other: "Endomorphism") -> "Endomorphism":
         same_space(self, other)
-        return Endomorphism(_frozen(self.entries - other.entries), self.space)
+        return _fresh(Endomorphism, self.entries - other.entries, self.space)
 
     def __mul__(self, scale) -> "Endomorphism":
-        return Endomorphism(_frozen(self.entries * float(scale)), self.space)
+        return _fresh(Endomorphism, self.entries * float(scale), self.space)
 
     __rmul__ = __mul__
 
@@ -336,8 +343,9 @@ def scalar_product(a: Vector, b: Vector) -> float:
     bit-identical under argument exchange.  The outer product and the sum
     call the ufuncs directly: the same operations as ``np.outer`` and
     ``np.sum``, without their Python-level wrappers.  ``kernels.pairing_rows``
-    repeats this arithmetic for stacked pairs; one pair costs about 1 us more
-    through it, which the kinematics benchmark shows.
+    repeats this arithmetic bit for bit for stacked pairs, and the library's
+    own formulas evaluate all the pairings they need in one such pass: a pass
+    over several pairs costs about as much as one call here.
     """
     space = same_space(a, b)
     sym = a.components[:, None] * b.components
@@ -345,11 +353,10 @@ def scalar_product(a: Vector, b: Vector) -> float:
     return 0.5 * float(np.add.reduce(space.g * sym, axis=None))
 
 
-def _check_unit_timelike(space: MetricSpace, message: str, *vectors: Vector) -> None:
+def _check_unit_timelike(space: MetricSpace, message: str, *squares: float) -> None:
     """Raise NotUnitTimelikeError, with ``message`` formatted with the square,
-    unless every vector has square -1 to the tol_rel of ``space``."""
-    for v in vectors:
-        square = v.square()
+    unless every one of ``squares`` is -1 to the tol_rel of ``space``."""
+    for square in squares:
         if abs(square + 1.0) > space.tol_rel:
             raise NotUnitTimelikeError(message.format(square))
 
@@ -380,11 +387,11 @@ def idempotent_of(p: Vector) -> Endomorphism:
     Satisfies p o p = p and trace(p) = 1.  Raises NullVectorError when P is
     null to tolerance (the test is relative to the component scale).
     """
-    if p.is_null():
+    pp = float(pairing_rows(p.space.g, p.components, p.components))
+    if is_null(pp, maxabs(p.components), p.space.tol_abs):
         raise NullVectorError("idempotent requires a non-null vector")
     gp = p.space.g @ p.components
-    entries = np.outer(p.components, gp) / p.square()
-    return Endomorphism(_frozen(entries), p.space)
+    return _fresh(Endomorphism, np.outer(p.components, gp) / pp, p.space)
 
 
 def lie_map(b: SimpleBivector) -> Endomorphism:
@@ -395,7 +402,7 @@ def lie_map(b: SimpleBivector) -> Endomorphism:
     space = b.space
     p, q = b.first.components, b.second.components
     entries = np.outer(p, space.g @ q) - np.outer(q, space.g @ p)
-    return Endomorphism(_frozen(entries), space)
+    return _fresh(Endomorphism, entries, space)
 
 
 def represent_sl2(b: SimpleBivector, a: float, bb: float,

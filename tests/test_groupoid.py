@@ -1,10 +1,17 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from relkin import (
+    NonFiniteError,
     NotComposableError,
     Observer,
     ObserverObject,
+    SpaceMismatchError,
     VelocityMorphism,
     compare_with_isometric,
     compose,
@@ -12,6 +19,8 @@ from relkin import (
     scalar_product,
 )
 from relkin.sampling import random_observer, rng_for
+
+GROUPOID_SCENARIO = Path(__file__).parent / "data" / "groupoid.json"
 
 
 def obj(space, comps, label=""):
@@ -189,3 +198,45 @@ class TestCompareWithIsometric:
             r = ObserverObject(random_observer(mink4, rng))
             report = compare_with_isometric(p, q, r, 1.0)
             assert report["forward_vs_direct"] < 1e-9
+
+
+class TestSpeedOfLight:
+    """hom and the comparison refuse c as a Velocity3 does: a c that is not
+    positive first, then one that is not finite."""
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, -np.inf])
+    def test_non_positive_c_is_refused(self, mink4, c):
+        p = obj(mink4, [1.0, 0.0, 0.0, 0.0])
+        q = obj(mink4, [1.25, 0.75, 0.0, 0.0])
+        for call in (lambda: hom(p, q, c), lambda: compare_with_isometric(p, q, p, c)):
+            with pytest.raises(SpaceMismatchError, match="^c must be positive$"):
+                call()
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_non_finite_c_is_refused(self, mink4, c):
+        p = obj(mink4, [1.0, 0.0, 0.0, 0.0])
+        q = obj(mink4, [1.25, 0.75, 0.0, 0.0])
+        for call in (lambda: hom(p, q, c), lambda: compare_with_isometric(p, q, p, c)):
+            with pytest.raises(NonFiniteError, match=f"^c = {c!r} is not finite$"):
+                call()
+
+    def test_valid_c_scales_the_velocity(self, mink4):
+        p = obj(mink4, [1.0, 0.0, 0.0, 0.0])
+        q = obj(mink4, [1.25, 0.75, 0.0, 0.0])
+        assert np.array_equal(hom(p, q, 2.0).velocity.components,
+                              2.0 * hom(p, q).velocity.components)
+
+    @pytest.mark.parametrize("c, error, message", [
+        ("inf", "NonFinite", "c = inf is not finite"),
+        ("nan", "NonFinite", "c = nan is not finite"),
+        ("-1", "SpaceMismatch", "c must be positive"),
+        ("0", "SpaceMismatch", "c must be positive"),
+    ])
+    def test_command_line_exits_two(self, c, error, message):
+        proc = subprocess.run([sys.executable, "-m", "relkin.cli", "groupoid",
+                               "--scenario", str(GROUPOID_SCENARIO), "--c", c],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+            {"type": "error", "error": error, "message": message}]
+        assert proc.stderr == ""
