@@ -350,10 +350,10 @@ def _planar_collapse(space, rng):
     a, b = rng.normal(size=2)
     p = a * r + b * s
     candidate = lnk.LinkProblem(r, s, p)
-    flags = lnk.admissibility(candidate)
-    if not (flags.generic and flags.p_transversal):
+    t = candidate._terms
+    if not (t.generic and t.p_transversal):
         return None
-    if abs(scalar_product(p, r + s)) < 1e-2 or abs(flags.denominator) < 1e-2:
+    if abs(t.psum) < 1e-2 or abs(t.denominator) < 1e-2:
         return None
     return lnk.p_link(candidate).distance(planar)
 

@@ -23,7 +23,7 @@ from .errors import (
     OutOfDomainError,
 )
 from .kernels import (GAMMA_MESSAGE, LAW_MESSAGE, LINK_MESSAGE, gamma_defect,
-                      law_bound, law_defect, link_bound)
+                      law_defect, within)
 from .metric_core import (
     Covector,
     Endomorphism,
@@ -73,12 +73,13 @@ class Isometry:
     def __post_init__(self):
         space = self.mapping.space
         res = isometry_residual(self.mapping)
-        if res > law_bound(space.tol_rel, maxabs(space.g), self.mapping.max_norm()):
+        size = self.mapping.max_norm()
+        if not within(res, space.tol_rel, maxabs(space.g) * (size * size)):
             raise InternalConsistencyError(LAW_MESSAGE.format(res))
         if self.generator is not None and self.gamma is not None:
-            defect, bound = gamma_defect(self.gamma, self.generator.square(),
-                                         space.tol_rel)
-            if defect > bound:
+            m2 = self.generator.square()
+            defect = gamma_defect(self.gamma, m2)
+            if not within(defect, space.tol_rel, abs(m2), self.gamma * self.gamma):
                 raise InternalConsistencyError(GAMMA_MESSAGE.format(defect))
 
     @property
@@ -145,7 +146,7 @@ def isometry_from_bivector(b: SimpleBivector) -> Isometry:
     """
     space = b.space
     gamma = _principal_gamma(b)
-    if abs(gamma + 1.0) <= space.tol_abs:
+    if within(abs(gamma + 1.0), space.tol_abs):
         raise DegenerateGammaError("gamma + 1 vanishes")
     m = lie_map(b).entries
     ent = np.eye(space.dim) + m + (m @ m) / (gamma + 1.0)
@@ -214,10 +215,11 @@ def stabilizer_element(r: Vector, b: SimpleBivector) -> Isometry:
     that are not orthogonal to R within tol_abs raise NotInStabilizerError.
     """
     space = same_space(r, b.first)
-    scale_r = max(1.0, maxabs(r.components))
+    # Each leg's bound is tol_abs max(1, max|R|) max(1, max|leg|).
+    r_max = maxabs(r.components)
+    tol = space.tol_abs * (r_max if r_max > 1.0 else 1.0)
     for leg in (b.first, b.second):
-        bound = space.tol_abs * scale_r * max(1.0, maxabs(leg.components))
-        if abs(scalar_product(r, leg)) > bound:
+        if not within(abs(scalar_product(r, leg)), tol, maxabs(leg.components)):
             raise NotInStabilizerError("generator legs must be orthogonal to R")
     return _verified(isometry_from_bivector(b), r, r,
                      "stabilizer element moved its fixed vector by {:.3e}")
@@ -227,7 +229,7 @@ def _verified(iso: Isometry, r: Vector, s: Vector, message: str = LINK_MESSAGE):
     """``iso`` once it is checked to map R to S within the link bound; raises
     InternalConsistencyError with ``message`` and the residual otherwise."""
     res = maxabs(iso.apply(r).components - s.components)
-    if res > link_bound(r.space.tol_rel, maxabs(s.components)):
+    if not within(res, r.space.tol_rel, maxabs(s.components)):
         raise InternalConsistencyError(message.format(res))
     return iso
 

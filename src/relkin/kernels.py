@@ -12,11 +12,12 @@ velocity formulas (:mod:`relkin.kinematics`, :mod:`relkin.linker`) take
 their pairings from one :func:`pairing_rows` pass per call, and the
 groupoid comparison from one pass over all its observers.
 
-Two details keep the rows exact.  A reduction over one row runs the same
-ufunc reduction over the same contiguous entries as the scalar one, and
-``x ** n`` on array entries goes through Python floats, because NumPy's
-power and square do not always round as the C library's ``pow`` that a
-Python float uses.
+A reduction over one row runs the same ufunc reduction over the same
+contiguous entries as the scalar one, which keeps the rows exact.  Powers
+are written as products, which round alike on floats and arrays and
+overflow to inf instead of raising.
+
+Every check of the library compares with one rule, :func:`within`.
 """
 
 from __future__ import annotations
@@ -31,20 +32,17 @@ __all__ = [
     "gamma_defect",
     "is_null",
     "larger",
-    "law_bound",
     "law_defect",
-    "link_bound",
     "link_covectors",
     "link_entries",
     "link_mu",
     "link_terms",
     "maxabs_rows",
     "pairing_rows",
-    "planar_bound",
-    "power",
     "trivector_rows",
     "wedge_denominator",
     "wedge_maxabs_rows",
+    "within",
 ]
 
 LAW_MESSAGE = "operator fails the isometry law, residual {:.3e}"
@@ -64,14 +62,19 @@ def larger(*values):
     return out
 
 
-def power(x, n):
-    """``x ** n`` as a Python float evaluates it, entrywise for arrays."""
-    return np.array([v ** n for v in x.tolist()], dtype=float).reshape(x.shape)
+def within(value, tol, *scales):
+    """Whether ``value <= tol * max(1.0, *scales)``, the bound of every check.
 
-
-def _ops(x):
-    """``max`` and ``pow`` for one ray's float ``x``, or entrywise for stacked rays."""
-    return (larger, power) if isinstance(x, np.ndarray) else (max, pow)
+    Entrywise for stacked rows (an array ``value``), with the ``max`` of
+    :func:`larger`; as with ``max``, a NaN scale is passed over.  False for
+    a NaN value and for an infinite bound: a verification fails unless
+    ``within`` holds, and a degeneracy test refuses when it holds.
+    """
+    if isinstance(value, np.ndarray):
+        bound = tol * larger(1.0, *scales)
+        return (value <= bound) & (bound < np.inf)
+    bound = tol * max(1.0, *scales) if scales else tol
+    return value <= bound < np.inf
 
 
 # -- combination formulas: floats for one ray, arrays for stacked rays ------
@@ -88,11 +91,12 @@ def link_terms(psum, pp, pr, ps, pd, p_max, wedge_max, d2, d_max, u_max,
     and P^(R-S) != 0 both squared and entrywise) and the largest component
     of P, R and S.
     """
-    top, pw = _ops(p_max)
+    top = larger if isinstance(p_max, np.ndarray) else max
     sum_scale = top(1.0, p_max * u_max)
     leg_scale = p_max * d_max
+    leg_bound = tol * top(1.0, leg_scale * leg_scale)
     transversal = ((abs(psum) > tol * sum_scale)
-                   & (pw(wedge_max, 2) > pw(tol * top(1.0, pw(leg_scale, 2)), 2))
+                   & (wedge_max * wedge_max > leg_bound * leg_bound)
                    & (wedge_max > tol * top(1.0, leg_scale)))
     return (sum_scale, pp * d2 - pd * pd, pp * d2 + 4.0 * pr * ps, transversal,
             top(p_max, r_max, s_max))
@@ -101,21 +105,14 @@ def link_terms(psum, pp, pr, ps, pd, p_max, wedge_max, d2, d_max, u_max,
 def is_null(square, comp_max, tol):
     """Whether a vector of square ``square`` and largest component ``comp_max``
     is null to tolerance ``tol``, relative to its component scale."""
-    return abs(square) <= tol * max(1.0, comp_max ** 2)
-
-
-def planar_bound(tol, norms):
-    """Largest planarity witness P^R^S of a planar ray, for component scale ``norms``."""
-    top, pw = _ops(norms)
-    return tol * top(1.0, pw(norms, 3))
+    return within(abs(square), tol, comp_max * comp_max)
 
 
 def wedge_denominator(psum, w2, tol):
     """{P^(R-S)}^2 + {P.(R+S)}^2, and whether it vanishes to tolerance."""
-    top, _ = _ops(psum)
     psum2 = psum * psum
     denom = w2 + psum2
-    return denom, abs(denom) <= tol * top(1.0, abs(w2), psum2)
+    return denom, within(abs(denom), tol, abs(w2), psum2)
 
 
 def link_mu(psum, wedge_denom):
@@ -146,22 +143,9 @@ def law_defect(g, entries):
     return entries.swapaxes(-1, -2) @ g @ entries - g
 
 
-def law_bound(tol_rel, g_max, entries_max):
-    """The largest isometry-law residual accepted for an operator of that size."""
-    top, pw = _ops(entries_max)
-    return tol_rel * top(1.0, g_max * pw(entries_max, 2))
-
-
-def gamma_defect(gamma, m2, tol_rel):
-    """|gamma^2 - (1 - m2)| of a generator record, and its bound."""
-    top, pw = _ops(gamma)
-    gamma2 = pw(gamma, 2)
-    return abs(gamma2 - (1.0 - m2)), tol_rel * top(1.0, abs(m2), gamma2)
-
-
-def link_bound(tol_rel, s_max):
-    """The largest LR = S residual accepted for a target of largest component ``s_max``."""
-    return tol_rel * max(1.0, s_max)
+def gamma_defect(gamma, m2):
+    """|gamma^2 - (1 - m2)| of a generator record of square ``m2``."""
+    return abs(gamma * gamma - (1.0 - m2))
 
 
 # -- stacked kernels: one row per ray ----------------------------------------
@@ -199,9 +183,9 @@ def trivector_rows(a, b, c) -> np.ndarray:
     """Largest component of a^b^c for each row (the planarity witness).
 
     Each argument is (N, d) rows or one d-vector, at least one of them rows.
-    Every component is the sum of the six signed products that
-    ``trivector_maxabs`` adds, in its order, with each product
-    (x_i y_j) z_k rounded as there.  The components are built one first
+    Component ijk is a_i b_j c_k + b_i c_j a_k + c_i a_j b_k - a_i c_j b_k
+    - b_i a_j c_k - c_i b_j a_k, added in that order, with each product
+    (x_i y_j) z_k rounded as written.  The components are built one first
     index i at a time, so the temporaries stay (N, d, d).
     """
     a, b, c = np.broadcast_arrays(a, b, c)

@@ -27,7 +27,7 @@ from .errors import (
     SuperluminalError,
 )
 from .isometry import Isometry
-from .kernels import pairing_rows
+from .kernels import pairing_rows, within
 from .metric_core import (
     Endomorphism,
     MetricSpace,
@@ -100,7 +100,7 @@ class Observer:
     def agrees_with(self, other: "Observer") -> bool:
         same_space(self.vector, other.vector)
         tol = self.space.tol_rel
-        return maxabs(self.vector.components - other.vector.components) <= tol
+        return within(maxabs(self.vector.components - other.vector.components), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +124,7 @@ class Velocity3:
                               "velocity not orthogonal to its observer (P.v = {!r})")
         c2 = self.c * self.c
         if self.luminal:
-            if not abs(v2 - c2) <= 2e2 * space.tol_rel * c2:
+            if not within(abs(v2 - c2), 2e2 * space.tol_rel * c2):
                 raise SuperluminalError(
                     f"luminal velocity must have v.v = c^2, got {v2!r}")
         elif v2 >= c2:
@@ -151,7 +151,7 @@ def _observed_square(space: MetricSpace, p: Vector, v: Vector, message: str) -> 
     ``space``; raises NotObservedError, ``message`` formatted with P.v, otherwise."""
     ortho, square = pairing_rows(space.g, v.components,
                                  np.array([p.components, v.components])).tolist()
-    if abs(ortho) > space.tol_abs * max(1.0, maxabs(v.components)):
+    if not within(abs(ortho), space.tol_abs, maxabs(v.components)):
         raise NotObservedError(message.format(ortho))
     return square
 
@@ -256,10 +256,10 @@ def verified_boost(p: Observer, v: Velocity3) -> tuple[Isometry, float, float]:
     observer_residual = maxabs(ent @ pc - target)
     inverse_residual = maxabs(ent @ inverse - np.eye(space.dim))
     tol = 1e2 * space.tol_rel
-    if not observer_residual <= tol * max(1.0, gam):
+    if not within(observer_residual, tol, gam):
         raise InternalConsistencyError(
             f"boost fails L P = gamma (P + v/c), residual {observer_residual:.3e}")
-    if not inverse_residual <= tol:
+    if not within(inverse_residual, tol):
         raise InternalConsistencyError(
             f"boost fails L L(-v) = id, residual {inverse_residual:.3e}")
     return op, observer_residual, inverse_residual
@@ -302,9 +302,9 @@ def coordinate_transform(r: Observer, p: Observer, v: Velocity3,
     x_prime = x - r.rest_projection(delta)
     t, t_prime = float(ct / v.c), float(ct_prime / v.c)
     c2 = v.c * v.c
-    before = -c2 * t ** 2 + xx
-    after = -c2 * t_prime ** 2 + x_prime.square()
-    if not abs(before - after) <= 1e2 * space.tol_rel * max(1.0, abs(before)):
+    before = -c2 * (t * t) + xx
+    after = -c2 * (t_prime * t_prime) + x_prime.square()
+    if not within(abs(before - after), 1e2 * space.tol_rel, abs(before)):
         raise InternalConsistencyError(
             f"coordinate transform changes the interval by {abs(before - after):.3e}")
     return TransformResult(t_prime, x_prime, (float(pr), float(rv), float(px)),
@@ -341,7 +341,7 @@ def urbantke_velocity(t: float, x: Vector, t_prime: float, x_prime: Vector,
     Requires t + t' != 0.
     """
     same_space(x, x_prime)
-    if abs(t + t_prime) <= x.space.tol_abs * max(1.0, abs(t), abs(t_prime)):
+    if within(abs(t + t_prime), x.space.tol_abs, abs(t), abs(t_prime)):
         raise DegenerateEpochError("t + t' = 0; velocity recovery undefined")
     q = (1.0 / (t + t_prime)) * (x - x_prime)
     return (2.0 / (1.0 + q.square() / (c * c))) * q
@@ -372,24 +372,18 @@ def velocity_add(u: Velocity3, v: Velocity3) -> Velocity3:
         return v
     uc, vc = u.vector.components, v.vector.components
     vv, vu = pairing_rows(u.space.g, vc, np.array([vc, uc])).tolist()
-    w = _velocity_add(uc, vc, vu, vv, v.c, u.space.tol_rel)
-    return Velocity3(_fresh(Vector, w, u.space), u.observer, u.c, luminal=u.luminal)
-
-
-def _velocity_add(u, v, vu, vv, c, tol_rel):
-    """:func:`velocity_add` on components, from v.u and v.v, for a sub-luminal v."""
-    gam = _gamma(vv, c, False)
-    c2 = c * c
-    first = (u + v * float(gam)) * float(1.0 / (gam * (1.0 + vu / c2)))
-    w = first + v * float((gam / (gam + 1.0)) * (vu / (c2 + vu)))
-    alt_first = (u + v) * float(1.0 / (1.0 + vu / c2))
-    alt_tail = ((v * float(vu) - u * float(vv))
+    gam = _gamma(vv, v.c, False)
+    c2 = v.c * v.c
+    first = (uc + vc * float(gam)) * float(1.0 / (gam * (1.0 + vu / c2)))
+    w = first + vc * float((gam / (gam + 1.0)) * (vu / (c2 + vu)))
+    alt_first = (uc + vc) * float(1.0 / (1.0 + vu / c2))
+    alt_tail = ((vc * float(vu) - uc * float(vv))
                 * float((gam / (gam + 1.0)) * (1.0 / (c2 + vu))))
     defect = maxabs(w - (alt_first + alt_tail))
-    if defect > 1e2 * tol_rel * max(1.0, maxabs(w)):
+    if not within(defect, 1e2 * u.space.tol_rel, maxabs(w)):
         raise InternalConsistencyError(
             f"the two composition forms disagree by {defect:.3e}")
-    return w
+    return Velocity3(_fresh(Vector, w, u.space), u.observer, u.c, luminal=u.luminal)
 
 
 def velocity_subtract(u: Velocity3, w: Velocity3) -> Velocity3:
@@ -404,23 +398,18 @@ def velocity_subtract(u: Velocity3, w: Velocity3) -> Velocity3:
     _check_same_frame(u, w)
     uc, wc = u.vector.components, w.vector.components
     uu, ww = pairing_rows(u.space.g, np.array([uc, wc]), np.array([uc, wc])).tolist()
-    v = _velocity_subtract(uc, wc, _gamma(uu, u.c, u.luminal), _gamma(ww, w.c, w.luminal),
-                           u.c, u.space.g)
-    return Velocity3(_fresh(Vector, v, u.space), u.observer, u.c)
-
-
-def _velocity_subtract(u, w, gu, gw, c, g):
-    """:func:`velocity_subtract` on components, from gamma_u and gamma_w."""
-    diff = u * float(gu) - w * float(gw)
+    gu, gw = _gamma(uu, u.c, u.luminal), _gamma(ww, w.c, w.luminal)
+    diff = uc * float(gu) - wc * float(gw)
     k = diff * float(1.0 / (gu + gw))
-    y = (gu + gw) ** 2
-    x = float(pairing_rows(g, diff, diff))
-    denom = y - x / (c * c)
+    y = (gu + gw) * (gu + gw)
+    x = float(pairing_rows(u.space.g, diff, diff))
+    c2 = u.c * u.c
+    denom = y - x / c2
     if denom <= 0.0:
         raise InternalConsistencyError(
             "velocity difference of sub-luminal inputs left the light cone")
-    gv = (y + x / (c * c)) / denom
-    return k * float((gv + 1.0) / gv)
+    gv = (y + x / c2) / denom
+    return Velocity3(_fresh(Vector, k * float((gv + 1.0) / gv), u.space), u.observer, u.c)
 
 
 def acceleration_transform(v: Velocity3, u: Velocity3, a: Vector) -> Vector:

@@ -103,7 +103,7 @@ class LinkProblem:
 
 def _check_isomagnitude(space, r2: float, s2: float) -> None:
     """Refuse a link problem whose R.R = ``r2`` and S.S = ``s2`` differ."""
-    if abs(r2 - s2) > space.tol_rel * max(1.0, abs(r2), abs(s2)):
+    if not kernels.within(abs(r2 - s2), space.tol_rel, abs(r2), abs(s2)):
         raise NotIsomagnitudeError(
             f"R.R = {r2!r} and S.S = {s2!r} differ beyond tolerance")
 
@@ -138,7 +138,7 @@ class _PairTerms(NamedTuple):
         """The terms of R - S = ``d`` of square ``d2`` and R + S = ``u``."""
         return cls(d, d2, u, r_max, s_max, d_max, u_max,
                    not kernels.is_null(d2, d_max, tol),
-                   bool(d_max <= tol * max(1.0, r_max, s_max)))
+                   bool(kernels.within(d_max, tol, r_max, s_max)))
 
 
 # The ray fields of _Terms: one value per ray when the terms are stacked.
@@ -243,7 +243,7 @@ def _mu_tests(t: _Terms, tol: float):
     Each test is a bool for one ray, or a mask for stacked rays.
     """
     denom, degenerate = kernels.wedge_denominator(t.psum, t.w2, tol)
-    return (not t.generic, abs(t.psum) <= tol * t.sum_scale,
+    return (not t.generic, kernels.within(abs(t.psum), tol, t.sum_scale),
             np.logical_not(t.p_transversal), degenerate), denom
 
 
@@ -272,8 +272,8 @@ def admissibility(problem: LinkProblem) -> LinkAdmissibility:
     (:func:`mu_scalar`, :func:`p_link`) never evaluates it.
     """
     t = problem._terms
-    planar = (trivector_maxabs(t.p, problem.R, problem.S)
-              <= kernels.planar_bound(problem.space.tol_abs, t.norms))
+    planar = kernels.within(trivector_maxabs(t.p, problem.R, problem.S),
+                            problem.space.tol_abs, t.norms * t.norms * t.norms)
     return LinkAdmissibility(t.generic, t.p_transversal,
                              float(t.denominator), bool(planar))
 
@@ -311,7 +311,7 @@ def p_link(problem: LinkProblem) -> Isometry:
     t = problem._terms
     mu = problem._mu
     p, d, dd = t.p, t.d, t.denominator
-    if abs(dd) <= space.tol_abs:
+    if kernels.within(abs(dd), space.tol_abs):
         raise DegenerateLinkError("degenerate link denominator")
     g = space.g
     alpha, beta = kernels.link_covectors(t.d2, t.pp, t.pr, t.ps, dd,
@@ -343,7 +343,7 @@ def _planar_rows(problem: LinkProblem, t: _Terms) -> np.ndarray:
     """The ``planar`` flag of :func:`admissibility` for each stacked ray."""
     witness = kernels.trivector_rows(t.p, problem.R.components,
                                      problem.S.components)
-    return witness <= kernels.planar_bound(problem.space.tol_abs, t.norms)
+    return kernels.within(witness, problem.space.tol_abs, t.norms * t.norms * t.norms)
 
 
 def _link_rows(problem: LinkProblem, t: _Terms) -> _RayLinks:
@@ -380,7 +380,7 @@ def _link_rows(problem: LinkProblem, t: _Terms) -> _RayLinks:
         eye = np.eye(space.dim)
         entries, gamma = np.broadcast_to(eye, (n,) + eye.shape), np.ones(n)
     else:
-        check(abs(t.denominator) <= space.tol_abs, DegenerateLinkError,
+        check(kernels.within(abs(t.denominator), space.tol_abs), DegenerateLinkError,
               "degenerate link denominator")
         g = space.g
         p = t.p[:n]
@@ -390,18 +390,19 @@ def _link_rows(problem: LinkProblem, t: _Terms) -> _RayLinks:
             t.denominator[:n, None], gp, g @ t.d.components)
         entries = kernels.link_entries(p, t.d.components, alpha, beta)
         law = kernels.maxabs_rows(kernels.law_defect(g, entries))
-        check(law > kernels.law_bound(tol_rel, maxabs(g), kernels.maxabs_rows(entries)),
+        size = kernels.maxabs_rows(entries)
+        check(np.logical_not(kernels.within(law, tol_rel, maxabs(g) * (size * size))),
               InternalConsistencyError, lambda j: kernels.LAW_MESSAGE.format(law[j]))
         # The generator record (mu P)^(R-S), with gamma + 1 = mu P.(R+S).
         q = mu[:n, None] * p[:n]
         d = np.broadcast_to(t.d.components, q.shape)
         m2 = kernels.bivector_pairing(g, q, d, q, d)
         gamma = mu[:n] * t.psum[:n] - 1.0
-        defect, bound = kernels.gamma_defect(gamma, m2, tol_rel)
-        check(defect > bound, InternalConsistencyError,
-              lambda j: kernels.GAMMA_MESSAGE.format(defect[j]))
+        defect = kernels.gamma_defect(gamma, m2)
+        check(np.logical_not(kernels.within(defect, tol_rel, abs(m2), gamma * gamma)),
+              InternalConsistencyError, lambda j: kernels.GAMMA_MESSAGE.format(defect[j]))
     residual = kernels.maxabs_rows(entries[:n] @ r - s)
-    check(residual > kernels.link_bound(tol_rel, maxabs(s)),
+    check(np.logical_not(kernels.within(residual, tol_rel, maxabs(s))),
           InternalConsistencyError, lambda j: kernels.LINK_MESSAGE.format(residual[j]))
     return _RayLinks(entries[:n], None if mu is None else mu[:n], gamma[:n],
                      residual[:n], error)
@@ -487,7 +488,7 @@ def null_link_conditions(problem: LinkProblem, gamma: float) -> tuple[float, flo
         raise NotNullCaseError(f"(R-S)^2 = {t.d2!r} does not vanish")
     pr, ps = t.pr, t.ps
     first = (gamma + 1.0) * (pr - 1.0) - pr * (pr - ps)
-    second = gamma * gamma - 1.0 - (pr - ps) ** 2
+    second = gamma * gamma - 1.0 - (pr - ps) * (pr - ps)
     return float(first), float(second)
 
 
@@ -513,7 +514,7 @@ def _binary_velocity(space, r, s, rr, rs, r_max, s_max, projector):
     of R and S; ``projector()`` gives R's idempotent once both refusals passed."""
     if kernels.is_null(rr, r_max, space.tol_abs):
         raise NullVectorError("binary velocity requires non-null R")
-    if abs(rs) <= space.tol_abs * max(1.0, r_max * s_max):
+    if kernels.within(abs(rs), space.tol_abs, r_max * s_max):
         raise OrthogonalPairError("R.S = 0; relative velocity undefined")
     d = s - r
     return (d - projector() @ d) * float(rr / rs)
@@ -550,24 +551,19 @@ def _ternary_velocities(p: Vector, rs, ss, c, projector=None) -> list[Vector]:
                              pp[k], rr[k], s2[k])
         pair = _PairTerms.build(_fresh(Vector, d[k], space), d2[k], _fresh(Vector, u[k], space),
                                 *(m[k] for m in maxima), space.tol_abs)
-        t = _Terms._combine(pair, space.tol_abs, p, p_max, psum[k], pp[k], pr[k], ps[k],
-                            pd[k], wedge_max[k])
-        out.append(_fresh(Vector, _ternary_velocity(space, t, projector, c), space))
+        if pair.coincide:
+            v = np.zeros(space.dim)
+        else:
+            t = _Terms._combine(pair, space.tol_abs, p, p_max, psum[k], pp[k], pr[k],
+                                ps[k], pd[k], wedge_max[k])
+            vbar = (d[k] - projector() @ d[k]) * float(_mu_of(t, space.tol_abs))
+            vbar2 = float(kernels.pairing_rows(space.g, vbar, vbar))
+            if vbar2 < 0.0:
+                raise InternalConsistencyError(
+                    f"vbar.vbar = {vbar2!r} should be non-negative")
+            v = vbar * float(float(c) / float(np.sqrt(1.0 + vbar2)))
+        out.append(_fresh(Vector, v, space))
     return out
-
-
-def _ternary_velocity(space, t: _Terms, projector, c) -> np.ndarray:
-    """:func:`ternary_velocity` on components, from the link terms ``t`` of a unit
-    time-like problem; ``projector()`` gives P's idempotent once mu passed."""
-    if t.coincide:
-        return np.zeros(space.dim)
-    mu = _mu_of(t, space.tol_abs)
-    d = t.d.components
-    vbar = (d - projector() @ d) * float(mu)
-    vbar2 = float(kernels.pairing_rows(space.g, vbar, vbar))
-    if vbar2 < 0.0:
-        raise InternalConsistencyError(f"vbar.vbar = {vbar2!r} should be non-negative")
-    return vbar * float(float(c) / float(np.sqrt(1.0 + vbar2)))
 
 
 def gamma_of_link(problem: LinkProblem) -> float:

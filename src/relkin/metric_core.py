@@ -22,7 +22,7 @@ from .errors import (
     NullVectorError,
     SpaceMismatchError,
 )
-from .kernels import bivector_pairing, is_null, pairing_rows
+from .kernels import bivector_pairing, is_null, pairing_rows, trivector_rows, within
 
 __all__ = [
     "DEFAULT_TOL_ABS",
@@ -109,14 +109,14 @@ class MetricSpace:
         if dim < 2:
             raise DegenerateMetricError("dimension must be at least 2")
         _finite(g, "metric tensor", DegenerateMetricError)
-        if maxabs(g - g.T) > tol_abs * max(1.0, maxabs(g)):
+        if not within(maxabs(g - g.T), tol_abs, maxabs(g)):
             raise DegenerateMetricError("metric tensor is not symmetric")
         g = (g + g.T) / 2.0
         try:
             g_inv = np.linalg.inv(g)
         except np.linalg.LinAlgError as exc:
             raise DegenerateMetricError("metric tensor is singular") from exc
-        if maxabs(g @ g_inv - np.eye(dim)) > tol_rel * max(1.0, maxabs(g)):
+        if not within(maxabs(g @ g_inv - np.eye(dim)), tol_rel, maxabs(g)):
             raise DegenerateMetricError("metric tensor is not invertible to tolerance")
         return cls(dim, _frozen(g), _frozen(g_inv), float(tol_rel), float(tol_abs))
 
@@ -278,16 +278,15 @@ class SimpleBivector:
 
     def is_zero(self, tol: float | None = None) -> bool:
         tol = self.space.tol_abs if tol is None else tol
-        scale = max(1.0, maxabs(self.first.components)
-                    * maxabs(self.second.components))
-        return maxabs(self.components()) <= tol * scale
+        return within(maxabs(self.components()), tol,
+                      maxabs(self.first.components) * maxabs(self.second.components))
 
     def equals(self, other: "SimpleBivector", tol: float | None = None) -> bool:
         same_space(self.first, other.first)
         tol = self.space.tol_rel if tol is None else tol
         a = self.components()
         b = other.components()
-        return maxabs(a - b) <= tol * max(1.0, maxabs(a), maxabs(b))
+        return within(maxabs(a - b), tol, maxabs(a), maxabs(b))
 
     def reversed(self) -> "SimpleBivector":
         return SimpleBivector(self.second, self.first)
@@ -357,7 +356,7 @@ def _check_unit_timelike(space: MetricSpace, message: str, *squares: float) -> N
     """Raise NotUnitTimelikeError, with ``message`` formatted with the square,
     unless every one of ``squares`` is -1 to the tol_rel of ``space``."""
     for square in squares:
-        if abs(square + 1.0) > space.tol_rel:
+        if not within(abs(square + 1.0), space.tol_rel):
             raise NotUnitTimelikeError(message.format(square))
 
 
@@ -414,7 +413,7 @@ def represent_sl2(b: SimpleBivector, a: float, bb: float,
     """
     space = b.space
     det = float(a) * float(e) - float(bb) * float(c)
-    if abs(det - 1.0) > space.tol_rel:
+    if not within(abs(det - 1.0), space.tol_rel):
         raise NotUnimodularError(f"a*e - b*c = {det!r}, expected 1")
     p, q = b.first, b.second
     return SimpleBivector(float(a) * p + float(bb) * q,
@@ -442,11 +441,4 @@ def trivector_maxabs(u: Vector, v: Vector, w: Vector) -> float:
     scope; only this component array is exposed.
     """
     same_space(u, v, w)
-    a, b, c = u.components, v.components, w.components
-    t = (np.einsum("i,j,k->ijk", a, b, c)
-         + np.einsum("i,j,k->ijk", b, c, a)
-         + np.einsum("i,j,k->ijk", c, a, b)
-         - np.einsum("i,j,k->ijk", a, c, b)
-         - np.einsum("i,j,k->ijk", b, a, c)
-         - np.einsum("i,j,k->ijk", c, b, a))
-    return maxabs(t)
+    return float(trivector_rows(u.components[None], v.components, w.components)[0])

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InternalConsistencyError
 from .isometry import isometry_from_bivector
 from .kinematics import Observer, Velocity3
-from .linker import LinkProblem, admissibility
+from .linker import LinkProblem
 from .metric_core import MetricSpace, SimpleBivector, Vector, maxabs, scalar_product
 
 __all__ = [
@@ -112,10 +112,10 @@ def random_link_triple(space: MetricSpace, rng: np.random.Generator,
         if abs(d.square()) < margin * max(1.0, maxabs(d.components) ** 2):
             continue
         problem = LinkProblem(r, s, random_vector(space, rng))
-        flags = admissibility(problem)
-        if not (flags.generic and flags.p_transversal):
+        t = problem._terms
+        if not (t.generic and t.p_transversal):
             continue
-        if abs(problem._terms.psum) < margin or abs(flags.denominator) < margin:
+        if abs(t.psum) < margin or abs(t.denominator) < margin:
             continue
         return problem
     raise InternalConsistencyError("could not sample an admissible link triple")

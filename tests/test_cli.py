@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relkin import cli
+from relkin import cli, scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -197,6 +197,12 @@ class TestOutputContract:
         for token in re.findall(r"-?\d+\.\d{11,}", proc.stdout):
             digits = token.replace("-", "").replace(".", "").lstrip("0")
             assert len(digits) <= 10, token
+
+
+class TestCommandList:
+    def test_scenario_loader_knows_every_command(self):
+        """The loader cannot import the CLI, so it keeps its own list."""
+        assert sorted(scenario._COMMANDS) == sorted(cli._COMMANDS)
 
 
 class TestRecordedOutput:

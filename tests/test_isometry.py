@@ -4,6 +4,7 @@ import pytest
 from relkin import (
     Endomorphism,
     InternalConsistencyError,
+    Isometry,
     MissingGeneratorError,
     NotInStabilizerError,
     NullVectorError,
@@ -210,3 +211,21 @@ class TestStabilizer:
         z = mink4.vector([0.0, 0.0, 0.0, 0.0])
         k = stabilizer_element(r, SimpleBivector(z, z))
         assert np.array_equal(k.mapping.entries, np.eye(4))
+
+
+class TestVerification:
+    """A NaN residual fails its check: an operator or a gamma record with NaN
+    entries is never returned as a verified isometry."""
+
+    def test_nan_operator_fails_the_law(self, euclid2):
+        entries = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(InternalConsistencyError,
+                           match="^operator fails the isometry law, residual nan$"):
+            Isometry(Endomorphism(entries, euclid2))
+
+    def test_nan_gamma_fails_the_record(self, euclid2):
+        b = SimpleBivector(euclid2.vector([1.0, 0.0]), euclid2.vector([0.0, 0.6]))
+        op = isometry_from_bivector(b)
+        with pytest.raises(InternalConsistencyError,
+                           match="^gamma record inconsistent with generator, defect nan$"):
+            Isometry(op.mapping, b, float("nan"))

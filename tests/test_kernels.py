@@ -163,6 +163,31 @@ def _stacked_link(links, row):
             links.gamma.tolist()[row], links.residual.tolist()[row])
 
 
+class TestWithin:
+    """The one bound rule, value <= tol max(1, scales...), for floats and rows."""
+
+    def test_the_rule(self):
+        assert kernels.within(1e-9, 1e-9) and not kernels.within(2e-9, 1e-9)
+        assert kernels.within(4.0, 2.0, 0.5, 2.0) and not kernels.within(4.5, 2.0, 2.0)
+        assert kernels.within(1.0, 1.0, np.nan)  # passed over, as by max(1.0, nan)
+
+    @pytest.mark.parametrize("value, tol, scales", [
+        (np.nan, 1.0, ()), (np.nan, 1.0, (2.0,)),  # a NaN value fails
+        (0.0, np.inf, ()), (0.0, 1.0, (np.inf,)), (np.inf, np.inf, ()),
+        (0.0, 1e-9, (1e200 * 1e200,)),  # an infinite bound fails
+    ])
+    def test_nan_values_and_infinite_bounds_fail(self, value, tol, scales):
+        assert kernels.within(value, tol, *scales) is False
+
+    def test_rows_match_one_value_at_a_time(self):
+        rng = rng_for(24)
+        values = rng.choice([0.0, 0.5, 1.0, 3.0, np.nan, np.inf], size=200)
+        first = rng.choice([0.0, 0.5, 2.0, 4.0, np.nan, np.inf], size=200)
+        rows = kernels.within(values, 1.0, first, 2.0)
+        assert rows.tolist() == [kernels.within(v, 1.0, a, 2.0)
+                                 for v, a in zip(values.tolist(), first.tolist())]
+
+
 class TestKernelsMatchObjects:
     def test_terms_match_the_scalar_terms(self):
         for r, s in _problems():
@@ -306,6 +331,31 @@ class TestStackedScan:
             with pytest.raises(InternalConsistencyError) as exc:
                 checks.link_ray_scan(r, s, seed=seed, n_general=n_general, n_planar=0)
             assert str(exc.value) == expected
+
+    def test_a_nan_link_fails_as_in_p_link(self, golden, monkeypatch):
+        """A link whose entries are NaN fails the isometry law, in the scan's
+        stacked rows as in p_link, with the same message."""
+        mink4, r, s = golden
+        true_entries = kernels.link_entries
+        broken = []
+
+        def nan_row(p, d, alpha, beta):
+            entries = true_entries(p, d, alpha, beta)
+            if not broken:
+                broken.append(p[3].copy())  # a row of the scan's first round
+            dim = p.shape[-1]
+            flat = entries.reshape(-1, dim, dim)
+            for row, ray in enumerate(np.reshape(p, (-1, dim))):
+                if np.array_equal(ray, broken[0]):
+                    flat[row] = np.nan
+            return entries
+
+        monkeypatch.setattr(kernels, "link_entries", nan_row)
+        with pytest.raises(InternalConsistencyError) as scan:
+            checks.link_ray_scan(r, s, seed=1, n_general=10, n_planar=0)
+        with pytest.raises(InternalConsistencyError) as one:
+            p_link(LinkProblem(r, s, mink4.vector(broken[0])))
+        assert str(scan.value) == str(one.value) == kernels.LAW_MESSAGE.format(np.nan)
 
 
 def _near_duplicates(rng, n, dim):

@@ -13,26 +13,38 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relkin import (
+    Endomorphism,
     InternalConsistencyError,
+    Isometry,
+    LinkAdmissibility,
+    LinkProblem,
     MetricSpace,
     NonFiniteError,
     NotObservedError,
     Observer,
     ObserverObject,
+    RelkinError,
     SpaceMismatchError,
     SuperluminalError,
+    TransformResult,
     Velocity3,
     acceleration_transform,
+    admissibility,
     boost,
     cli,
     compare_with_isometric,
     coordinate_transform,
     einstein_transform,
+    errors,
     groupoid,
     kinematics,
     negate,
+    p_link,
+    planar_link,
     velocity_add,
     verified_boost,
 )
@@ -57,6 +69,12 @@ SKEW = {"R": REST, "P": [math.cosh(CHI), math.sinh(CHI), 0.0, 0.0],
 OVERFLOW = {"P": REST, "v": [0.0, 0.6, 0.0, 0.0], "u": [0.0, 0.9, 0.0, 0.0],
             "a": [0.0, 1e308, 0.0, 0.0]}
 TRIANGLE = {"A": REST, "B": [1.25, 0.75, 0.0, 0.0], "C": [1.25, 0.0, 0.75, 0.0]}
+# The golden link problem at 1e100 and the golden event at 1e160, where the
+# bounds' squares used to raise OverflowError.
+BIG_LINK = {"R": [1e100, 0.0, 0.0, 0.0], "S": [1.25e100, 0.75e100, 0.0, 0.0],
+            "P": [1.1, 0.2, 0.5, 0.0]}
+BIG_TRANSFORM = {"R": REST, "P": REST, "v": [0.0, 0.6, 0.0, 0.0],
+                 "e": [1e160, 1e160, 0.0, 0.0]}
 
 
 def space(tol_rel=1e-9):
@@ -198,6 +216,45 @@ class TestGroupoid:
             compare_with_isometric(*objs)
 
 
+def assert_verified_or_refused(call, kind):
+    """``call()`` returns a ``kind``, which the library has verified, or
+    raises a RelkinError."""
+    try:
+        result = call()
+    except RelkinError:
+        return
+    assert isinstance(result, kind)
+
+
+class TestScaleSweep:
+    """Inputs scaled by 10^k, |k| <= 150: every call returns a verified result
+    or raises a RelkinError, never an OverflowError."""
+
+    @given(st.integers(-150, 150))
+    def test_links_of_the_scaled_golden_problem(self, k):
+        sp, scale = space(), 10.0 ** k
+        r = sp.vector([scale, 0.0, 0.0, 0.0])
+        s = sp.vector([1.25 * scale, 0.75 * scale, 0.0, 0.0])
+        problem = LinkProblem(r, s, sp.vector(BIG_LINK["P"]))
+        assert_verified_or_refused(lambda: p_link(problem), Isometry)
+        assert_verified_or_refused(lambda: admissibility(problem), LinkAdmissibility)
+        assert_verified_or_refused(lambda: planar_link(r, s), Isometry)
+
+    @given(st.integers(-150, 150))
+    def test_scaled_operators(self, k):
+        sp = space()
+        entries = rng_for(30, k + 150).normal(size=(4, 4)) * 10.0 ** k
+        assert_verified_or_refused(lambda: Isometry(Endomorphism(entries, sp)), Isometry)
+
+    @given(st.integers(-150, 150))
+    def test_scaled_events(self, k):
+        sp = space()
+        obs, v = observed(sp, REST, BIG_TRANSFORM["v"])
+        e = sp.vector([10.0 ** k, 10.0 ** k, 0.0, 0.0])
+        assert_verified_or_refused(lambda: coordinate_transform(obs, obs, v, e),
+                                   TransformResult)
+
+
 class TestCommandLine:
     """Inputs the CLI used to fail with exit 1 now stop with the library's
     error; inputs it used to pass keep their output."""
@@ -224,6 +281,14 @@ class TestCommandLine:
         code, recs = run_cli(tmp_path, "transform", BIG_EVENT)
         assert code == 3
         assert "changes the interval" in recs[-1]["message"]
+
+    @pytest.mark.parametrize("command, vectors", [("link", BIG_LINK),
+                                                  ("transform", BIG_TRANSFORM)])
+    def test_overflowing_bounds_exit_with_a_relkin_error(self, tmp_path, command,
+                                                         vectors):
+        code, recs = run_cli(tmp_path, command, vectors)
+        assert code in (2, 3)
+        assert issubclass(getattr(errors, recs[-1]["error"] + "Error"), RelkinError)
 
     def test_skewed_observer_transform_exits_zero(self, tmp_path):
         """The Einstein fields follow the library's own test that R observes
