@@ -124,11 +124,7 @@ def _error_name(exc) -> str:
 
 
 def _resolve_c(args, scenario) -> float:
-    if args.c is not None:
-        return float(args.c)
-    if scenario is not None:
-        return float(scenario.param("c", 1.0))
-    return 1.0
+    return float(args.c if args.c is not None else scenario.param("c", 1.0))
 
 
 def _velocity(space, scenario, role, observer, c):
@@ -139,16 +135,16 @@ def _velocity(space, scenario, role, observer, c):
 
 # ---------------------------------------------------------------- commands
 
-# name -> (runner, help text, whether the command reads a scenario), in the
-# order the commands are defined below.  A runner returns its records, which
-# main marks as records, and the summary's fields; only check's include
-# n_failed, the count that decides whether the run passed.
+# name -> (runner, help text, whether it reads a scenario, its --samples
+# default or None when it draws nothing, whether it reads --c), in definition
+# order; a command takes only the flags it reads.  A runner returns its records
+# and the summary's fields; only check's include n_failed, which decides passed.
 _COMMANDS = {}
 
 
-def _command(name: str, help_text: str, needs_scenario: bool = True):
+def _command(name, help_text, needs_scenario=True, samples=None, reads_c=False):
     def register(run):
-        _COMMANDS[name] = (run, help_text, needs_scenario)
+        _COMMANDS[name] = (run, help_text, needs_scenario, samples, reads_c)
         return run
     return register
 
@@ -180,30 +176,23 @@ def _run_link(args, scenario, space):
     return [rec], {"n_records": 1}
 
 
-@_command("link-scan", "scan many preferred rays for one linking problem")
+@_command("link-scan", "scan many preferred rays for one linking problem",
+          samples=100)
 def _run_link_scan(args, scenario, space):
     r = scenario.vector(space, "R")
     s = scenario.vector(space, "S")
-    n = args.samples if args.samples is not None else 100
-    scan = chk.link_ray_scan(r, s, seed=args.seed, n_general=n,
-                             n_planar=min(n, 20))
+    scan = chk.link_ray_scan(r, s, seed=args.seed, n_general=args.samples,
+                             n_planar=min(args.samples, 20))
     objects = [{"kind": "ray", **rec} for rec in scan["records"]]
-    stats = {
-        "n_records": len(objects),
-        "distinct_links": scan["distinct_links"],
-        "planar_cluster": scan["planar_cluster"],
-        "planar_spread": scan["planar_spread"],
-        "pair_fraction_above_cut": scan["pair_fraction_above_cut"],
-        "gamma_min": scan["gamma_min"],
-        "gamma_max": scan["gamma_max"],
-    }
-    return objects, stats
+    summary = ("distinct_links", "planar_cluster", "planar_spread",
+               "pair_fraction_above_cut", "gamma_min", "gamma_max")
+    return objects, {"n_records": len(objects), **{key: scan[key] for key in summary}}
 
 
-@_command("check", "run the full property suite", needs_scenario=False)
+@_command("check", "run the full property suite", needs_scenario=False,
+          samples=25)
 def _run_check(args, scenario, space):
-    samples = args.samples if args.samples is not None else 25
-    results = chk.run_all(seed=args.seed, tol_rel=args.tol_rel, samples=samples)
+    results = chk.run_all(seed=args.seed, tol_rel=args.tol_rel, samples=args.samples)
     objects = []
     for res in results:
         objects.append({
@@ -227,7 +216,7 @@ def _run_check(args, scenario, space):
     return objects, stats
 
 
-@_command("boost", "build the boost fixed by an observer and a velocity")
+@_command("boost", "build the boost fixed by an observer and a velocity", reads_c=True)
 def _run_boost(args, scenario, space):
     c = _resolve_c(args, scenario)
     obs = kin.Observer(scenario.vector(space, "P"))
@@ -246,7 +235,7 @@ def _run_boost(args, scenario, space):
     return [rec], {"n_records": 1, "gamma": gam}
 
 
-@_command("transform", "transform event coordinates between observers")
+@_command("transform", "transform event coordinates between observers", reads_c=True)
 def _run_transform(args, scenario, space):
     c = _resolve_c(args, scenario)
     robs = kin.Observer(scenario.vector(space, "R"))
@@ -278,7 +267,7 @@ def _run_transform(args, scenario, space):
     return [rec], {"n_records": 1}
 
 
-@_command("add", "compose two velocities seen by one observer")
+@_command("add", "compose two velocities seen by one observer", reads_c=True)
 def _run_add(args, scenario, space):
     c = _resolve_c(args, scenario)
     obs = kin.Observer(scenario.vector(space, "P"))
@@ -302,7 +291,7 @@ def _run_add(args, scenario, space):
     return [rec], {"n_records": 1}
 
 
-@_command("accel", "transform an acceleration between frames")
+@_command("accel", "transform an acceleration between frames", reads_c=True)
 def _run_accel(args, scenario, space):
     c = _resolve_c(args, scenario)
     obs = kin.Observer(scenario.vector(space, "P"))
@@ -319,7 +308,8 @@ def _run_accel(args, scenario, space):
     return [rec], {"n_records": 1}
 
 
-@_command("groupoid", "compare groupoid and isometric composition for three observers")
+@_command("groupoid", "compare groupoid and isometric composition for three observers",
+          reads_c=True)
 def _run_groupoid(args, scenario, space):
     c = _resolve_c(args, scenario)
     names = scenario.param("observers")
@@ -335,6 +325,16 @@ def _run_groupoid(args, scenario, space):
                    "order_discrepancy": report["order_discrepancy"]}
 
 
+def _at_least_zero(kind):
+    """An argparse type: ``kind(text)``, refused unless finite and >= 0."""
+    def parse(text):
+        if math.isfinite(value := kind(text)) and value >= 0:
+            return value
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    parse.__name__ = kind.__name__  # argparse's "invalid float value" names it
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``relkin`` argument parser, built once per process."""
@@ -343,21 +343,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="coordinate-free pseudo-Euclidean isometries and "
                     "relativistic kinematics")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, needs_scenario) in _COMMANDS.items():
+    for name, (_, help_text, needs_scenario, samples, reads_c) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--scenario", help="path to a scenario JSON file")
+        if needs_scenario:
+            sp.add_argument("--scenario", help="path to a scenario JSON file")
+            # Only the spaces built from a scenario take an absolute tolerance.
+            sp.add_argument("--tol-abs", type=_at_least_zero(float), default=1e-12,
+                            help="absolute tolerance (default 1e-12)")
         sp.add_argument("--seed", type=int, default=0,
                         help="base seed for all sampling (default 0)")
-        sp.add_argument("--samples", type=int, default=None,
-                        help="sample count where the command draws samples")
-        sp.add_argument("--c", type=float, default=None,
-                        help="speed ceiling; overrides the scenario value")
-        sp.add_argument("--tol-rel", type=float, default=1e-9,
+        if samples is not None:
+            sp.add_argument("--samples", type=_at_least_zero(int), default=samples,
+                            help=f"number of samples to draw (default {samples})")
+        if reads_c:
+            sp.add_argument("--c", type=float, default=None,
+                            help="speed ceiling; overrides the scenario value")
+        sp.add_argument("--tol-rel", type=_at_least_zero(float), default=1e-9,
                         help="relative tolerance (default 1e-9)")
-        if needs_scenario:
-            # Only the spaces built from a scenario take an absolute tolerance.
-            sp.add_argument("--tol-abs", type=float, default=1e-12,
-                            help="absolute tolerance (default 1e-12)")
         sp.add_argument("--out", default=None,
                         help="write output to this file instead of stdout")
         sp.add_argument("--format", choices=("json", "csv"), default="json",
@@ -365,22 +367,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The library refuses what overflows, so NumPy's warnings would only repeat it.
+@np.errstate(over="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
-    run, _, needs_scenario = _COMMANDS[args.command]
+    run, _, needs_scenario, _, _ = _COMMANDS[args.command]
     objects = []
     try:
-        scenario = load_scenario(args.scenario) if args.scenario else None
-        if scenario is None and needs_scenario:
-            raise ScenarioError(
-                f"the {args.command!r} command needs --scenario")
-        if scenario is not None and scenario.command != args.command:
-            raise ScenarioError(
-                f"scenario {scenario.name!r} is written for "
-                f"{scenario.command!r}, not {args.command!r}")
-        space = scenario.build_space(args.tol_rel, args.tol_abs) \
-            if needs_scenario else None
+        scenario = space = None
+        if needs_scenario:
+            if not args.scenario:
+                raise ScenarioError(
+                    f"the {args.command!r} command needs --scenario")
+            scenario = load_scenario(args.scenario)
+            if scenario.command != args.command:
+                raise ScenarioError(
+                    f"scenario {scenario.name!r} is written for "
+                    f"{scenario.command!r}, not {args.command!r}")
+            space = scenario.build_space(args.tol_rel, args.tol_abs)
         records, stats = run(args, scenario, space)
         passed = not stats.get("n_failed")
         objects.extend({"type": "record", **rec} for rec in records)

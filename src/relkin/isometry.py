@@ -30,7 +30,7 @@ from .metric_core import (
     MetricSpace,
     SimpleBivector,
     Vector,
-    _frozen,
+    _fresh,
     lie_map,
     maxabs,
     same_space,
@@ -102,8 +102,7 @@ class Isometry:
         and the same gamma.
         """
         space = self.space
-        ent = space.g_inv @ self.mapping.entries.T @ space.g
-        inv_map = Endomorphism(_frozen(ent), space)
+        inv_map = _fresh(Endomorphism, space.g_inv @ self.mapping.entries.T @ space.g, space)
         if self.generator is None:
             return Isometry(inv_map)
         return Isometry(inv_map, self.generator.reversed(), self.gamma)
@@ -125,7 +124,7 @@ def reflection(p: Vector) -> Isometry:
         raise NullVectorError("reflection requires a non-null vector")
     space = p.space
     ent = np.eye(space.dim) - 2.0 * np.outer(p.components, space.g @ p.components) / p.square()
-    return Isometry(Endomorphism(_frozen(ent), space))
+    return Isometry(_fresh(Endomorphism, ent, space))
 
 
 def _principal_gamma(b: SimpleBivector) -> float:
@@ -150,7 +149,7 @@ def isometry_from_bivector(b: SimpleBivector) -> Isometry:
         raise DegenerateGammaError("gamma + 1 vanishes")
     m = lie_map(b).entries
     ent = np.eye(space.dim) + m + (m @ m) / (gamma + 1.0)
-    return Isometry(Endomorphism(_frozen(ent), space), b, gamma)
+    return Isometry(_fresh(Endomorphism, ent, space), b, gamma)
 
 
 def covector_pair(b: SimpleBivector) -> tuple[Covector, Covector]:

@@ -38,7 +38,6 @@ from .metric_core import (
     SimpleBivector,
     Vector,
     _fresh,
-    _frozen,
     _check_unit_timelike,
     idempotent_of,
     maxabs,
@@ -317,7 +316,7 @@ def p_link(problem: LinkProblem) -> Isometry:
     alpha, beta = kernels.link_covectors(t.d2, t.pp, t.pr, t.ps, dd,
                                          g @ p.components, g @ d.components)
     ent = kernels.link_entries(p.components, d.components, alpha, beta)
-    return _verified(Isometry(Endomorphism(_frozen(ent), space),
+    return _verified(Isometry(_fresh(Endomorphism, ent, space),
                               SimpleBivector(mu * p, d), mu * t.psum - 1.0), r, s)
 
 
@@ -439,7 +438,7 @@ def _planar_link(problem: LinkProblem) -> Isometry:
            - 2.0 * np.outer(u.components, g @ u.components) / u2
            + 2.0 * np.outer(s.components, g @ r.components) / s2)
     gamma = scalar_product(r, s) / r.square()
-    return _verified(Isometry(Endomorphism(_frozen(ent), space),
+    return _verified(Isometry(_fresh(Endomorphism, ent, space),
                               SimpleBivector((1.0 / s2) * s, r), gamma), r, s)
 
 
@@ -466,7 +465,7 @@ def fahnline_boost(r: Vector, s: Vector) -> Isometry:
     ent = (np.eye(space.dim)
            - 2.0 * np.outer(s.components, g @ r.components)
            + np.outer(u.components, g @ u.components) / (1.0 - rs))
-    return _verified(Isometry(Endomorphism(_frozen(ent), space),
+    return _verified(Isometry(_fresh(Endomorphism, ent, space),
                               SimpleBivector(r, s), -rs), r, s)
 
 

@@ -57,12 +57,6 @@ def maxabs(values) -> float:
     return float(np.maximum.reduce(np.abs(arr), axis=None)) if arr.size else 0.0
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 def _fresh(cls, values: np.ndarray, space: "MetricSpace"):
     """``cls(values, space)`` for an array the library has just computed: frozen
     in place, without the copy and checks of the public constructors."""
@@ -118,7 +112,9 @@ class MetricSpace:
             raise DegenerateMetricError("metric tensor is singular") from exc
         if not within(maxabs(g @ g_inv - np.eye(dim)), tol_rel, maxabs(g)):
             raise DegenerateMetricError("metric tensor is not invertible to tolerance")
-        return cls(dim, _frozen(g), _frozen(g_inv), float(tol_rel), float(tol_abs))
+        g.setflags(write=False)
+        g_inv.setflags(write=False)
+        return cls(dim, g, g_inv, float(tol_rel), float(tol_abs))
 
     def __eq__(self, other):
         if not isinstance(other, MetricSpace):
@@ -143,36 +139,33 @@ class MetricSpace:
         return self._signature == (1, self.dim - 1)
 
     def vector(self, components) -> "Vector":
-        arr = _frozen(components)
-        if arr.shape != (self.dim,):
-            raise SpaceMismatchError(
-                f"vector needs {self.dim} components, got shape {arr.shape}")
-        return Vector(_finite(arr, "vector"), self)
+        return self._checked(Vector, components, "vector")
 
     def covector(self, components) -> "Covector":
-        arr = _frozen(components)
-        if arr.shape != (self.dim,):
-            raise SpaceMismatchError(
-                f"covector needs {self.dim} components, got shape {arr.shape}")
-        return Covector(_finite(arr, "covector"), self)
+        return self._checked(Covector, components, "covector")
 
     def endomorphism(self, entries) -> "Endomorphism":
-        arr = _frozen(entries)
-        if arr.shape != (self.dim, self.dim):
-            raise SpaceMismatchError(
-                f"endomorphism needs shape {(self.dim, self.dim)}, got {arr.shape}")
-        return Endomorphism(_finite(arr, "endomorphism"), self)
+        return self._checked(Endomorphism, entries, "endomorphism")
+
+    def _checked(self, cls, values, quantity: str):
+        """A ``cls`` over a frozen copy of outside input, refused unless it has
+        the shape of a ``quantity`` and finite entries."""
+        arr = np.array(values, dtype=float)
+        square = cls is Endomorphism
+        if arr.shape != ((self.dim, self.dim) if square else (self.dim,)):
+            need = f"shape {(self.dim, self.dim)}, got" if square else \
+                f"{self.dim} components, got shape"
+            raise SpaceMismatchError(f"{quantity} needs {need} {arr.shape}")
+        return _fresh(cls, _finite(arr, quantity), self)
 
     def identity(self) -> "Endomorphism":
-        return Endomorphism(_frozen(np.eye(self.dim)), self)
+        return _fresh(Endomorphism, np.eye(self.dim), self)
 
     def basis_vector(self, i: int) -> "Vector":
-        comps = np.zeros(self.dim)
-        comps[i] = 1.0
-        return self.vector(comps)
+        return _fresh(Vector, np.eye(self.dim)[i], self)
 
     def zero_vector(self) -> "Vector":
-        return self.vector(np.zeros(self.dim))
+        return _fresh(Vector, np.zeros(self.dim), self)
 
 
 def same_space(*objs) -> MetricSpace:

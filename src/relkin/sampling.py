@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InternalConsistencyError
+from .errors import DrawsExhaustedError
 from .isometry import isometry_from_bivector
 from .kinematics import Observer, Velocity3
 from .linker import LinkProblem
-from .metric_core import MetricSpace, SimpleBivector, Vector, maxabs, scalar_product
+from .metric_core import MetricSpace, SimpleBivector, Vector, _fresh, maxabs, scalar_product
 
 __all__ = [
     "SIGNATURES",
@@ -33,6 +33,10 @@ __all__ = [
 SIGNATURES = ("euclidean", "lorentzian", "split")
 
 _MAX_TRIES = 1000
+
+
+def _exhausted(sampler: str) -> DrawsExhaustedError:
+    return DrawsExhaustedError(f"{sampler} accepted none of its {_MAX_TRIES} draws")
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
@@ -60,7 +64,7 @@ def make_space(dim: int, kind: str = "lorentzian") -> MetricSpace:
 
 def random_vector(space: MetricSpace, rng: np.random.Generator,
                   scale: float = 1.0) -> Vector:
-    return space.vector(rng.normal(size=space.dim) * scale)
+    return _fresh(Vector, rng.normal(size=space.dim) * scale, space)
 
 
 def random_nonnull_vector(space: MetricSpace, rng: np.random.Generator,
@@ -69,7 +73,7 @@ def random_nonnull_vector(space: MetricSpace, rng: np.random.Generator,
         v = random_vector(space, rng)
         if abs(v.square()) >= min_square:
             return v
-    raise InternalConsistencyError("could not sample a non-null vector")
+    raise _exhausted("random_nonnull_vector")
 
 
 def _capped(b: SimpleBivector, m2: float) -> SimpleBivector | None:
@@ -94,7 +98,7 @@ def random_admissible_bivector(space: MetricSpace,
         b = _capped(b, b.square())
         if b is not None:
             return b
-    raise InternalConsistencyError("could not sample an admissible bivector")
+    raise _exhausted("random_admissible_bivector")
 
 
 def random_link_triple(space: MetricSpace, rng: np.random.Generator,
@@ -118,7 +122,7 @@ def random_link_triple(space: MetricSpace, rng: np.random.Generator,
         if abs(t.psum) < margin or abs(t.denominator) < margin:
             continue
         return problem
-    raise InternalConsistencyError("could not sample an admissible link triple")
+    raise _exhausted("random_link_triple")
 
 
 def random_observer(space: MetricSpace, rng: np.random.Generator,
@@ -127,8 +131,7 @@ def random_observer(space: MetricSpace, rng: np.random.Generator,
     chi = rng.uniform(0.0, max_rapidity)
     n = rng.normal(size=space.dim - 1)
     n /= np.linalg.norm(n)
-    comps = np.concatenate(([np.cosh(chi)], np.sinh(chi) * n))
-    return Observer(space.vector(comps))
+    return Observer(_fresh(Vector, np.concatenate(([np.cosh(chi)], np.sinh(chi) * n)), space))
 
 
 def random_observed_velocity(p: Observer, rng: np.random.Generator,
@@ -145,7 +148,7 @@ def random_observed_velocity(p: Observer, rng: np.random.Generator,
             continue
         beta = rng.uniform(beta_min, beta_max)
         return Velocity3((beta * c / float(np.sqrt(w2))) * w, p, c)
-    raise InternalConsistencyError("could not sample an observed velocity")
+    raise _exhausted("random_observed_velocity")
 
 
 def random_stabilizer_bivector(r: Vector, rng: np.random.Generator) -> SimpleBivector:
@@ -164,4 +167,4 @@ def random_stabilizer_bivector(r: Vector, rng: np.random.Generator) -> SimpleBiv
         b = _capped(b, m2)
         if b is not None:
             return b
-    raise InternalConsistencyError("could not sample a stabilizer bivector")
+    raise _exhausted("random_stabilizer_bivector")

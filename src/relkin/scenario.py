@@ -50,12 +50,10 @@ class Scenario:
 
     def build_space(self, tol_rel: float = DEFAULT_TOL_REL,
                     tol_abs: float = DEFAULT_TOL_ABS) -> MetricSpace:
-        dim = self.metric["dim"]
-        if "matrix" in self.metric:
-            return MetricSpace.from_metric(self.metric["matrix"],
-                                           tol_rel=tol_rel, tol_abs=tol_abs)
-        return MetricSpace.from_metric(metric_for(dim, self.metric["signature"]),
-                                       tol_rel=tol_rel, tol_abs=tol_abs)
+        metric = self.metric.get("matrix")
+        if metric is None:
+            metric = metric_for(self.metric["dim"], self.metric["signature"])
+        return MetricSpace.from_metric(metric, tol_rel=tol_rel, tol_abs=tol_abs)
 
     def vector(self, space: MetricSpace, role: str):
         if role not in self.vectors:
