@@ -14,6 +14,7 @@ irregular properties give a whole-property body instead.
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -40,6 +41,7 @@ from .metric_core import (
 from .sampling import (
     _MAX_TRIES,
     SIGNATURES,
+    RngBlock,
     make_space,
     random_admissible_bivector,
     random_link_triple,
@@ -755,10 +757,11 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
     the selected links and reports how many are pairwise distinct, how large
     the planar cluster is, and the recorded gamma range.
 
-    An index draws from its own stream until a ray is accepted, at most 1000
-    times.  The draws are linked round by round: round k stacks the k-th draw
-    of every index still open and evaluates it as one batch, with every check
-    of one link on every row.  A refused ray, or an index that spends its
+    An index draws from its own stream, ``rng_for(seed, stream, i)`` as
+    seeded in bulk by :class:`~relkin.sampling.RngBlock`, until a ray is
+    accepted, at most 1000 times.  The draws are linked round by round:
+    round k stacks the k-th draw of every index still open and evaluates it
+    as one batch, with every check of one link on every row.  A refused ray, or an index that spends its
     1000 draws (DrawsExhaustedError), stops the scan: the first such index
     in scan order decides what is raised.  The first link is also built by
     :func:`~relkin.linker.p_link`, and its record must come out the same.
@@ -773,19 +776,23 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
         a, b = rng.normal(size=2)
         return a * rc + b * sc
 
-    # One slot per index, in scan order: (kind, index, stream, rng, draw).
-    slots = [(kind, i, stream, rng_for(seed, stream, i), draw)
-             for kind, stream, count, draw in (("general", 1, int(n_general), general_ray),
-                                               ("planar", 2, int(n_planar), planar_ray))
-             for i in range(count)]
+    kinds = (("general", 1, max(0, int(n_general)), general_ray),
+             ("planar", 2, max(0, int(n_planar)), planar_ray))
+    blocks = [RngBlock(seed, stream, count) for _, stream, count, _ in kinds]
+    # One slot per index, in scan order: (kind, index, stream); the general
+    # indices come first.
+    slots = [(kind, i, stream) for kind, stream, count, _ in kinds for i in range(count)]
+    n_first = kinds[0][2]
     problem = lnk.LinkProblem(r, s) if slots else None
     found, error, error_at = {}, None, len(slots)
     pending = range(len(slots))
     for _ in range(_MAX_TRIES):
         if not pending:
             break
+        split = bisect.bisect_left(pending, n_first)
         terms = lnk._Terms.stacked(problem, np.array(
-            [draw(rng) for *_, rng, draw in (slots[k] for k in pending)]))
+            blocks[0].draw(pending[:split], general_ray)
+            + blocks[1].draw([k - n_first for k in pending[split:]], planar_ray)))
         planar = lnk._planar_rows(problem, terms)
         keep = np.flatnonzero(~(terms.generic & ~terms.p_transversal)
                               & ~(np.abs(terms.psum) < 0.05)
@@ -803,7 +810,7 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
         accepted = {pending[j] for j in keep}
         pending = [k for k in pending if k not in accepted and k < error_at]
     if pending:  # the first index left has spent its draws
-        kind, i, stream, *_ = slots[pending[0]]
+        kind, i, stream = slots[pending[0]]
         raise DrawsExhaustedError(f"{kind} ray index {i} (stream ({seed}, {stream}, {i})) "
                                   f"accepted no ray in {_MAX_TRIES} draws")
     if error is not None:

@@ -367,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The library refuses what overflows, so NumPy's warnings would only repeat it.
-@np.errstate(over="ignore")
+# The library refuses what overflows, and the NaN an overflow can turn into
+# (0 * inf), so NumPy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()

@@ -246,18 +246,15 @@ def _max_abs_rows(flat, which, op):
     return gaps.max(axis=1)
 
 
-def _units(flat, finite):
+def _units(flat, finite, widest):
     """Group the operators ``flat`` into units: one per set of equal finite
     operators, then one per non-finite operator.
 
     Returns the first index and the size of each unit, and the keys of the
-    finite units: their entry where the finite operators range widest.  The
-    finite units come first, in key order.
+    finite units: their entry ``widest``, where the finite operators range
+    widest.  The finite units come first, in key order.
     """
     fin = np.flatnonzero(finite)
-    mask = finite[:, None]
-    widest = np.argmax(flat.max(axis=0, where=mask, initial=-np.inf)
-                       - flat.min(axis=0, where=mask, initial=np.inf))
     order = np.argsort(flat[fin, widest], kind="stable")
     keys = flat[fin[order], widest]
     fresh = np.ones(len(fin), dtype=bool)
@@ -292,19 +289,30 @@ def operator_classes(entries, cut):
     and an operator with a non-finite entry gets one exact row to all the
     others.  Work and memory stay linear in the number of operators, apart
     from the sorts and from operators crowding within ``cut`` of one key.
+
+    When every operator is finite and no entry ranges wider than ``cut``,
+    all of them form one class with no pair above ``cut``, and no unit is
+    visited: rounding is monotone, so no entry of a pair differs by more
+    than the rounded range of that entry.
     """
     n = len(entries)
     if n < 2:
         return n, 0, 0.0
     flat = np.reshape(entries, (n, -1))
     finite = np.isfinite(flat).all(axis=1)
-    index, size, keys = _units(flat, finite)
+    mask = finite[:, None]
+    ranges = (flat.max(axis=0, where=mask, initial=-np.inf)
+              - flat.min(axis=0, where=mask, initial=np.inf))
+    widest = np.argmax(ranges)
+    index, size, keys = _units(flat, finite, widest)
     units, n_keyed = len(index), len(keys)
     # Equal operators lie equally far from the first; a fold of Python max
     # from 0.0 passes NaN over.
     gaps = _max_abs_rows(flat, index[index > 0], flat[0])
     gaps = gaps[gaps > 0.0]
     spread = float(gaps.max()) if gaps.size else 0.0
+    if finite.all() and 0.0 <= cut and ranges[widest] <= cut:
+        return 1, 0, spread
 
     # A finite unit is compared with the finite units whose key can lie
     # within cut of its own, a non-finite unit with all.  The margin covers

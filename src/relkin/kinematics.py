@@ -98,6 +98,8 @@ class Observer:
         return e - self.idempotent.apply(e)
 
     def agrees_with(self, other: "Observer") -> bool:
+        if other is self:
+            return True
         same_space(self.vector, other.vector)
         tol = self.space.tol_rel
         return within(maxabs(self.vector.components - other.vector.components), tol)

@@ -4,6 +4,10 @@ Every function takes a numpy Generator, so a fixed seed reproduces the same
 objects bit for bit.  Samplers reject ill-conditioned draws (near-null
 vectors, near-degenerate link denominators) with generous margins so that
 downstream identities hold comfortably inside the default tolerances.
+
+:func:`rng_for` defines the stream of a key (seed, stream, ...).
+:class:`RngBlock` holds the streams (seed, stream, i) of many indices i,
+seeded in bulk, with the same bits.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .linker import LinkProblem
 from .metric_core import MetricSpace, SimpleBivector, Vector, _fresh, maxabs, scalar_product
 
 __all__ = [
+    "RngBlock",
     "SIGNATURES",
     "make_space",
     "metric_for",
@@ -42,6 +47,129 @@ def _exhausted(sampler: str) -> DrawsExhaustedError:
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream...); used per sample index."""
     return np.random.default_rng([int(seed), *map(int, stream)])
+
+
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx): the hash constants
+# of its entropy pool and of generate_state, and its mix multipliers; and
+# the 128-bit LCG multiplier of PCG64 (pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_WORD = 1 << 32
+_MASK_128 = (1 << 128) - 1
+
+
+def _hash_keys(init: int, mult: int):
+    """The (xor, multiplier) pairs of successive hashmix calls: the hash
+    constant starts at ``init`` and is multiplied by ``mult`` on each call."""
+    const = init
+    while True:
+        nxt = const * mult % _WORD
+        yield np.uint32(const), np.uint32(nxt)
+        const = nxt
+
+
+def _hashmix(value: np.ndarray, keys) -> np.ndarray:
+    xor, mult = next(keys)
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return out ^ (out >> _XSHIFT)
+
+
+def _pcg64_states(seed: int, stream: int, indices) -> list:
+    """``rng_for(seed, stream, i).bit_generator.state`` for each index ``i``;
+    every key word must fit in one uint32.
+
+    SeedSequence([seed, stream, i]) hashes its three words and a zero into a
+    pool of four, mixes every pool word into every other, and hashes the
+    pool into generate_state(4, uint64).  Those steps run here as uint32
+    array operations over all indices, wrapping as the C code does.  PCG64
+    then seeds itself from the four uint64 words with
+    pcg_setseq_128_srandom_r, here in Python ints.
+    """
+    i = np.asarray(indices, dtype=np.uint32)
+    keys = _hash_keys(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, keys) for word in (np.full_like(i, seed), np.full_like(i, stream),
+                                              i, np.zeros_like(i))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], keys))
+    keys = _hash_keys(_INIT_B, _MULT_B)
+    words = [_hashmix(pool[k % 4], keys).astype(np.uint64) for k in range(8)]
+    # generate_state pairs the uint32 words little-endian.  PCG64 reads the
+    # first two uint64 words as its initial state and the last two as its
+    # stream selector, each high word first.
+    init_hi, init_lo, seq_hi, seq_lo = ((words[k] | (words[k + 1] << np.uint64(32))).tolist()
+                                        for k in range(0, 8, 2))
+    states = []
+    for i_hi, i_lo, s_hi, s_lo in zip(init_hi, init_lo, seq_hi, seq_lo):
+        inc = ((((s_hi << 64) | s_lo) << 1) | 1) & _MASK_128
+        state = ((inc + ((i_hi << 64) | i_lo)) * _PCG_MULT + inc) & _MASK_128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+# A key whose words fill a uint32 each, checked against rng_for on first use.
+_PROBE = (_WORD - 1, 2, _WORD - 1)
+_bulk_ok = None
+
+
+def _bulk_agrees() -> bool:
+    """Whether this NumPy seeds ``rng_for``'s streams as :func:`_pcg64_states`
+    does; checked once per process."""
+    global _bulk_ok
+    if _bulk_ok is None:
+        seed, stream, index = _PROBE
+        _bulk_ok = rng_for(*_PROBE).bit_generator.state == _pcg64_states(seed, stream, [index])[0]
+    return _bulk_ok
+
+
+class RngBlock:
+    """The generators ``rng_for(seed, stream, i)`` for ``i < count``.
+
+    Their states are seeded in bulk (:func:`_pcg64_states`), and every index
+    draws through one reused Generator: set its state, draw, save its state.
+    So each index continues its own stream, bit for bit, whatever order the
+    indices draw in.  Where a key word does not fit in one uint32 (a
+    negative seed or stream, or one of 2**32 or more), or this NumPy seeds
+    otherwise, the block holds one ``rng_for`` generator per index, which
+    also raises ``rng_for``'s errors.
+    """
+
+    def __init__(self, seed, stream, count: int):
+        bulk = (0 < count <= _WORD
+                and all(isinstance(word, (int, np.integer)) and 0 <= word < _WORD
+                        for word in (seed, stream))
+                and _bulk_agrees())
+        if bulk:
+            self._rngs = None
+            self._gen = np.random.Generator(np.random.PCG64(0))
+            self._states = _pcg64_states(int(seed), int(stream), np.arange(count))
+        else:
+            self._rngs = [rng_for(seed, stream, i) for i in range(count)]
+
+    def draw(self, indices, fn) -> list:
+        """``fn(rng)`` with the generator of each index in ``indices``, in
+        order; each call continues its index's stream.  ``fn`` must not keep
+        ``rng``, which the next index reuses."""
+        if self._rngs is not None:
+            return [fn(self._rngs[i]) for i in indices]
+        gen, states = self._gen, self._states
+        bits = gen.bit_generator
+        out = []
+        for i in indices:
+            bits.state = states[i]
+            out.append(fn(gen))
+            states[i] = bits.state
+        return out
 
 
 def metric_for(dim: int, kind: str) -> np.ndarray:

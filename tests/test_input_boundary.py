@@ -237,6 +237,21 @@ class TestOverflowIsQuiet:
                                '"message":"coordinate transform changes the interval by nan"}\n')
         assert proc.stderr == ""
 
+    def test_scan_whose_overflow_meets_a_zero_leaves_stderr_empty(self, tmp_path):
+        """R.R overflows to -inf, and S.S to nan through 0 * inf: NumPy's
+        invalid-value warning stays off as well."""
+        scan = {"name": "edge", "command": "link-scan",
+                "metric": {"dim": 4, "signature": "lorentzian"},
+                "vectors": {"R": [1e200, 0.0, 0.0, 0.0], "S": [1.25e200, 0.75e200, 0.0, 0.0]}}
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(scan))
+        proc = subprocess.run([sys.executable, "-m", "relkin.cli", "link-scan",
+                               "--scenario", str(path), "--samples", "2"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["type"] == "error"
+        assert proc.stderr == ""
+
     def test_library_calls_keep_numpy_defaults(self, capsys):
         before = np.geterr()
         code, _, _ = run_main(capsys, "link", "--scenario", str(DATA / "golden_link.json"))

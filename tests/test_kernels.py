@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import relkin
+from relkin import isometry as iso
 from relkin import (
     InternalConsistencyError,
     LinkProblem,
@@ -416,6 +417,39 @@ class TestClassCount:
             self.assert_same(ops, cut)
             self.assert_same(ops[::-1].copy(), cut)
         self.assert_same(np.full((3, 2, 2), value))
+
+    def test_a_cluster_within_the_cut_is_counted_without_visits(self, monkeypatch):
+        """Finite operators whose entries all range within the cut are one
+        class, with no pair above it; only the spread's row is computed.
+        One ulp wider, a NaN entry or a cut below zero takes the sweep."""
+        rows = []
+        true_rows = iso._max_abs_rows
+
+        def counted(flat, which, op):
+            rows.append(len(which))
+            return true_rows(flat, which, op)
+
+        def cluster(width):
+            ops = np.repeat(rng_for(24).normal(size=(1, 3, 3)), 6, axis=0)
+            ops[:, 2, 0] = 0.0
+            ops[1, 2, 0] = width  # the widest entry, ranging by exactly width
+            ops[2:, 1, 1] += np.linspace(0.0, 0.5 * self.CUT, 4)
+            ops[3] = ops[0]
+            return ops
+
+        monkeypatch.setattr(iso, "_max_abs_rows", counted)
+        for width, visits in ((self.CUT, False), (np.nextafter(self.CUT, 1.0), True)):
+            rows.clear()
+            self.assert_same(cluster(width))
+            assert (len(rows) > 1) is visits  # more rows than the spread's
+            assert (checks._clusters(cluster(width), self.CUT)[:2] == (1, 0)) is not visits
+        nan = cluster(self.CUT)
+        nan[4, 0, 2] = np.nan
+        rows.clear()
+        self.assert_same(nan)
+        assert len(rows) > 1
+        for cut in (-1.0, np.nan, np.inf):
+            self.assert_same(cluster(self.CUT), cut)
 
     def test_random_near_duplicate_sets(self):
         rng = rng_for(22)

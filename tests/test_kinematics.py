@@ -33,6 +33,27 @@ from relkin.sampling import random_observed_velocity, random_observer, rng_for
 
 
 class TestObserver:
+    def test_distinct_observers_are_still_compared(self, mink4):
+        """An observer agrees with itself; distinct observers are compared
+        by their components, so a pair that disagrees is still refused."""
+        rest = Observer(mink4.vector([1.0, 0.0, 0.0, 0.0]))
+        twin = Observer(mink4.vector([1.0, 0.0, 0.0, 0.0]))
+        moving = Observer(mink4.vector([1.25, 0.0, 0.75, 0.0]))
+        assert rest.agrees_with(rest) and rest.agrees_with(twin)
+        assert not rest.agrees_with(moving)
+        u = Velocity3(mink4.vector([0.0, 0.5, 0.0, 0.0]), rest, 1.0)
+        v = Velocity3(mink4.vector([0.0, 0.6, 0.0, 0.0]), twin, 1.0)
+        w = Velocity3(mink4.vector([0.0, 0.6, 0.0, 0.0]), moving, 1.0)
+        a = mink4.vector([0.0, 0.0, 1.0, 0.0])
+        velocity_add(u, v)  # distinct observers that agree
+        for first, second in ((u, w), (w, u)):
+            with pytest.raises(PreferredObserverMismatchError):
+                velocity_add(first, second)
+            with pytest.raises(PreferredObserverMismatchError):
+                velocity_subtract(first, second)
+            with pytest.raises(PreferredObserverMismatchError):
+                acceleration_transform(first, second, a)
+
     def test_non_unit_rejected(self, mink4):
         with pytest.raises(NotUnitTimelikeError):
             Observer(mink4.vector([2.0, 0.0, 0.0, 0.0]))

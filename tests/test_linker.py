@@ -27,7 +27,7 @@ from relkin import (
     ternary_velocity,
 )
 import relkin
-from relkin import checks, kernels
+from relkin import checks, kernels, sampling
 from relkin.sampling import SIGNATURES, make_space, random_link_triple, rng_for
 
 
@@ -483,22 +483,19 @@ class TestSharedTerms:
         _, r, s = golden
         counts = {"draws": 0, "witnesses": 0}
         true_witness = kernels.trivector_rows
-        true_rng_for = checks.rng_for
+        true_draw = sampling.RngBlock.draw
 
-        class CountedRng:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def normal(self, *args, **kwargs):
+        def counted_draw(block, indices, fn):
+            def counted(rng):
                 counts["draws"] += 1
-                return self.rng.normal(*args, **kwargs)
+                return fn(rng)
+            return true_draw(block, indices, counted)
 
         def counted_witness(rays, r, s):
             counts["witnesses"] += len(rays)
             return true_witness(rays, r, s)
 
-        monkeypatch.setattr(checks, "rng_for",
-                            lambda *key: CountedRng(true_rng_for(*key)))
+        monkeypatch.setattr(sampling.RngBlock, "draw", counted_draw)
         monkeypatch.setattr(kernels, "trivector_rows", counted_witness)
         scan = checks.link_ray_scan(r, s, seed=11, n_general=40, n_planar=10)
         assert len(scan["records"]) == 50
