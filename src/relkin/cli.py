@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
             # Only the spaces built from a scenario take an absolute tolerance.
             sp.add_argument("--tol-abs", type=_at_least_zero(float), default=1e-12,
                             help="absolute tolerance (default 1e-12)")
-        sp.add_argument("--seed", type=int, default=0,
+        sp.add_argument("--seed", type=_at_least_zero(int), default=0,
                         help="base seed for all sampling (default 0)")
         if samples is not None:
             sp.add_argument("--samples", type=_at_least_zero(int), default=samples,

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .errors import InternalConsistencyError, NotComposableError, SpaceMismatchError
 from .kinematics import Observer, Velocity3, _check_c, velocity_add
-from .linker import _binary_velocity, _ternary_velocities, binary_velocity
+from .linker import _Terms, _binary_velocity, _ternary_velocity, binary_velocity
 from .metric_core import Vector, _fresh, maxabs, same_space
 
 __all__ = [
@@ -140,8 +140,9 @@ def compare_with_isometric(p: ObserverObject, q: ObserverObject,
             f"groupoid chain p -> q -> r misses hom(p, r) by {groupoid_discrepancy:.3e}")
 
     # The link problems (R, S) = (p, q), (q, r), (p, r), all with P = p.
-    leg_pq, leg_qr, direct = _ternary_velocities(pv, [pv, qv, pv], [qv, rv, rv], c,
-                                                 projector[0])
+    terms = _Terms.of(space, comps[0], comps[[0, 1, 0]], comps[[1, 2, 2]])
+    leg_pq, leg_qr, direct = [_ternary_velocity(space, t, c, projector[0])
+                              for t in terms.problems(space)]
 
     u = Velocity3(leg_pq, p.observer, c)
     v = Velocity3(leg_qr, p.observer, c)

@@ -7,10 +7,11 @@ of one link problem as the rows of an (N, d) array.  Each combination
 formula below is written once and serves both: its per-ray arguments are
 floats for one ray, or arrays with one entry per ray.  The ``*_rows``
 kernels repeat the scalar arithmetic operation for operation, so every row
-is bit-identical to the value the object API computes for that ray.  The
-velocity formulas (:mod:`relkin.kinematics`, :mod:`relkin.linker`) take
-their pairings from one :func:`pairing_rows` pass per call, and the
-groupoid comparison from one pass over all its observers.
+is bit-identical to the value the object API computes for that ray.  A
+link problem's terms take one :func:`pairing_rows` pass (``linker._Terms.of``)
+for one ray, a scan's rays or stacked ternary problems alike, each velocity
+formula one pass per call, and the groupoid comparison one pass over all its
+observers.
 
 A reduction over one row runs the same ufunc reduction over the same
 contiguous entries as the scalar one, which keeps the rows exact.  Powers
@@ -54,11 +55,12 @@ def larger(*values):
     """Python's ``max(*values)`` entrywise, for values that broadcast together.
 
     A later value replaces the running one only when it is greater, so a NaN
-    in first place is kept and a later NaN is passed over, as with ``max``.
+    in first place is kept and a later NaN is passed over, as with ``max``:
+    ``fmax`` passes over a NaN ``v``, and ``maximum`` keeps a NaN ``out``.
     """
     out = values[0]
     for v in values[1:]:
-        out = np.where(v > out, v, out)
+        out = np.maximum(out, np.fmax(v, out))
     return out
 
 

@@ -9,6 +9,11 @@ The family is genuinely non-unique: different rays give different links, and
 all rays coplanar with R and S collapse onto the single planar link.  The
 module also provides the relative-velocity vectors extracted from links and
 the unit-time-like specializations used by kinematics.
+
+A link problem's pairings and scales are formed in one pairing pass, by
+:meth:`_Terms.of`: at construction for a :class:`LinkProblem`, on stacked
+rays for a ray scan and on stacked (R, S) for the groupoid comparison's
+ternary velocities.  Every test, mu, gamma and link reads that record.
 """
 
 from __future__ import annotations
@@ -42,8 +47,6 @@ from .metric_core import (
     idempotent_of,
     maxabs,
     same_space,
-    scalar_product,
-    trivector_maxabs,
 )
 
 __all__ = [
@@ -67,7 +70,7 @@ class LinkProblem:
 
     R and S must have equal squared magnitude within tol_rel.  When P is
     omitted the planar link acts as the default solution.  The scalars that
-    admissibility, mu and the link share are evaluated once per problem.
+    admissibility, mu and the link share are formed once, at construction.
     """
 
     R: Vector
@@ -76,7 +79,7 @@ class LinkProblem:
 
     def __post_init__(self):
         same_space(*(v for v in (self.R, self.S, self.P) if v is not None))
-        _check_isomagnitude(self.space, self.R.square(), self.S.square())
+        _check_isomagnitude(self.space, self._terms.rr, self._terms.ss)
 
     @property
     def space(self):
@@ -87,12 +90,9 @@ class LinkProblem:
         return self.R if self.P is None else self.P
 
     @cached_property
-    def _pair(self) -> "_PairTerms":
-        return _PairTerms.of(self.R, self.S, self.space.tol_abs)
-
-    @cached_property
     def _terms(self) -> "_Terms":
-        return _Terms.of(self)
+        return _Terms.of(self.space, self.effective_p().components,
+                         self.R.components, self.S.components)
 
     @cached_property
     def _mu(self) -> float:
@@ -107,61 +107,33 @@ def _check_isomagnitude(space, r2: float, s2: float) -> None:
             f"R.R = {r2!r} and S.S = {s2!r} differ beyond tolerance")
 
 
-class _PairTerms(NamedTuple):
-    """The scalars of a link problem that do not depend on the ray.
-
-    ``d`` is R - S with square ``d2``, ``u`` is R + S, and ``r_max``,
-    ``s_max``, ``d_max`` and ``u_max`` are the largest components of R, S,
-    R - S and R + S.  ``generic`` marks (R-S)^2 != 0 and ``coincide`` marks
-    R = S, both to tolerance.
-    """
-
-    d: Vector
-    d2: float
-    u: Vector
-    r_max: float
-    s_max: float
-    d_max: float
-    u_max: float
-    generic: bool
-    coincide: bool
-
-    @classmethod
-    def of(cls, r: Vector, s: Vector, tol: float) -> "_PairTerms":
-        d, u = r - s, r + s
-        return cls.build(d, d.square(), u, maxabs(r.components), maxabs(s.components),
-                         maxabs(d.components), maxabs(u.components), tol)
-
-    @classmethod
-    def build(cls, d, d2, u, r_max, s_max, d_max, u_max, tol) -> "_PairTerms":
-        """The terms of R - S = ``d`` of square ``d2`` and R + S = ``u``."""
-        return cls(d, d2, u, r_max, s_max, d_max, u_max,
-                   not kernels.is_null(d2, d_max, tol),
-                   bool(kernels.within(d_max, tol, r_max, s_max)))
-
-
 # The ray fields of _Terms: one value per ray when the terms are stacked.
 _RAY_FIELDS = ("p", "psum", "sum_scale", "pp", "pr", "ps", "w2", "denominator",
                "p_transversal", "norms")
 
 
 class _Terms(NamedTuple):
-    """The scalars of a link problem, for the effective ray P or stacked rays.
+    """The scalars of a link problem, for one ray P or stacked rays.
 
-    ``d`` is R - S, ``d2`` its square, ``psum`` P.(R+S) with ``sum_scale``
-    its degeneracy scale, ``pp``, ``pr`` and ``ps`` the products P.P, P.R
-    and P.S, ``w2`` the wedge square {P^(R-S)}^2 and ``denominator``
-    D = P.P (R-S)^2 + 4 (P.R)(P.S).  ``coincide`` marks R = S to tolerance
-    and ``norms`` is the largest component of P, R and S.
+    ``d`` is R - S, ``d2`` its square and ``u2`` the square of R + S; ``rr``
+    and ``ss`` are R.R and S.S.  ``psum`` is P.(R+S) with ``sum_scale`` its
+    degeneracy scale, ``pp``, ``pr`` and ``ps`` the products P.P, P.R and
+    P.S, ``w2`` the wedge square {P^(R-S)}^2 and ``denominator``
+    D = P.P (R-S)^2 + 4 (P.R)(P.S).  ``generic`` marks (R-S)^2 != 0 and
+    ``coincide`` R = S, both to tolerance; ``norms`` is the largest
+    component of P, R and S.
 
-    Built by :meth:`stacked`, ``p`` is the (N, d) array of rays and every
-    other field of ``_RAY_FIELDS`` an (N,) array, row by row equal to the
-    terms of one ray.
+    For one problem every field is a float or a bool, and ``p`` and ``d`` are
+    Vectors.  Stacked, each field holds one row per ray (``p`` the
+    (N, d) rays) or per (R, S), or one problem's value when only P is stacked.
     """
 
     p: Vector | np.ndarray
-    d: Vector
+    d: Vector | np.ndarray
+    rr: float
+    ss: float
     d2: float
+    u2: float
     psum: float
     sum_scale: float
     pp: float
@@ -175,47 +147,68 @@ class _Terms(NamedTuple):
     norms: float
 
     @classmethod
-    def of(cls, problem: LinkProblem) -> "_Terms":
-        p = problem.effective_p()
-        pair = problem._pair
-        return cls._combine(
-            pair, problem.space.tol_abs, p, maxabs(p.components),
-            # P.(R+S), P.P, P.R, P.S and P.(R-S), each as scalar_product
-            # evaluates it, in one stacked pairing.
-            *kernels.pairing_rows(problem.space.g, p.components,
-                                  _pair_partners(problem, p.components)).tolist(),
-            maxabs(SimpleBivector(p, pair.d).components()))
+    def of(cls, space, p: np.ndarray, r: np.ndarray, s: np.ndarray) -> "_Terms":
+        """The terms of the ray P = ``p`` for R = ``r`` and S = ``s``.
+
+        Each argument is a (d,) vector or (N, d) rows: stacked rays of one
+        (R, S), or stacked (R, S) with one P.  The nine pairings take one
+        ``pairing_rows`` pass, each as ``scalar_product`` evaluates it, so
+        every row is bit-identical to the terms of its one problem.
+        """
+        tol, dim = space.tol_abs, space.dim
+        d, u = r - s, r + s
+        if p.ndim < d.ndim:  # one P for every stacked (R, S)
+            p = p[None].repeat(len(d), axis=0)
+        partners = (u, p, r, s, d)
+        if p.ndim > d.ndim:  # stacked rays of one (R, S)
+            partners = np.broadcast_arrays(*partners)
+        one_pair, one_ray = d.ndim == 1, p.ndim == 1
+        m, n = d.size // dim, p.size // dim
+        # The rows of R, S, R - S and R + S (m each), then of P (n) five times.
+        legs = (r, s, d, u)
+        stack = _rows([*legs, p, p, p, p, p], dim)
+        # R.R, S.S, (R-S)^2, (R+S)^2, then P.(R+S), P.P, P.R, P.S, P.(R-S).
+        pairs = kernels.pairing_rows(space.g, stack, _rows([*legs, *partners], dim))
+        top = kernels.maxabs_rows(stack[:4 * m + n])
+        wedge = kernels.wedge_maxabs_rows(stack[4 * m:4 * m + n], stack[2 * m:3 * m])
+        rr, ss, d2, u2 = _split(pairs[:4 * m], 4, one_pair)
+        r_max, s_max, d_max, u_max = _split(top[:4 * m], 4, one_pair)
+        psum, pp, pr, ps, pd = _split(pairs[4 * m:], 5, one_ray)
+        p_max, wedge_max = _split(np.concatenate((top[4 * m:], wedge)), 2, one_ray)
+        null = kernels.is_null(d2, d_max, tol)
+        sum_scale, w2, denominator, p_transversal, norms = kernels.link_terms(
+            psum, pp, pr, ps, pd, p_max, wedge_max, d2, d_max, u_max, r_max, s_max, tol)
+        return cls(_fresh(Vector, p, space) if one_ray else p,
+                   _fresh(Vector, d, space) if one_pair else d,
+                   rr, ss, d2, u2, psum, sum_scale, pp, pr, ps, w2, denominator,
+                   not null if one_pair else np.logical_not(null), p_transversal,
+                   kernels.within(d_max, tol, r_max, s_max), norms)
 
     @classmethod
     def stacked(cls, problem: LinkProblem, rays: np.ndarray) -> "_Terms":
         """The terms of ``problem`` for each row of the (N, d) array ``rays``."""
-        d = problem._pair.d.components
-        return cls._combine(
-            problem._pair, problem.space.tol_abs, rays, kernels.maxabs_rows(rays),
-            *kernels.pairing_rows(problem.space.g, rays,
-                                  _pair_partners(problem, rays)),
-            kernels.wedge_maxabs_rows(rays, d))
-
-    @classmethod
-    def _combine(cls, pair, tol, p, p_max, psum, pp, pr, ps, pd, wedge_max):
-        sum_scale, w2, denominator, p_transversal, norms = kernels.link_terms(
-            psum, pp, pr, ps, pd, p_max, wedge_max, pair.d2, pair.d_max,
-            pair.u_max, pair.r_max, pair.s_max, tol)
-        return cls(p, pair.d, pair.d2, psum, sum_scale, pp, pr, ps, w2, denominator,
-                   pair.generic, p_transversal, pair.coincide, norms)
+        return cls.of(problem.space, rays, problem.R.components, problem.S.components)
 
     def rows(self, index) -> "_Terms":
         """The stacked terms of the rays selected by ``index``."""
         return self._replace(**{name: getattr(self, name)[index]
                                 for name in _RAY_FIELDS})
 
+    def problems(self, space) -> list["_Terms"]:
+        """The terms of each stacked (R, S), as :meth:`of` forms one problem's."""
+        columns = [[_fresh(Vector, row, space) for row in field] if field.ndim > 1
+                   else field.tolist() for field in self]
+        return [self._make(values) for values in zip(*columns)]
 
-def _pair_partners(problem: LinkProblem, p: np.ndarray) -> np.ndarray:
-    """R + S, P, R, S and R - S, stacked to pair with the ray or rays ``p``."""
-    pair = problem._pair
-    partners = (pair.u.components, p, problem.R.components, problem.S.components,
-                pair.d.components)
-    return np.array(np.broadcast_arrays(*partners) if p.ndim > 1 else partners)
+
+def _rows(vectors, dim: int) -> np.ndarray:
+    """(d,) vectors and (k, d) rows, stacked as rows in order."""
+    return np.concatenate([v.reshape(-1, dim) for v in vectors])
+
+
+def _split(values: np.ndarray, count: int, one: bool):
+    """``values`` as ``count`` fields: floats when ``one``, else equal rows."""
+    return values.tolist() if one else values.reshape(count, -1)
 
 
 # mu's refusals, in the order they are raised.
@@ -267,14 +260,13 @@ def admissibility(problem: LinkProblem) -> LinkAdmissibility:
 
     With P omitted the flags are those of the planar default ray P = R.
     The flags other than ``planar`` come from the problem's shared terms;
-    only the planarity witness P^R^S is evaluated here, and the link path
-    (:func:`mu_scalar`, :func:`p_link`) never evaluates it.
+    only the planarity witness P^R^S is evaluated here, by :func:`_planar_rows`,
+    and the link path (:func:`mu_scalar`, :func:`p_link`) never evaluates it.
     """
     t = problem._terms
-    planar = kernels.within(trivector_maxabs(t.p, problem.R, problem.S),
-                            problem.space.tol_abs, t.norms * t.norms * t.norms)
+    planar = _planar_rows(problem, t._replace(p=t.p.components[None]))
     return LinkAdmissibility(t.generic, t.p_transversal,
-                             float(t.denominator), bool(planar))
+                             float(t.denominator), bool(planar[0]))
 
 
 def mu_scalar(problem: LinkProblem) -> float:
@@ -305,9 +297,9 @@ def p_link(problem: LinkProblem) -> Isometry:
     """
     space = problem.space
     r, s = problem.R, problem.S
-    if problem._pair.coincide or problem.P is None:
-        return _planar_link(problem)
     t = problem._terms
+    if t.coincide or problem.P is None:
+        return _planar_link(problem)
     mu = problem._mu
     p, d, dd = t.p, t.d, t.denominator
     if kernels.within(abs(dd), space.tol_abs):
@@ -421,25 +413,24 @@ def planar_link(r: Vector, s: Vector) -> Isometry:
 
 def _planar_link(problem: LinkProblem) -> Isometry:
     """:func:`planar_link` for the R and S of ``problem``, whose construction
-    has already checked R.R = S.S."""
-    space = problem.space
-    r, s, pair = problem.R, problem.S, problem._pair
-    if pair.coincide:
+    has already checked R.R = S.S.  Unless R = S the problem's ray is R, so
+    its P.S is R.S."""
+    space, tol = problem.space, problem.space.tol_abs
+    r, s, t = problem.R, problem.S, problem._terms
+    if t.coincide:
         return _verified(Isometry(space.identity()), r, s)
-    if r.is_null() or s.is_null():
+    if (kernels.is_null(t.rr, maxabs(r.components), tol)
+            or kernels.is_null(t.ss, maxabs(s.components), tol)):
         raise NullVectorError("planar link requires non-null vectors")
-    u = pair.u
-    u2 = u.square()
-    if kernels.is_null(u2, pair.u_max, space.tol_abs):
+    u = r.components + s.components
+    if kernels.is_null(t.u2, maxabs(u), tol):
         raise DegenerateSumError("(R+S)^2 = 0; planar link undefined")
     g = space.g
-    s2 = s.square()
     ent = (np.eye(space.dim)
-           - 2.0 * np.outer(u.components, g @ u.components) / u2
-           + 2.0 * np.outer(s.components, g @ r.components) / s2)
-    gamma = scalar_product(r, s) / r.square()
+           - 2.0 * np.outer(u, g @ u) / t.u2
+           + 2.0 * np.outer(s.components, g @ r.components) / t.ss)
     return _verified(Isometry(_fresh(Endomorphism, ent, space),
-                              SimpleBivector((1.0 / s2) * s, r), gamma), r, s)
+                              SimpleBivector((1.0 / t.ss) * s, r), t.ps / t.rr), r, s)
 
 
 def fahnline_boost(r: Vector, s: Vector) -> Isometry:
@@ -452,19 +443,19 @@ def fahnline_boost(r: Vector, s: Vector) -> Isometry:
     identity, and every branch verifies LR = S.
     """
     space = same_space(r, s)
-    _check_unit_timelike(space, "vectors must be unit time-like (square -1)",
-                         r.square(), s.square())
-    rs = scalar_product(r, s)
+    # The terms of the ray P = R, whose P.S is R.S.
+    t = _Terms.of(space, r.components, r.components, s.components)
+    _check_unit_timelike(space, "vectors must be unit time-like (square -1)", t.rr, t.ss)
+    rs = t.ps
     if rs > -1.0 + space.tol_rel:
         raise NotFutureDirectedError(f"R.S = {rs!r} must not exceed -1")
-    pair = _PairTerms.of(r, s, space.tol_abs)
-    if pair.coincide:
+    if t.coincide:
         return _verified(Isometry(space.identity()), r, s)
     g = space.g
-    u = pair.u
+    u = r.components + s.components
     ent = (np.eye(space.dim)
            - 2.0 * np.outer(s.components, g @ r.components)
-           + np.outer(u.components, g @ u.components) / (1.0 - rs))
+           + np.outer(u, g @ u) / (1.0 - rs))
     return _verified(Isometry(_fresh(Endomorphism, ent, space),
                               SimpleBivector(r, s), -rs), r, s)
 
@@ -528,41 +519,25 @@ def ternary_velocity(problem: LinkProblem, c: float = 1.0) -> Vector:
     satisfies P.v = 0.  R = S gives the zero velocity; an omitted P defaults
     to the planar choice P = R.
     """
-    return _ternary_velocities(problem.effective_p(), [problem.R], [problem.S], c)[0]
+    t = problem._terms
+    return _ternary_velocity(problem.space, t, c, lambda: idempotent_of(t.p).entries)
 
 
-def _ternary_velocities(p: Vector, rs, ss, c, projector=None) -> list[Vector]:
-    """:func:`ternary_velocity` of the problems (R, S) of ``rs`` and ``ss`` with
-    the ray P = ``p``, problem by problem with every check in order; their
-    pairings take one pass.  ``projector()`` gives P's idempotent's entries."""
-    r, s = np.array([v.components for v in rs]), np.array([v.components for v in ss])
-    d, u, pc = r - s, r + s, np.broadcast_to(p.components, r.shape)
-    psum, pd, d2, pp, pr, ps, rr, s2 = kernels.pairing_rows(
-        p.space.g, np.concatenate((pc, pc, d, pc, pc, pc, r, s)),
-        np.concatenate((u, d, d, pc, r, s, r, s))).reshape(8, -1).tolist()
-    p_max, wedge_max = maxabs(p.components), kernels.wedge_maxabs_rows(p.components, d).tolist()
-    maxima = [kernels.maxabs_rows(x).tolist() for x in (r, s, d, u)]
-    projector = projector or (lambda: idempotent_of(p).entries)
-    out = []
-    for k, space in enumerate(v.space for v in rs):
-        _check_isomagnitude(space, rr[k], s2[k])
-        _check_unit_timelike(space, "ternary velocity requires unit time-like P, R, S",
-                             pp[k], rr[k], s2[k])
-        pair = _PairTerms.build(_fresh(Vector, d[k], space), d2[k], _fresh(Vector, u[k], space),
-                                *(m[k] for m in maxima), space.tol_abs)
-        if pair.coincide:
-            v = np.zeros(space.dim)
-        else:
-            t = _Terms._combine(pair, space.tol_abs, p, p_max, psum[k], pp[k], pr[k],
-                                ps[k], pd[k], wedge_max[k])
-            vbar = (d[k] - projector() @ d[k]) * float(_mu_of(t, space.tol_abs))
-            vbar2 = float(kernels.pairing_rows(space.g, vbar, vbar))
-            if vbar2 < 0.0:
-                raise InternalConsistencyError(
-                    f"vbar.vbar = {vbar2!r} should be non-negative")
-            v = vbar * float(float(c) / float(np.sqrt(1.0 + vbar2)))
-        out.append(_fresh(Vector, v, space))
-    return out
+def _ternary_velocity(space, t: _Terms, c, projector) -> Vector:
+    """:func:`ternary_velocity` of one problem's terms ``t``, with every check
+    in order; ``projector()`` gives P's idempotent's entries."""
+    _check_isomagnitude(space, t.rr, t.ss)
+    _check_unit_timelike(space, "ternary velocity requires unit time-like P, R, S",
+                         t.pp, t.rr, t.ss)
+    if t.coincide:
+        return _fresh(Vector, np.zeros(space.dim), space)
+    d = t.d.components
+    vbar = (d - projector() @ d) * float(_mu_of(t, space.tol_abs))
+    vbar2 = float(kernels.pairing_rows(space.g, vbar, vbar))
+    if vbar2 < 0.0:
+        raise InternalConsistencyError(
+            f"vbar.vbar = {vbar2!r} should be non-negative")
+    return _fresh(Vector, vbar * float(float(c) / float(np.sqrt(1.0 + vbar2))), space)
 
 
 def gamma_of_link(problem: LinkProblem) -> float:

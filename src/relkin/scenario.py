@@ -97,6 +97,24 @@ def _check_metric(metric) -> dict:
     return out
 
 
+def _check_params(params) -> dict:
+    """The parameters, once those the commands read have their JSON types:
+    ``c`` a number, ``observers`` a list of names and each ``luminal_<role>``
+    true or false."""
+    if not isinstance(params, dict):
+        raise ScenarioError("'params' must be an object")
+    c = params.get("c", 1.0)
+    if isinstance(c, bool) or not isinstance(c, (int, float)):
+        raise ScenarioError(f"'params.c' must be a number, got {c!r}")
+    names = params.get("observers", [])
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ScenarioError(f"'params.observers' must be a list of names, got {names!r}")
+    for key, value in params.items():
+        if key.startswith("luminal_") and not isinstance(value, bool):
+            raise ScenarioError(f"'params.{key}' must be true or false, got {value!r}")
+    return dict(params)
+
+
 def from_dict(data: dict) -> Scenario:
     """Validate a scenario dictionary and normalise its fields."""
     if not isinstance(data, dict):
@@ -116,11 +134,9 @@ def from_dict(data: dict) -> Scenario:
         if not np.all(np.isfinite(arr)):
             raise ScenarioError(f"vector {name!r} has non-finite components")
         vectors[str(name)] = tuple(float(x) for x in arr)
-    params = data.get("params") or {}
-    if not isinstance(params, dict):
-        raise ScenarioError("'params' must be an object")
     return Scenario(name=str(data.get("name", "unnamed")), command=command,
-                    metric=metric, vectors=vectors, params=dict(params))
+                    metric=metric, vectors=vectors,
+                    params=_check_params(data.get("params") or {}))
 
 
 def load(path: str) -> Scenario:

@@ -218,6 +218,52 @@ class TestFlags:
         assert "argument --tol-rel: invalid float value: 'abc'" in err
 
 
+class TestSeedAndParams:
+    """A negative seed is a usage error, and a scenario's params are checked
+    where the scenario is loaded, before a command reads them."""
+
+    @pytest.mark.parametrize("args", [
+        ("link-scan", "--scenario", str(DATA / "golden_scan.json"), "--samples", "2"),
+        ("check", "--samples", "1"),
+        ("link", "--scenario", str(DATA / "golden_link.json")),
+    ])
+    def test_a_negative_seed_is_refused_by_the_parser(self, capsys, args):
+        code, out, err = run_main(capsys, *args, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "argument --seed: must be finite and >= 0, got '-1'" in err
+
+    @pytest.mark.parametrize("base, params, message", [
+        ("add.json", {"c": "fast"}, "'params.c' must be a number, got 'fast'"),
+        ("add.json", {"c": None}, "'params.c' must be a number, got None"),
+        ("add.json", {"c": True}, "'params.c' must be a number, got True"),
+        ("groupoid.json", {"observers": 5}, "'params.observers' must be a list of names, got 5"),
+        ("groupoid.json", {"observers": ["A", 2]},
+         "'params.observers' must be a list of names, got ['A', 2]"),
+        ("add.json", {"luminal_u": "false"},
+         "'params.luminal_u' must be true or false, got 'false'"),
+    ])
+    def test_params_of_the_wrong_type_are_a_scenario_error(self, capsys, tmp_path,
+                                                           base, params, message):
+        scenario = json.loads((DATA / base).read_text())
+        scenario["params"].update(params)
+        path = tmp_path / base
+        path.write_text(json.dumps(scenario))
+        code, out, err = run_main(capsys, scenario["command"], "--scenario", str(path))
+        assert code == 2
+        assert json.loads(out) == {"type": "error", "error": "Scenario", "message": message}
+        assert err == ""
+
+    def test_an_integer_c_and_a_false_luminal_flag_are_read(self, capsys, tmp_path):
+        scenario = json.loads((DATA / "add.json").read_text())
+        scenario["params"].update(c=2, luminal_u=False)
+        path = tmp_path / "add.json"
+        path.write_text(json.dumps(scenario))
+        code, out, _ = run_main(capsys, "add", "--scenario", str(path))
+        assert code == 0
+        assert json.loads(out.splitlines()[0])["c"] == 2.0
+
+
 class TestOverflowIsQuiet:
     # The golden event at 1e160: the pairings overflow, and the library
     # refuses the interval it cannot check.

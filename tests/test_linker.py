@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from relkin import (
     ternary_velocity,
 )
 import relkin
-from relkin import checks, kernels, sampling
+from relkin import checks, kernels, linker, sampling
 from relkin.sampling import SIGNATURES, make_space, random_link_triple, rng_for
 
 
@@ -546,3 +548,83 @@ class TestPlanarLinkProblemChecks:
         with pytest.raises(NotIsomagnitudeError,
                            match=r"R\.R = -1\.0 and S\.S = -4\.0 differ"):
             planar_link(r, s)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Calls of ``scalar_product`` and passes of ``kernels.pairing_rows``, counted
+    in every relkin module that holds either name."""
+    counts = dict.fromkeys(("scalar_product", "pairing_rows"), 0)
+    for name, home in (("scalar_product", relkin.metric_core), ("pairing_rows", kernels)):
+        original = getattr(home, name)
+
+        def counted(*args, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("relkin")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def _stackable_problems(space, rng):
+    """(R, S) pairs of equal squares: a random link pair, R = S and, when the
+    metric is indefinite, a null-separated pair, (R - S)^2 = 0."""
+    problem = random_link_triple(space, rng)
+    pairs = [(problem.R.components, problem.S.components),
+             (problem.R.components, problem.R.components)]
+    diag = np.diag(space.g)
+    if diag.min() < 0.0 < diag.max():
+        # R is orthogonal to the null n = e_i + e_j, so S = R - t n has S.S = R.R.
+        i, j = int(np.argmin(diag)), int(np.argmax(diag))
+        n = np.zeros(space.dim)
+        n[[i, j]] = 1.0
+        r = 0.8 * n + rng.normal(size=space.dim) * (n == 0.0)
+        pairs.append((r, r - 0.7 * n))
+    return pairs
+
+
+class TestOnePassTerms:
+    """A link problem's pairings are formed once, by ``_Terms.of``, for one
+    ray, a ray scan and stacked problems alike."""
+
+    def test_a_link_pairs_its_vectors_in_one_pass(self, golden, passes):
+        mink4, r, s = golden
+        p_link(LinkProblem(r, s, mink4.vector([1.1, 0.2, 0.5, 0.0])))
+        # One pass for the terms, one for the generator record's square.
+        assert passes == {"scalar_product": 0, "pairing_rows": 2}
+
+    def test_a_built_problem_gives_its_ternary_velocity_in_two_passes(self, golden, passes):
+        mink4, r, s = golden
+        problem = LinkProblem(r, s, mink4.vector([1.25, 0.0, 0.75, 0.0]))
+        passes.update(scalar_product=0, pairing_rows=0)
+        ternary_velocity(problem)
+        # P's idempotent and vbar.vbar; the terms were formed with the problem.
+        assert passes == {"scalar_product": 0, "pairing_rows": 2}
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", SIGNATURES)
+    def test_stacked_problems_with_one_ray_match_each_problem(self, dim, kind):
+        space = make_space(dim, kind)
+        rng = rng_for(61, dim)
+        pairs = _stackable_problems(space, rng)
+        p = rng.normal(size=dim)
+        stacked = linker._Terms.of(space, p, np.array([r for r, _ in pairs]),
+                                   np.array([s for _, s in pairs]))
+        for row, (r, s) in enumerate(pairs):
+            one = LinkProblem(space.vector(r), space.vector(s), space.vector(p))._terms
+            for name in ("p", "d"):
+                assert getattr(stacked, name)[row].tobytes() == \
+                    getattr(one, name).components.tobytes(), name
+            for name, value in one._asdict().items():
+                if name in ("p", "d"):
+                    continue
+                assert type(value) in (float, bool), name
+                assert getattr(stacked, name).tolist()[row] == value, name
+                if type(value) is bool:
+                    assert getattr(stacked, name).tolist()[row] is value, name
+        assert stacked.coincide.tolist()[1]
+        if len(pairs) > 2:
+            assert not stacked.generic.tolist()[2]
