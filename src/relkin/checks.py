@@ -14,7 +14,6 @@ irregular properties give a whole-property body instead.
 
 from __future__ import annotations
 
-import bisect
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -759,11 +758,13 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
 
     An index draws from its own stream, ``rng_for(seed, stream, i)`` as
     seeded in bulk by :class:`~relkin.sampling.RngBlock`, until a ray is
-    accepted, at most 1000 times.  The draws are linked round by round:
-    round k stacks the k-th draw of every index still open and evaluates it
-    as one batch, with every check of one link on every row.  A refused ray, or an index that spends its
-    1000 draws (DrawsExhaustedError), stops the scan: the first such index
-    in scan order decides what is raised.  The first link is also built by
+    accepted, at most 1000 times.  The rays are selected in rounds: round k
+    stacks the k-th draw of every index still open, and each index keeps its
+    first accepted ray with its planar flag.  Then the accepted rays are
+    linked as one batch in scan order, with every check of one link on every
+    row.  A refused ray, or an index that spends its 1000 draws
+    (DrawsExhaustedError), stops the scan: the first such index in scan
+    order decides what is raised.  The first link is also built by
     :func:`~relkin.linker.p_link`, and its record must come out the same.
     """
     dim = r.space.dim
@@ -783,49 +784,51 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
     # indices come first.
     slots = [(kind, i, stream) for kind, stream, count, _ in kinds for i in range(count)]
     n_first = kinds[0][2]
-    problem = lnk.LinkProblem(r, s) if slots else None
-    found, error, error_at = {}, None, len(slots)
-    pending = range(len(slots))
+    if not slots:  # nothing to link, whatever R and S are
+        return _scan_summary([], np.empty((0, dim, dim)), n_first)
+    problem = lnk.LinkProblem(r, s)
+    # Selection: each round draws once for every index still open.
+    rays = np.empty((len(slots), dim))
+    planar = np.empty(len(slots), dtype=bool)
+    pending = np.arange(len(slots))
     for _ in range(_MAX_TRIES):
-        if not pending:
+        if not pending.size:
             break
-        split = bisect.bisect_left(pending, n_first)
-        terms = lnk._Terms.stacked(problem, np.array(
-            blocks[0].draw(pending[:split], general_ray)
-            + blocks[1].draw([k - n_first for k in pending[split:]], planar_ray)))
-        planar = lnk._planar_rows(problem, terms)
-        keep = np.flatnonzero(~(terms.generic & ~terms.p_transversal)
-                              & ~(np.abs(terms.psum) < 0.05)
-                              & ~(np.abs(terms.denominator) < 0.05))
-        links = lnk._link_rows(problem, terms.rows(keep))
-        mus = [None] * len(links.gamma) if links.mu is None else links.mu.tolist()
-        for j, fields in enumerate(zip(planar[keep].tolist(), mus, links.gamma.tolist(),
-                                       links.residual.tolist())):
-            k = pending[keep[j]]
-            record = dict(zip(("index", "ray_kind", "planar", "mu", "gamma", "residual"),
-                              (slots[k][1], slots[k][0]) + fields))
-            found[k] = record, links.entries[j], terms.p[keep[j]]
-        if links.error is not None:
-            error, error_at = links.error, pending[keep[len(links.gamma)]]
-        accepted = {pending[j] for j in keep}
-        pending = [k for k in pending if k not in accepted and k < error_at]
-    if pending:  # the first index left has spent its draws
-        kind, i, stream = slots[pending[0]]
+        split = np.searchsorted(pending, n_first)
+        drawn = np.array(blocks[0].draw(pending[:split], general_ray)
+                         + blocks[1].draw(pending[split:] - n_first, planar_ray))
+        terms = lnk._Terms.stacked(problem, drawn)
+        keep = (~(terms.generic & ~terms.p_transversal)
+                & ~(np.abs(terms.psum) < 0.05)
+                & ~(np.abs(terms.denominator) < 0.05))
+        rays[pending[keep]] = drawn[keep]
+        planar[pending[keep]] = lnk._planar_rows(problem, terms)[keep]
+        pending = pending[~keep]
+    # Linking: the accepted rays before the first index that ran out of draws.
+    stop = int(pending[0]) if pending.size else len(slots)
+    links = lnk._link_rows(problem, lnk._Terms.stacked(problem, rays[:stop]))
+    if links.error is not None:
+        raise links.error
+    if pending.size:
+        kind, i, stream = slots[stop]
         raise DrawsExhaustedError(f"{kind} ray index {i} (stream ({seed}, {stream}, {i})) "
                                   f"accepted no ray in {_MAX_TRIES} draws")
-    if error is not None:
-        raise error
-    ordered = [found[k] for k in sorted(found)]
-    if ordered:
-        _check_first_link(r, s, *ordered[0])
-    records = [record for record, _, _ in ordered]
-    entries = {kind: np.array([ent for record, ent, _ in ordered
-                               if record["ray_kind"] == kind])
-               for kind in ("general", "planar")}
-    distinct, pairs_above, _ = _clusters(entries["general"], _DISTINCT_CUT)
-    planar_cluster, _, planar_spread = _clusters(entries["planar"], _DISTINCT_CUT)
-    n = len(entries["general"])
-    pairs_total = n * (n - 1) // 2
+    mus = [None] * stop if links.mu is None else links.mu.tolist()
+    records = [{"index": i, "ray_kind": kind, "planar": flat, "mu": mu, "gamma": gamma,
+                "residual": residual}
+               for (kind, i, _), flat, mu, gamma, residual
+               in zip(slots, planar.tolist(), mus, links.gamma.tolist(),
+                      links.residual.tolist())]
+    _check_first_link(r, s, records[0], links.entries[0], rays[0])
+    return _scan_summary(records, links.entries, n_first)
+
+
+def _scan_summary(records, entries, n_general) -> dict:
+    """The scan's result for its ``records`` and the stacked link ``entries``
+    in scan order, the first ``n_general`` of them of general rays."""
+    distinct, pairs_above, _ = _clusters(entries[:n_general], _DISTINCT_CUT)
+    planar_cluster, _, planar_spread = _clusters(entries[n_general:], _DISTINCT_CUT)
+    pairs_total = n_general * (n_general - 1) // 2
     gammas = [rec["gamma"] for rec in records]
     return {
         "records": records,

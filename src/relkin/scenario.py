@@ -68,20 +68,40 @@ class Scenario:
         return self.params.get(key, default)
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number (true and false are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(values, what: str) -> np.ndarray:
+    """The list ``values`` of JSON numbers as floats; ``what`` names it."""
+    if not isinstance(values, list):
+        raise ScenarioError(f"{what} must be a list of numbers, got {values!r}")
+    for value in values:
+        if not _is_number(value):
+            raise ScenarioError(f"{what} has an entry that is not a number: {value!r}")
+    return np.array(values, dtype=float)
+
+
 def _check_metric(metric) -> dict:
     if not isinstance(metric, dict):
         raise ScenarioError("'metric' must be an object")
     if "dim" not in metric:
         raise ScenarioError("'metric' needs a 'dim' entry")
-    try:
-        dim = int(metric["dim"])
-    except (TypeError, ValueError):
-        raise ScenarioError("'metric.dim' must be an integer") from None
+    dim = metric["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ScenarioError(f"'metric.dim' must be an integer, got {dim!r}")
     if dim < 2:
         raise ScenarioError("'metric.dim' must be at least 2")
     out = {"dim": dim}
     if "matrix" in metric:
-        arr = np.asarray(metric["matrix"], dtype=float)
+        rows = metric["matrix"]
+        if isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows):
+            if len(rows) != dim or any(len(row) != dim for row in rows):
+                raise ScenarioError(f"'metric.matrix' must have {dim} rows of {dim} "
+                                    f"entries, got {rows!r}")
+            rows = [entry for row in rows for entry in row]
+        arr = _numbers(rows, "'metric.matrix'")
         if arr.size != dim * dim:
             raise ScenarioError(
                 f"'metric.matrix' has {arr.size} entries, expected {dim * dim}")
@@ -104,7 +124,7 @@ def _check_params(params) -> dict:
     if not isinstance(params, dict):
         raise ScenarioError("'params' must be an object")
     c = params.get("c", 1.0)
-    if isinstance(c, bool) or not isinstance(c, (int, float)):
+    if not _is_number(c):
         raise ScenarioError(f"'params.c' must be a number, got {c!r}")
     names = params.get("observers", [])
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
@@ -116,7 +136,8 @@ def _check_params(params) -> dict:
 
 
 def from_dict(data: dict) -> Scenario:
-    """Validate a scenario dictionary and normalise its fields."""
+    """Validate a scenario dictionary, as ``json.load`` reads it, and
+    normalise its fields."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be a JSON object")
     command = data.get("command")
@@ -125,10 +146,13 @@ def from_dict(data: dict) -> Scenario:
                             f"got {command!r}")
     metric = _check_metric(data.get("metric"))
     dim = metric["dim"]
+    named = data.get("vectors") or {}
+    if not isinstance(named, dict):
+        raise ScenarioError(f"'vectors' must be an object, got {named!r}")
     vectors = {}
-    for name, comps in (data.get("vectors") or {}).items():
-        arr = np.asarray(comps, dtype=float)
-        if arr.ndim != 1 or arr.size != dim:
+    for name, comps in named.items():
+        arr = _numbers(comps, f"vector {name!r}")
+        if arr.size != dim:
             raise ScenarioError(
                 f"vector {name!r} must have {dim} components, got {comps!r}")
         if not np.all(np.isfinite(arr)):

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import relkin.checks as chk
-from relkin import (NUMERICAL_FLOOR, DegenerateLinkError, PropertyResult,
-                    link_ray_scan)
-from relkin.sampling import make_space
+from relkin import (NUMERICAL_FLOOR, DegenerateLinkError, DrawsExhaustedError,
+                    InternalConsistencyError, LinkProblem, PropertyResult, admissibility,
+                    kernels, link_ray_scan, p_link)
+from relkin.sampling import make_space, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +171,99 @@ class TestExhaustedRays:
         s = mink4.vector([0.0125, 0.0075, 0.0, 0.0])
         with pytest.raises(chk.DrawsExhaustedError, match=named + " accepted no ray in 1000 draws"):
             link_ray_scan(r, s, seed=5, n_general=n_general, n_planar=n_planar)
+
+
+def _accepted_ray(r, s, seed, stream, i):
+    """The ray index i of the scan accepts: the first draw of its stream
+    (seed, stream, i) that passes the scan's filters."""
+    rng = rng_for(seed, stream, i)
+    for _ in range(1000):
+        if stream == 1:
+            ray = rng.normal(size=r.space.dim)
+        else:
+            a, b = rng.normal(size=2)
+            ray = a * r.components + b * s.components
+        problem = LinkProblem(r, s, r.space.vector(ray))
+        flags = admissibility(problem)
+        if (not (flags.generic and not flags.p_transversal)
+                and abs(problem._terms.psum) >= 0.05 and abs(flags.denominator) >= 0.05):
+            return ray
+    raise AssertionError(f"index {i} of stream {stream} accepts no ray")
+
+
+class TestScanLinksOnce:
+    """The scan selects a ray for every index in rounds, then links all the
+    accepted rays as one batch, in scan order."""
+
+    def test_one_link_batch_holds_the_rays_in_scan_order(self, golden, monkeypatch):
+        _, r, s = golden
+        true_link_rows = chk.lnk._link_rows
+        batches = []
+
+        def counted(problem, terms):
+            batches.append(np.array(terms.p))
+            return true_link_rows(problem, terms)
+
+        monkeypatch.setattr(chk.lnk, "_link_rows", counted)
+        scan = link_ray_scan(r, s, seed=11, n_general=40, n_planar=10)  # 53 draws
+        assert len(batches) == 1
+        expected = [_accepted_ray(r, s, 11, 1, i) for i in range(40)]
+        expected += [_accepted_ray(r, s, 11, 2, j) for j in range(10)]
+        assert np.array_equal(batches[0], np.array(expected))
+        assert [(rec["ray_kind"], rec["index"]) for rec in scan["records"]] == (
+            [("general", i) for i in range(40)] + [("planar", j) for j in range(10)])
+
+    @staticmethod
+    def _force(monkeypatch, r, s, exhausted, refused):
+        """Index ``exhausted`` draws R - S every time, which the scan rejects,
+        and the link of index ``refused`` fails the isometry law; the message
+        p_link gives for that link is returned."""
+        true_draw = chk.RngBlock.draw
+
+        def draw(block, indices, fn):
+            rays = true_draw(block, indices, fn)
+            return [r.components - s.components if i == exhausted else ray
+                    for i, ray in zip(indices, rays)]
+
+        bad = _accepted_ray(r, s, 1, 1, refused)
+        true_entries = kernels.link_entries
+
+        def perturbed(p, d, alpha, beta):
+            entries = true_entries(p, d, alpha, beta)
+            dim = p.shape[-1]
+            flat = entries.reshape(-1, dim, dim)
+            for row, ray in enumerate(np.reshape(p, (-1, dim))):
+                if np.array_equal(ray, bad):
+                    flat[row] *= 1.0 + 1e-3
+            return entries
+
+        monkeypatch.setattr(chk.RngBlock, "draw", draw)
+        monkeypatch.setattr(kernels, "link_entries", perturbed)
+        with pytest.raises(InternalConsistencyError) as exc:
+            p_link(LinkProblem(r, s, r.space.vector(bad)))
+        return str(exc.value)
+
+    def test_an_earlier_exhausted_index_wins_over_a_later_refused_one(self, golden,
+                                                                       monkeypatch):
+        _, r, s = golden
+        self._force(monkeypatch, r, s, exhausted=3, refused=10)
+        with pytest.raises(DrawsExhaustedError,
+                           match=r"general ray index 3 \(stream \(1, 1, 3\)\)"):
+            link_ray_scan(r, s, seed=1, n_general=20, n_planar=0)
+
+    def test_an_earlier_refused_index_wins_over_a_later_exhausted_one(self, golden,
+                                                                       monkeypatch):
+        _, r, s = golden
+        message = self._force(monkeypatch, r, s, exhausted=10, refused=3)
+        assert "isometry law" in message
+        with pytest.raises(InternalConsistencyError) as exc:
+            link_ray_scan(r, s, seed=1, n_general=20, n_planar=0)
+        assert str(exc.value) == message
+
+    def test_an_empty_scan_needs_no_link_problem(self, mink4):
+        """No index, no link problem: R.R != S.S is not refused."""
+        r = mink4.vector([1.0, 0.0, 0.0, 0.0])
+        scan = link_ray_scan(r, 2.0 * r, seed=0, n_general=0, n_planar=0)
+        assert math.isnan(scan.pop("gamma_min")) and math.isnan(scan.pop("gamma_max"))
+        assert scan == {"records": [], "distinct_links": 0, "planar_cluster": 0,
+                        "planar_spread": 0.0, "pair_fraction_above_cut": 1.0}

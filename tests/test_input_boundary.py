@@ -264,6 +264,60 @@ class TestSeedAndParams:
         assert json.loads(out.splitlines()[0])["c"] == 2.0
 
 
+class TestScenarioDocument:
+    """A document whose fields have the wrong JSON types is refused by the
+    loader with a message that names the field, not crashed on or read as
+    something else."""
+
+    ROWS = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("vectors", [1, 2], "'vectors' must be an object, got [1, 2]"),
+        ("vectors", {"R": [1, "a", 0, 0], "S": [1.25, 0.75, 0, 0]},
+         "vector 'R' has an entry that is not a number: 'a'"),
+        ("vectors", {"R": [True, 0, 0, 0], "S": [1.25, 0.75, 0, 0]},
+         "vector 'R' has an entry that is not a number: True"),
+        ("vectors", {"R": 1, "S": [1.25, 0.75, 0, 0]},
+         "vector 'R' must be a list of numbers, got 1"),
+        ("metric", {"dim": 4.5, "signature": "lorentzian"},
+         "'metric.dim' must be an integer, got 4.5"),
+        ("metric", {"dim": "4", "signature": "lorentzian"},
+         "'metric.dim' must be an integer, got '4'"),
+        ("metric", {"dim": True, "signature": "lorentzian"},
+         "'metric.dim' must be an integer, got True"),
+        ("metric", {"dim": 4, "matrix": [[-1, 0, 0, 0], [0, 1, "x", 0], [0, 0, 1, 0],
+                                         [0, 0, 0, 1]]},
+         "'metric.matrix' has an entry that is not a number: 'x'"),
+        ("metric", {"dim": 4, "matrix": [[-1, 0, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0],
+                                         [0, 0, 0, 1]]},
+         "'metric.matrix' must have 4 rows of 4 entries, got "
+         "[[-1, 0, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"),
+        ("metric", {"dim": 4, "matrix": 1},
+         "'metric.matrix' must be a list of numbers, got 1"),
+    ])
+    def test_a_field_of_the_wrong_type_is_a_scenario_error(self, capsys, tmp_path,
+                                                           field, value, message):
+        scenario = json.loads((DATA / "golden_link.json").read_text())
+        scenario[field] = value
+        path = tmp_path / "golden_link.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run_main(capsys, "link", "--scenario", str(path))
+        assert code == 2
+        assert json.loads(out) == {"type": "error", "error": "Scenario", "message": message}
+        assert err == ""
+
+    @pytest.mark.parametrize("matrix", [ROWS, [x for row in ROWS for x in row]])
+    def test_a_matrix_reads_as_rows_or_flat(self, capsys, tmp_path, matrix):
+        scenario = json.loads((DATA / "golden_link.json").read_text())
+        scenario["metric"] = {"dim": 4, "matrix": matrix}
+        path = tmp_path / "golden_link.json"
+        path.write_text(json.dumps(scenario))
+        code, out, _ = run_main(capsys, "link", "--scenario", str(path))
+        _, expected, _ = run_main(capsys, "link", "--scenario", str(DATA / "golden_link.json"))
+        assert code == 0
+        assert out.splitlines()[:-1] == expected.splitlines()[:-1]  # all but the summary
+
+
 class TestOverflowIsQuiet:
     # The golden event at 1e160: the pairings overflow, and the library
     # refuses the interval it cannot check.
