@@ -15,6 +15,7 @@ irregular properties give a whole-property body instead.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -52,7 +53,7 @@ from .sampling import (
     rng_for,
 )
 
-__all__ = ["PropertyResult", "link_ray_scan", "run_all", "NUMERICAL_FLOOR"]
+__all__ = ["PropertyResult", "ScanRecords", "link_ray_scan", "run_all", "NUMERICAL_FLOOR"]
 
 # Residuals below this are attributable to double-precision rounding alone.
 NUMERICAL_FLOOR = 1e-8
@@ -747,6 +748,29 @@ def _check_first_link(r, s, record, entries, ray):
             "the stacked link of the first ray differs from p_link")
 
 
+@dataclass(frozen=True, eq=False)
+class ScanRecords(Sequence):
+    """A scan's records as columns: ``columns`` maps each field to a list in
+    scan order.  Item k is record k as a dict, and the whole equals the list
+    of its records."""
+
+    columns: dict
+
+    def __len__(self):
+        return len(self.columns["index"])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        return {name: values[k] for name, values in self.columns.items()}
+
+    def __eq__(self, other):
+        return list(self) == other
+
+    def __repr__(self):
+        return repr(list(self))
+
+
 def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
                   n_planar: int = 10) -> dict:
     """Scan random preferred rays for one link problem.
@@ -754,15 +778,18 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
     Draws ``n_general`` rays from the whole space (stream (seed, 1, i)) and
     ``n_planar`` rays from the plane of R and S (stream (seed, 2, j)), builds
     the selected links and reports how many are pairwise distinct, how large
-    the planar cluster is, and the recorded gamma range.
+    the planar cluster is, and the recorded gamma range.  ``records`` is a
+    :class:`ScanRecords` with the columns index, ray_kind, planar, mu, gamma
+    and residual, the general rays first.
 
-    An index draws from its own stream, ``rng_for(seed, stream, i)`` as
-    seeded in bulk by :class:`~relkin.sampling.RngBlock`, until a ray is
-    accepted, at most 1000 times.  The rays are selected in rounds: round k
-    stacks the k-th draw of every index still open, and each index keeps its
-    first accepted ray with its planar flag.  Then the accepted rays are
-    linked as one batch in scan order, with every check of one link on every
-    row.  A refused ray, or an index that spends its 1000 draws
+    An index draws from its own stream, ``rng_for(seed, stream, i)``, until
+    a ray is accepted, at most 1000 times.  One
+    :class:`~relkin.sampling.RngBlock` seeds both streams' generators in one
+    bulk pass.  The rays are selected in rounds: round k stacks the k-th
+    draw of every index still open, and each index keeps its first accepted
+    ray with its planar flag.  Then the accepted rays are linked as one
+    batch in scan order, with every check of one link on every row.  A
+    refused ray, or an index that spends its 1000 draws
     (DrawsExhaustedError), stops the scan: the first such index in scan
     order decides what is raised.  The first link is also built by
     :func:`~relkin.linker.p_link`, and its record must come out the same.
@@ -777,26 +804,26 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
         a, b = rng.normal(size=2)
         return a * rc + b * sc
 
-    kinds = (("general", 1, max(0, int(n_general)), general_ray),
-             ("planar", 2, max(0, int(n_planar)), planar_ray))
-    blocks = [RngBlock(seed, stream, count) for _, stream, count, _ in kinds]
-    # One slot per index, in scan order: (kind, index, stream); the general
-    # indices come first.
-    slots = [(kind, i, stream) for kind, stream, count, _ in kinds for i in range(count)]
-    n_first = kinds[0][2]
-    if not slots:  # nothing to link, whatever R and S are
-        return _scan_summary([], np.empty((0, dim, dim)), n_first)
+    counts = (max(0, int(n_general)), max(0, int(n_planar)))
+    n_first, n = counts[0], sum(counts)
+    # Scan position k < n_first is general index k; n_first + j is planar index j.
+    block = RngBlock(seed, (1, 2), counts)
+    columns = {"index": [*range(counts[0]), *range(counts[1])],
+               "ray_kind": ["general"] * counts[0] + ["planar"] * counts[1]}
+    if not n:  # nothing to link, whatever R and S are
+        columns.update(planar=[], mu=[], gamma=[], residual=[])
+        return _scan_summary(ScanRecords(columns), np.empty((0, dim, dim)), n_first)
     problem = lnk.LinkProblem(r, s)
     # Selection: each round draws once for every index still open.
-    rays = np.empty((len(slots), dim))
-    planar = np.empty(len(slots), dtype=bool)
-    pending = np.arange(len(slots))
+    rays = np.empty((n, dim))
+    planar = np.empty(n, dtype=bool)
+    pending = np.arange(n)
     for _ in range(_MAX_TRIES):
         if not pending.size:
             break
         split = np.searchsorted(pending, n_first)
-        drawn = np.array(blocks[0].draw(pending[:split], general_ray)
-                         + blocks[1].draw(pending[split:] - n_first, planar_ray))
+        drawn = np.array(block.draw(pending[:split], general_ray)
+                         + block.draw(pending[split:], planar_ray))
         terms = lnk._Terms.stacked(problem, drawn)
         keep = (~(terms.generic & ~terms.p_transversal)
                 & ~(np.abs(terms.psum) < 0.05)
@@ -805,20 +832,19 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
         planar[pending[keep]] = lnk._planar_rows(problem, terms)[keep]
         pending = pending[~keep]
     # Linking: the accepted rays before the first index that ran out of draws.
-    stop = int(pending[0]) if pending.size else len(slots)
+    stop = int(pending[0]) if pending.size else n
     links = lnk._link_rows(problem, lnk._Terms.stacked(problem, rays[:stop]))
     if links.error is not None:
         raise links.error
     if pending.size:
-        kind, i, stream = slots[stop]
+        kind, i, stream = (("general", stop, 1) if stop < n_first
+                           else ("planar", stop - n_first, 2))
         raise DrawsExhaustedError(f"{kind} ray index {i} (stream ({seed}, {stream}, {i})) "
                                   f"accepted no ray in {_MAX_TRIES} draws")
-    mus = [None] * stop if links.mu is None else links.mu.tolist()
-    records = [{"index": i, "ray_kind": kind, "planar": flat, "mu": mu, "gamma": gamma,
-                "residual": residual}
-               for (kind, i, _), flat, mu, gamma, residual
-               in zip(slots, planar.tolist(), mus, links.gamma.tolist(),
-                      links.residual.tolist())]
+    columns.update(planar=planar.tolist(),
+                   mu=[None] * n if links.mu is None else links.mu.tolist(),
+                   gamma=links.gamma.tolist(), residual=links.residual.tolist())
+    records = ScanRecords(columns)
     _check_first_link(r, s, records[0], links.entries[0], rays[0])
     return _scan_summary(records, links.entries, n_first)
 
@@ -829,7 +855,7 @@ def _scan_summary(records, entries, n_general) -> dict:
     distinct, pairs_above, _ = _clusters(entries[:n_general], _DISTINCT_CUT)
     planar_cluster, _, planar_spread = _clusters(entries[n_general:], _DISTINCT_CUT)
     pairs_total = n_general * (n_general - 1) // 2
-    gammas = [rec["gamma"] for rec in records]
+    gammas = records.columns["gamma"]
     return {
         "records": records,
         "distinct_links": distinct,

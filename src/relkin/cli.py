@@ -39,8 +39,18 @@ from .scenario import load as load_scenario
 
 __all__ = ["main"]
 
-# Compact JSON, as json.dumps(obj, separators=(",", ":")) writes it.
-_JSON = json.JSONEncoder(separators=(",", ":"))
+# Compact JSON, as json.dumps(obj, separators=(",", ":")) writes it; a NaN or
+# an infinity raises rather than come out as invalid JSON.
+_JSON = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+def _round_float(value: float):
+    """``value`` to 10 significant digits, or unrounded where that rounding
+    overflows (beyond 1.797693135e308); None for NaN and inf."""
+    if not math.isfinite(value):
+        return None
+    rounded = float(f"{value:.10g}")
+    return rounded if math.isfinite(rounded) else value
 
 
 def _round10(value):
@@ -49,7 +59,7 @@ def _round10(value):
     # np.float64 and bool take the general path below.
     kind = type(value)
     if kind is float:
-        return float(f"{value:.10g}") if math.isfinite(value) else None
+        return _round_float(value)
     if kind is dict:
         return {str(k): _round10(v) for k, v in value.items()}
     if kind is str or value is None:
@@ -57,10 +67,7 @@ def _round10(value):
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not np.isfinite(v):
-            return None
-        return float(f"{v:.10g}")
+        return _round_float(float(value))
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, np.ndarray):
@@ -70,6 +77,39 @@ def _round10(value):
     if isinstance(value, dict):
         return {str(k): _round10(v) for k, v in value.items()}
     return value
+
+
+def _json_scalar(value) -> str:
+    """``_JSON.encode(_round10(value))`` for a scalar.
+
+    A float's 10-digit text is already the repr of the float it rounds to
+    where it has a point, no exponent 10-19 or 100-199 (repr writes 1e10 to
+    1e16 out, .10g does not) and a magnitude neither subnormal nor near
+    overflow; with neither point nor exponent it is an integer below 1e10,
+    whose repr adds ".0".
+    """
+    if type(value) is float:
+        text = f"{value:.10g}"
+        if "." in text:
+            if "e+1" not in text and 1e-300 < abs(value) < 1e300:
+                return text
+        elif "e" not in text and "n" not in text:  # not inf or nan
+            return text + ".0"
+    return _JSON.encode(_round10(value))
+
+
+def _column(values: list, fmt: str) -> list:
+    """One table column as JSON texts, or as csv fields, rounded as the
+    general path rounds them."""
+    kinds = set(map(type, values))
+    if fmt == "csv":
+        if kinds <= {float, type(None)}:  # None and NaN are empty fields
+            return [None if t == "null" else t for t in map(_json_scalar, values)]
+        return list(map(_round10, values))
+    if kinds <= {str, bool, type(None)}:  # no two of these are equal
+        texts = {v: _json_scalar(v) for v in set(values)}
+        return [texts[v] for v in values]
+    return list(map(str if kinds == {int} else _json_scalar, values))
 
 
 def _flatten(obj, prefix=""):
@@ -85,29 +125,46 @@ def _flatten(obj, prefix=""):
     return out
 
 
-def _render(objects, fmt: str) -> str:
-    objects = [_round10(o) for o in objects]
-    if fmt == "json":
-        return "".join(_JSON.encode(o) + "\n"
-                       for o in objects)
-    # csv: tabulate the records, keep the other lines as '#' comments
-    records = [o for o in objects if o.get("type") == "record"]
-    rest = [o for o in objects if o.get("type") != "record"]
+def _csv_text(names, rows) -> str:
+    """A csv table of ``rows`` under the header ``names``; nothing without rows."""
     buf = io.StringIO()
-    if records:
-        rows = [_flatten(r) for r in records]
-        names = []
-        for row in rows:
-            for key in row:
-                if key not in names:
-                    names.append(key)
-        writer = csv.DictWriter(buf, fieldnames=names, restval="",
-                                lineterminator="\n")
-        writer.writeheader()
+    if rows:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(names)
         writer.writerows(rows)
-    for o in rest:
-        buf.write("# " + _JSON.encode(o) + "\n")
     return buf.getvalue()
+
+
+def _table_text(table: dict, fmt: str) -> str:
+    """A table's records, written one formatted column at a time."""
+    n = max((len(v) for v in table.values() if isinstance(v, list)), default=0)
+    table = {"type": "record", **table}
+    rows = list(zip(*(_column(v if isinstance(v, list) else [v] * n, fmt)
+                      for v in table.values())))
+    if fmt == "csv":
+        return _csv_text(list(table), rows)
+    line = "{" + ",".join(_JSON.encode(k).replace("%", "%%") + ":%s" for k in table) + "}\n"
+    return "".join([line % row for row in rows])
+
+
+def _render(records, last: dict, fmt: str) -> str:
+    """One ``type: record`` line per record (csv: a table), then ``last``.
+
+    ``records`` is a list of record dicts, or a table: a dict of columns,
+    each a list with one scalar per record or one scalar for all.  A table
+    comes out as its list of records would.
+    """
+    last = _JSON.encode(_round10(last)) + "\n"
+    if isinstance(records, dict):
+        text = _table_text(records, fmt)
+    elif fmt == "json":
+        text = "".join(_JSON.encode(_round10({"type": "record", **rec})) + "\n"
+                       for rec in records)
+    else:
+        rows = [_flatten(_round10({"type": "record", **rec})) for rec in records]
+        names = list(dict.fromkeys(key for row in rows for key in row))
+        text = _csv_text(names, [[row.get(key, "") for key in names] for row in rows])
+    return text + last if fmt == "json" else text + "# " + last
 
 
 def _emit(text: str, out_path):
@@ -183,37 +240,20 @@ def _run_link_scan(args, scenario, space):
     s = scenario.vector(space, "S")
     scan = chk.link_ray_scan(r, s, seed=args.seed, n_general=args.samples,
                              n_planar=min(args.samples, 20))
-    objects = [{"kind": "ray", **rec} for rec in scan["records"]]
     summary = ("distinct_links", "planar_cluster", "planar_spread",
                "pair_fraction_above_cut", "gamma_min", "gamma_max")
-    return objects, {"n_records": len(objects), **{key: scan[key] for key in summary}}
+    return ({"kind": "ray", **scan["records"].columns},
+            {"n_records": len(scan["records"]), **{key: scan[key] for key in summary}})
 
 
 @_command("check", "run the full property suite", needs_scenario=False,
           samples=25)
 def _run_check(args, scenario, space):
     results = chk.run_all(seed=args.seed, tol_rel=args.tol_rel, samples=args.samples)
-    objects = []
-    for res in results:
-        objects.append({
-            "kind": "property",
-            "id": res.id,
-            "name": res.name,
-            "samples": res.samples,
-            "max_residual": res.max_residual,
-            "tolerance": res.tolerance,
-            "passed": res.passed,
-            "tolerance_induced": res.tolerance_induced,
-            "detail": res.detail,
-        })
-    failed = [o for o in objects if not o["passed"]]
-    stats = {
-        "n_records": len(objects),
-        "n_failed": len(failed),
-        "tolerance_induced_failures": sum(
-            1 for o in failed if o["tolerance_induced"]),
-    }
-    return objects, stats
+    failed = [res for res in results if not res.passed]
+    return ([{"kind": "property", "id": res.id, **vars(res)} for res in results],
+            {"n_records": len(results), "n_failed": len(failed),
+             "tolerance_induced_failures": sum(res.tolerance_induced for res in failed)})
 
 
 @_command("boost", "build the boost fixed by an observer and a velocity", reads_c=True)
@@ -374,7 +414,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     run, _, needs_scenario, _, _ = _COMMANDS[args.command]
-    objects = []
     try:
         scenario = space = None
         if needs_scenario:
@@ -389,7 +428,6 @@ def main(argv=None) -> int:
             space = scenario.build_space(args.tol_rel, args.tol_abs)
         records, stats = run(args, scenario, space)
         passed = not stats.get("n_failed")
-        objects.extend({"type": "record", **rec} for rec in records)
         summary = {
             "type": "summary",
             "command": args.command,
@@ -399,13 +437,11 @@ def main(argv=None) -> int:
         }
         summary.update(stats)
         summary["wall_time_s"] = time.perf_counter() - start
-        objects.append(summary)
-        _emit(_render(objects, args.format), args.out)
+        _emit(_render(records, summary, args.format), args.out)
         return 0 if passed else 1
     except Exception as exc:
-        objects.append({"type": "error", "error": _error_name(exc),
-                        "message": str(exc)})
-        _emit(_render(objects, args.format), args.out)
+        error = {"type": "error", "error": _error_name(exc), "message": str(exc)}
+        _emit(_render([], error, args.format), args.out)
         # Invalid input exits 2; a broken invariant or any other fault exits 3.
         invalid = (isinstance(exc, RelkinError)
                    and not isinstance(exc, InternalConsistencyError))

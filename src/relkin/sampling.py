@@ -7,7 +7,7 @@ downstream identities hold comfortably inside the default tolerances.
 
 :func:`rng_for` defines the stream of a key (seed, stream, ...).
 :class:`RngBlock` holds the streams (seed, stream, i) of many indices i,
-seeded in bulk, with the same bits.
+of one stream or several, seeded in one bulk pass, with the same bits.
 """
 
 from __future__ import annotations
@@ -82,9 +82,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> _XSHIFT)
 
 
-def _pcg64_states(seed: int, stream: int, indices) -> list:
+def _pcg64_states(seed: int, stream, indices) -> list:
     """``rng_for(seed, stream, i).bit_generator.state`` for each index ``i``;
-    every key word must fit in one uint32.
+    ``stream`` is one word or one word per index, and every key word must
+    fit in one uint32.
 
     SeedSequence([seed, stream, i]) hashes its three words and a zero into a
     pool of four, mixes every pool word into every other, and hashes the
@@ -95,8 +96,8 @@ def _pcg64_states(seed: int, stream: int, indices) -> list:
     """
     i = np.asarray(indices, dtype=np.uint32)
     keys = _hash_keys(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, keys) for word in (np.full_like(i, seed), np.full_like(i, stream),
-                                              i, np.zeros_like(i))]
+    stream = np.broadcast_to(np.asarray(stream, dtype=np.uint32), i.shape)
+    pool = [_hashmix(word, keys) for word in (np.full_like(i, seed), stream, i, np.zeros_like(i))]
     for src in range(4):
         for dst in range(4):
             if src != dst:
@@ -135,31 +136,39 @@ def _bulk_agrees() -> bool:
 class RngBlock:
     """The generators ``rng_for(seed, stream, i)`` for ``i < count``.
 
-    Their states are seeded in bulk (:func:`_pcg64_states`), and every index
-    draws through one reused Generator: set its state, draw, save its state.
-    So each index continues its own stream, bit for bit, whatever order the
-    indices draw in.  Where a key word does not fit in one uint32 (a
-    negative seed or stream, or one of 2**32 or more), or this NumPy seeds
-    otherwise, the block holds one ``rng_for`` generator per index, which
-    also raises ``rng_for``'s errors.
+    ``stream`` and ``count`` may also be equal-length tuples, one entry per
+    part: the block then holds each part's generators after those of the
+    parts before it, so with two parts position ``count[0] + i`` holds
+    ``rng_for(seed, stream[1], i)``.
+
+    All states are seeded in one bulk pass (:func:`_pcg64_states`), and
+    every position draws through one reused Generator: set its state, draw,
+    save its state.  So each position continues its own stream, bit for
+    bit, whatever order the positions draw in.  Where a key word does not
+    fit in one uint32 (a negative seed or stream, or one of 2**32 or more),
+    or this NumPy seeds otherwise, the block holds one ``rng_for``
+    generator per position, which also raises ``rng_for``'s errors.
     """
 
-    def __init__(self, seed, stream, count: int):
-        bulk = (0 < count <= _WORD
+    def __init__(self, seed, stream, count):
+        parts = list(zip(stream, count)) if isinstance(stream, tuple) else [(stream, count)]
+        counts = [n for _, n in parts]
+        bulk = (0 < sum(counts) and all(0 <= n <= _WORD for n in counts)
                 and all(isinstance(word, (int, np.integer)) and 0 <= word < _WORD
-                        for word in (seed, stream))
+                        for word in (seed, *(word for word, _ in parts)))
                 and _bulk_agrees())
         if bulk:
             self._rngs = None
             self._gen = np.random.Generator(np.random.PCG64(0))
-            self._states = _pcg64_states(int(seed), int(stream), np.arange(count))
+            self._states = _pcg64_states(int(seed), np.repeat([w for w, _ in parts], counts),
+                                         np.concatenate([np.arange(n) for n in counts]))
         else:
-            self._rngs = [rng_for(seed, stream, i) for i in range(count)]
+            self._rngs = [rng_for(seed, word, i) for word, n in parts for i in range(n)]
 
     def draw(self, indices, fn) -> list:
-        """``fn(rng)`` with the generator of each index in ``indices``, in
-        order; each call continues its index's stream.  ``fn`` must not keep
-        ``rng``, which the next index reuses."""
+        """``fn(rng)`` with the generator of each position in ``indices``, in
+        order; each call continues its position's stream.  ``fn`` must not
+        keep ``rng``, which the next position reuses."""
         if self._rngs is not None:
             return [fn(self._rngs[i]) for i in indices]
         gen, states = self._gen, self._states

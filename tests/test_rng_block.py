@@ -124,3 +124,100 @@ class TestFirstUseCheck:
         for seed in (0, 1):
             assert RngBlock(seed, 1, 2)._rngs is None
         assert [args[0] for args in calls] == [WORD - 1, 0, 1]  # the probe, then each block
+
+
+class TestMixedStreams:
+    """One block, and one bulk pass, for the streams of several parts: the
+    link scan's general rays (stream 1) and planar rays (stream 2)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=words, keys=st.lists(st.tuples(words, st.integers(0, WORD - 1)),
+                                     min_size=1, max_size=8))
+    @example(seed=WORD - 1, keys=[(1, 0), (2, 0), (WORD - 1, WORD - 1)])
+    def test_per_index_streams_are_those_of_rng_for(self, seed, keys):
+        streams, indices = (np.array(column) for column in zip(*keys))
+        assert (sampling._pcg64_states(seed, streams, indices)
+                == [rng_for(seed, stream, i).bit_generator.state for stream, i in keys])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=keys, stream=keys, counts=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           data=st.data())
+    @example(seed=WORD - 1, stream=2, counts=(3, 2), data=None)
+    @example(seed=WORD, stream=2, counts=(3, 2), data=None)
+    @example(seed=2**64, stream=2, counts=(3, 2), data=None)
+    @example(seed=-1, stream=2, counts=(3, 2), data=None)
+    def test_parts_follow_one_another(self, seed, stream, counts, data):
+        """Position counts[0] + i of a two-part block draws what
+        rng_for(seed, stream, i) draws, in any order."""
+        total = sum(counts)
+        if data is None:
+            rounds = [list(range(total)), list(range(total))[::-1]]
+        else:
+            rounds = data.draw(st.lists(st.lists(st.integers(0, max(total - 1, 0)),
+                                                 max_size=2 * total) if total else
+                                        st.just([]), max_size=3))
+
+        def reference():
+            rngs = ([rng_for(seed, 1, i) for i in range(counts[0])]
+                    + [rng_for(seed, stream, i) for i in range(counts[1])])
+            return [[_normals(rngs[k]).tolist() for k in ks] for ks in rounds]
+
+        def block():
+            block = RngBlock(seed, (1, stream), counts)
+            return [[row.tolist() for row in block.draw(ks, _normals)] for ks in rounds]
+
+        assert _outcome(block) == _outcome(reference)
+
+    @pytest.mark.parametrize("seed, bulk", [(0, True), (WORD - 1, True), (WORD, False),
+                                            (2**64, False)])
+    def test_only_keys_that_fit_a_word_are_seeded_in_bulk(self, seed, bulk):
+        assert (RngBlock(seed, (1, 2), (3, 2))._rngs is None) is bulk
+        assert (RngBlock(0, (1, seed), (3, 2))._rngs is None) is bulk
+
+
+class _PerIndexBlock:
+    """RngBlock's contract, one rng_for generator per position."""
+
+    def __init__(self, seed, stream, count):
+        self.rngs = [rng_for(seed, word, i) for word, n in zip(stream, count)
+                     for i in range(n)]
+
+    def draw(self, indices, fn):
+        return [fn(self.rngs[i]) for i in indices]
+
+
+class TestScanSeeding:
+    @pytest.fixture
+    def golden(self):
+        golden = load_scenario(str(DATA / "golden_scan.json"))
+        space = golden.build_space()
+        return golden.vector(space, "R"), golden.vector(space, "S")
+
+    def test_one_bulk_pass_seeds_both_streams(self, golden, monkeypatch):
+        r, s = golden
+        sampling._bulk_agrees()
+        calls = []
+        true_states = sampling._pcg64_states
+
+        def counted(seed, stream, indices):
+            calls.append((seed, np.array(stream).tolist(), np.array(indices).tolist()))
+            return true_states(seed, stream, indices)
+
+        monkeypatch.setattr(sampling, "_pcg64_states", counted)
+        checks.link_ray_scan(r, s, seed=WORD - 1, n_general=5, n_planar=3)
+        assert calls == [(WORD - 1, [1] * 5 + [2] * 3, [0, 1, 2, 3, 4, 0, 1, 2])]
+
+    @pytest.mark.parametrize("seed", [0, 3, WORD - 1, WORD, 2**64, -1])
+    def test_the_scan_is_that_of_per_index_generators(self, golden, monkeypatch, seed):
+        """Bulk-seeded or fallen back, the scan draws what one rng_for
+        generator per index draws, and a refused seed raises the same."""
+        r, s = golden
+
+        def scan():
+            return repr(checks.link_ray_scan(r, s, seed=seed, n_general=30, n_planar=8))
+
+        expected = _outcome(scan)
+        monkeypatch.setattr(checks, "RngBlock", _PerIndexBlock)
+        assert _outcome(scan) == expected
+        if seed == -1:
+            assert expected[0] is ValueError
