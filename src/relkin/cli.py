@@ -167,6 +167,20 @@ def _render(records, last: dict, fmt: str) -> str:
     return text + last if fmt == "json" else text + "# " + last
 
 
+def _magnitude(vector) -> float:
+    """sqrt(max(v.v, 0)).  Where v.v is not finite but the components are,
+    the root is taken of v scaled by an exact power of two, so that its
+    largest component lies in [0.5, 1), and scaled back: a finite magnitude
+    of a vector near the largest double is reported, not null."""
+    square = vector.square()
+    top = maxabs(vector.components)
+    if math.isfinite(square) or not 0.0 < top < math.inf:
+        return float(np.sqrt(max(square, 0.0)))
+    exp = math.frexp(top)[1]
+    scaled = (vector * math.ldexp(1.0, -exp)).square()
+    return float(np.ldexp(np.sqrt(max(scaled, 0.0)), exp))
+
+
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -175,9 +189,10 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _error_name(exc) -> str:
+def _error_record(exc) -> dict:
     name = type(exc).__name__
-    return name[:-5] if name.endswith("Error") else name
+    return {"type": "error", "error": name[:-5] if name.endswith("Error") else name,
+            "message": str(exc)}
 
 
 def _resolve_c(args, scenario) -> float:
@@ -301,7 +316,7 @@ def _run_transform(args, scenario, space):
         rec["t_prime_einstein"] = t_e
         rec["x_prime_einstein"] = x_e.components.tolist()
         recovered = kin.urbantke_velocity(coords.t, coords.x, t_e, x_e, c)
-        rec["round_trip_speed"] = float(np.sqrt(max(recovered.square(), 0.0)))
+        rec["round_trip_speed"] = _magnitude(recovered)
     except (NotObservedError, DegenerateEpochError):
         pass
     return [rec], {"n_records": 1}
@@ -343,7 +358,7 @@ def _run_accel(args, scenario, space):
         "kind": "acceleration",
         "c": c,
         "a_prime": result.components.tolist(),
-        "magnitude": float(np.sqrt(max(result.square(), 0.0))),
+        "magnitude": _magnitude(result),
     }
     return [rec], {"n_records": 1}
 
@@ -437,15 +452,20 @@ def main(argv=None) -> int:
         }
         summary.update(stats)
         summary["wall_time_s"] = time.perf_counter() - start
-        _emit(_render(records, summary, args.format), args.out)
-        return 0 if passed else 1
+        text, code = _render(records, summary, args.format), 0 if passed else 1
     except Exception as exc:
-        error = {"type": "error", "error": _error_name(exc), "message": str(exc)}
-        _emit(_render([], error, args.format), args.out)
         # Invalid input exits 2; a broken invariant or any other fault exits 3.
         invalid = (isinstance(exc, RelkinError)
                    and not isinstance(exc, InternalConsistencyError))
-        return 2 if invalid else 3
+        text, code = _render([], _error_record(exc), args.format), 2 if invalid else 3
+    try:
+        _emit(text, args.out)
+    except OSError as exc:  # an --out that cannot be written is invalid input
+        error = {**_error_record(exc),
+                 "message": f"cannot write --out {args.out!r}: {exc.strerror or exc}"}
+        sys.stdout.write(_render([], error, args.format))
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -74,7 +74,7 @@ class Isometry:
         space = self.mapping.space
         res = isometry_residual(self.mapping)
         size = self.mapping.max_norm()
-        if not within(res, space.tol_rel, maxabs(space.g) * (size * size)):
+        if not within(res, space.tol_rel, space.g_max * (size * size)):
             raise InternalConsistencyError(LAW_MESSAGE.format(res))
         if self.generator is not None and self.gamma is not None:
             m2 = self.generator.square()
@@ -123,7 +123,7 @@ def reflection(p: Vector) -> Isometry:
     if p.is_null():
         raise NullVectorError("reflection requires a non-null vector")
     space = p.space
-    ent = np.eye(space.dim) - 2.0 * np.outer(p.components, space.g @ p.components) / p.square()
+    ent = space.eye - 2.0 * np.outer(p.components, space.g @ p.components) / p.square()
     return Isometry(_fresh(Endomorphism, ent, space))
 
 
@@ -148,7 +148,7 @@ def isometry_from_bivector(b: SimpleBivector) -> Isometry:
     if within(abs(gamma + 1.0), space.tol_abs):
         raise DegenerateGammaError("gamma + 1 vanishes")
     m = lie_map(b).entries
-    ent = np.eye(space.dim) + m + (m @ m) / (gamma + 1.0)
+    ent = space.eye + m + (m @ m) / (gamma + 1.0)
     return Isometry(_fresh(Endomorphism, ent, space), b, gamma)
 
 
@@ -204,7 +204,7 @@ def _generated_entries(iso: Isometry) -> tuple[np.ndarray, np.ndarray]:
     when ``iso`` carries no generator record."""
     if iso.generator is None or iso.gamma is None:
         raise MissingGeneratorError("operator carries no generator record")
-    return iso.mapping.entries, np.eye(iso.space.dim)
+    return iso.mapping.entries, iso.space.eye
 
 
 def stabilizer_element(r: Vector, b: SimpleBivector) -> Isometry:

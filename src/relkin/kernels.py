@@ -41,6 +41,7 @@ __all__ = [
     "maxabs_rows",
     "pairing_rows",
     "trivector_rows",
+    "velocity_sum",
     "wedge_denominator",
     "wedge_maxabs_rows",
     "within",
@@ -102,6 +103,25 @@ def link_terms(psum, pp, pr, ps, pd, p_max, wedge_max, d2, d_max, u_max,
                    & (wedge_max > tol * top(1.0, leg_scale)))
     return (sum_scale, pp * d2 - pd * pd, pp * d2 + 4.0 * pr * ps, transversal,
             top(p_max, r_max, s_max))
+
+
+def velocity_sum(u, v, vv, vu, gam, c2):
+    """u (+) v for velocities u and v, with v.v, v.u and gamma_v given, and
+    its gap to the fully vectorial form that cross-checks it:
+
+        u (+) v = (u + gamma_v v) / (gamma_v (1 + v.u/c^2))
+                  + gamma_v/(gamma_v+1) (v.u) v / (c^2 + v.u)
+                = (u + v) / (1 + v.u/c^2)
+                  + gamma_v/(gamma_v+1) ((v.u) v - (v.v) u) / (c^2 + v.u).
+
+    For one pair the scalars are floats and u, v vectors; for stacked pairs
+    the scalars are (N, 1) columns and u, v (N, d) rows.
+    """
+    w = ((u + v * gam) * (1.0 / (gam * (1.0 + vu / c2)))
+         + v * ((gam / (gam + 1.0)) * (vu / (c2 + vu))))
+    alt = ((u + v) * (1.0 / (1.0 + vu / c2))
+           + (v * vu - u * vv) * ((gam / (gam + 1.0)) * (1.0 / (c2 + vu))))
+    return w, w - alt
 
 
 def is_null(square, comp_max, tol):

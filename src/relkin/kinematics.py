@@ -27,7 +27,7 @@ from .errors import (
     SuperluminalError,
 )
 from .isometry import Isometry
-from .kernels import pairing_rows, within
+from .kernels import maxabs_rows, pairing_rows, velocity_sum, within
 from .metric_core import (
     Endomorphism,
     MetricSpace,
@@ -231,7 +231,7 @@ def _boost_entries(p: Observer, v: Velocity3, gam: float):
     g = p.space.g
     pc = p.vector.components
     vc = v.vector.components / v.c
-    even = np.eye(p.space.dim) - (gam - 1.0) * np.outer(pc, g @ pc)
+    even = p.space.eye - (gam - 1.0) * np.outer(pc, g @ pc)
     odd = gam * (np.outer(pc, g @ vc) - np.outer(vc, g @ pc))
     tail = (gam * gam / (gam + 1.0)) * np.outer(vc, g @ vc)
     return even + odd + tail, even - odd + tail
@@ -256,7 +256,7 @@ def verified_boost(p: Observer, v: Velocity3) -> tuple[Isometry, float, float]:
     pc = p.vector.components
     target = (pc + v.vector.components * (1.0 / v.c)) * gam
     observer_residual = maxabs(ent @ pc - target)
-    inverse_residual = maxabs(ent @ inverse - np.eye(space.dim))
+    inverse_residual = maxabs(ent @ inverse - space.eye)
     tol = 1e2 * space.tol_rel
     if not within(observer_residual, tol, gam):
         raise InternalConsistencyError(
@@ -374,18 +374,38 @@ def velocity_add(u: Velocity3, v: Velocity3) -> Velocity3:
         return v
     uc, vc = u.vector.components, v.vector.components
     vv, vu = pairing_rows(u.space.g, vc, np.array([vc, uc])).tolist()
-    gam = _gamma(vv, v.c, False)
-    c2 = v.c * v.c
-    first = (uc + vc * float(gam)) * float(1.0 / (gam * (1.0 + vu / c2)))
-    w = first + vc * float((gam / (gam + 1.0)) * (vu / (c2 + vu)))
-    alt_first = (uc + vc) * float(1.0 / (1.0 + vu / c2))
-    alt_tail = ((vc * float(vu) - uc * float(vv))
-                * float((gam / (gam + 1.0)) * (1.0 / (c2 + vu))))
-    defect = maxabs(w - (alt_first + alt_tail))
+    w, gap = velocity_sum(uc, vc, vv, vu, _gamma(vv, v.c, False), v.c * v.c)
+    defect = maxabs(gap)
     if not within(defect, 1e2 * u.space.tol_rel, maxabs(w)):
         raise InternalConsistencyError(
             f"the two composition forms disagree by {defect:.3e}")
     return Velocity3(_fresh(Vector, w, u.space), u.observer, u.c, luminal=u.luminal)
+
+
+def _accepted_rows(p: Observer, rows, c: float):
+    """A mask of the stacked vectors ``rows`` that ``Velocity3(row, p, c)``
+    accepts as sub-luminal velocities.  A row with a non-finite entry, which
+    ``MetricSpace.vector`` refuses, is False: its bound is infinite or its
+    pairing NaN."""
+    g, pc = p.space.g, p.vector.components
+    seen = within(abs(pairing_rows(g, rows, pc)), p.space.tol_abs, maxabs_rows(rows))
+    return seen & ~(pairing_rows(g, rows, rows) >= c * c)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _velocity_add_rows(p: Observer, u, v, c: float):
+    """``velocity_add`` of stacked sub-luminal velocities seen by ``p`` with
+    speed ceiling ``c``, given as the rows of ``u`` and ``v``: the rows of
+    u (+) v, bit for bit, and a mask of the rows whose sum ``velocity_add``
+    returns.  A row it would refuse, with any error, is False; the other
+    rows do not depend on it."""
+    g, c2 = p.space.g, c * c
+    vv, vu = pairing_rows(g, v, v)[:, None], pairing_rows(g, v, u)[:, None]
+    ratio = vv / c2
+    w, gap = velocity_sum(u, v, vv, vu, 1.0 / np.sqrt(1.0 - ratio), c2)
+    ok = ~(ratio[:, 0] >= 1.0) & within(maxabs_rows(gap), 1e2 * p.space.tol_rel,
+                                        maxabs_rows(w))
+    return w, ok & _accepted_rows(p, w, c)
 
 
 def velocity_subtract(u: Velocity3, w: Velocity3) -> Velocity3:

@@ -368,7 +368,7 @@ def _link_rows(problem: LinkProblem, t: _Terms) -> _RayLinks:
         mu = kernels.link_mu(t.psum[:n], denom[:n])
     r, s = problem.R.components, problem.S.components
     if t.coincide:
-        eye = np.eye(space.dim)
+        eye = space.eye
         entries, gamma = np.broadcast_to(eye, (n,) + eye.shape), np.ones(n)
     else:
         check(kernels.within(abs(t.denominator), space.tol_abs), DegenerateLinkError,
@@ -382,7 +382,7 @@ def _link_rows(problem: LinkProblem, t: _Terms) -> _RayLinks:
         entries = kernels.link_entries(p, t.d.components, alpha, beta)
         law = kernels.maxabs_rows(kernels.law_defect(g, entries))
         size = kernels.maxabs_rows(entries)
-        check(np.logical_not(kernels.within(law, tol_rel, maxabs(g) * (size * size))),
+        check(np.logical_not(kernels.within(law, tol_rel, space.g_max * (size * size))),
               InternalConsistencyError, lambda j: kernels.LAW_MESSAGE.format(law[j]))
         # The generator record (mu P)^(R-S), with gamma + 1 = mu P.(R+S).
         q = mu[:n, None] * p[:n]
@@ -426,7 +426,7 @@ def _planar_link(problem: LinkProblem) -> Isometry:
     if kernels.is_null(t.u2, maxabs(u), tol):
         raise DegenerateSumError("(R+S)^2 = 0; planar link undefined")
     g = space.g
-    ent = (np.eye(space.dim)
+    ent = (space.eye
            - 2.0 * np.outer(u, g @ u) / t.u2
            + 2.0 * np.outer(s.components, g @ r.components) / t.ss)
     return _verified(Isometry(_fresh(Endomorphism, ent, space),
@@ -453,7 +453,7 @@ def fahnline_boost(r: Vector, s: Vector) -> Isometry:
         return _verified(Isometry(space.identity()), r, s)
     g = space.g
     u = r.components + s.components
-    ent = (np.eye(space.dim)
+    ent = (space.eye
            - 2.0 * np.outer(s.components, g @ r.components)
            + np.outer(u, g @ u) / (1.0 - rs))
     return _verified(Isometry(_fresh(Endomorphism, ent, space),

@@ -5,6 +5,12 @@ Components are stored as float64 arrays relative to the basis in which the
 metric tensor was supplied; no coordinate chart is ever introduced.  All
 values are immutable after construction and every operation is a pure
 function, so objects can be shared freely between threads.
+
+A value forms its invariants on first use and keeps them: the square of a
+``Vector`` and of a ``SimpleBivector``, and a ``MetricSpace``'s max|g|,
+identity entries and signature.  A square is kept only when the components
+it was formed from can no longer change (see :func:`_settled`); arithmetic
+builds a new value, which forms its own.
 """
 
 from __future__ import annotations
@@ -62,6 +68,22 @@ def _fresh(cls, values: np.ndarray, space: "MetricSpace"):
     in place, without the copy and checks of the public constructors."""
     values.setflags(write=False)
     return cls(values, space)
+
+
+def _settled(arr: np.ndarray) -> bool:
+    """Whether the entries of ``arr`` can no longer change: it is read-only,
+    and so is the array whose memory it views, if any.  A value keeps a
+    square formed from such arrays only."""
+    base = arr.base
+    return not arr.flags.writeable and (
+        base is None or isinstance(base, np.ndarray) and not base.flags.writeable)
+
+
+def _keep(value, square: float, *arrays) -> float:
+    """``square``, kept on ``value`` when every one of ``arrays`` is settled."""
+    if all(map(_settled, arrays)):
+        value.__dict__["_square"] = square
+    return square
 
 
 def _finite(arr: np.ndarray, quantity: str, error=NonFiniteError) -> np.ndarray:
@@ -132,6 +154,19 @@ class MetricSpace:
         # g is read-only, so one eigendecomposition serves every call.
         eig = np.linalg.eigvalsh(self.g)
         return int(np.sum(eig < 0.0)), int(np.sum(eig > 0.0))
+
+    @cached_property
+    def g_max(self) -> float:
+        """max|g|, the metric's scale in the bound of the isometry law."""
+        return maxabs(self.g)
+
+    @cached_property
+    def eye(self) -> np.ndarray:
+        """The entries of the identity, read-only; the formulas of the
+        library read them where :meth:`identity` would build a new one."""
+        eye = np.eye(self.dim)
+        eye.setflags(write=False)
+        return eye
 
     @property
     def is_lorentzian(self) -> bool:
@@ -211,7 +246,10 @@ class Vector(_Components):
         return scalar_product(self, other)
 
     def square(self) -> float:
-        return scalar_product(self, self)
+        """v.v, formed on first use and kept when the components are settled."""
+        kept = self.__dict__.get("_square")
+        return kept if kept is not None else _keep(self, scalar_product(self, self),
+                                                   self.components)
 
     def wedge(self, other: "Vector") -> "SimpleBivector":
         same_space(self, other)
@@ -266,8 +304,11 @@ class SimpleBivector:
         return np.outer(p, q) - np.outer(q, p)
 
     def square(self) -> float:
-        """Bivector self-magnitude (P^Q).(P^Q)."""
-        return bivector_product(self, self)
+        """Bivector self-magnitude (P^Q).(P^Q), formed on first use and kept
+        when the components of both legs are settled."""
+        kept = self.__dict__.get("_square")
+        return kept if kept is not None else _keep(
+            self, bivector_product(self, self), self.first.components, self.second.components)
 
     def is_zero(self, tol: float | None = None) -> bool:
         tol = self.space.tol_abs if tol is None else tol

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,3 +268,107 @@ class TestScanLinksOnce:
         assert math.isnan(scan.pop("gamma_min")) and math.isnan(scan.pop("gamma_max"))
         assert scan == {"records": [], "distinct_links": 0, "planar_cluster": 0,
                         "planar_spread": 0.0, "pair_fraction_above_cut": 1.0}
+
+
+def _reference_order_row(ctx, rng, judge):
+    """Property 28 as it ran before its draws were stacked: one rotation, two
+    Velocity3s and six velocity_add calls per draw, folded by _sweep."""
+    kin = chk.kin
+    space = ctx.families["mink4"][0]
+    obs = chk._rest(space)
+    u, v, w = [kin.Velocity3(space.vector(comps), obs, 1.0)
+               for comps in ([0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0],
+                             [0.0, 0.0, 0.0, 0.5])]
+
+    def rotated(space, rng):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        rot = np.eye(4)
+        rot[1:, 1:] = q
+        a, b = [kin.Velocity3(space.vector(rot @ x.vector.components), obs, 1.0)
+                for x in (u, v)]
+        return (chk._associator(a, b, a),
+                chk._gap(kin.velocity_add(a, b).vector, kin.velocity_add(b, a).vector))
+
+    orthogonal_associator = chk._associator(u, v, w)
+    assoc, order, n = chk._sweep((space,), 100, rng, rotated, "witness")
+    return judge(n, chk._nan_min(order, assoc),
+                 {"orthogonal_triple_associator": orthogonal_associator,
+                  "in_plane_associator_min": float(assoc),
+                  "order_discrepancy_min": float(order)})
+
+
+class TestStackedOrderRow:
+    """Property 28 evaluates its 100 draws as stacked rows."""
+
+    ROW = dict(chk._PROPERTIES)[28]
+
+    @staticmethod
+    def _ctx(seed, samples):
+        return chk._Ctx(seed, 1e-9, samples, {"mink4": (make_space(4, "lorentzian"),)})
+
+    def _both(self, seed, samples=4):
+        ctx = self._ctx(seed, samples)
+        reference = replace(self.ROW, body=_reference_order_row)
+        return chk._run(28, self.ROW, ctx), chk._run(28, reference, ctx)
+
+    @pytest.mark.parametrize("samples", [4, 40])
+    @pytest.mark.parametrize("seed", list(range(16)) + [41801270])
+    def test_matches_the_per_draw_body(self, seed, samples):
+        stacked, reference = self._both(seed, samples)
+        assert stacked.passed
+        assert repr(stacked) == repr(reference)
+
+    def test_makes_no_per_draw_velocity_add_call(self, monkeypatch):
+        calls = []
+        original = chk.kin.velocity_add
+        monkeypatch.setattr(chk.kin, "velocity_add",
+                            lambda u, v: calls.append(u) or original(u, v))
+        chk._run(28, self.ROW, self._ctx(0, 4))
+        assert len(calls) == 4  # the orthogonal triple's associator only
+
+    @staticmethod
+    def _normals(seed, draw):
+        """The normal draw behind rotation ``draw`` of the row at ``seed``."""
+        rng = rng_for(seed, 128)
+        for _ in range(draw + 1):
+            normals = rng.normal(size=(3, 3))
+        return normals
+
+    @pytest.mark.parametrize("draw", [0, 37, 99])
+    def test_a_refused_draw_raises_as_the_per_draw_body(self, monkeypatch, draw):
+        """Inflate the composition defect of the draw's first sum, a (+) b,
+        in both forms of the row."""
+        seed = 5
+        q, _ = np.linalg.qr(self._normals(seed, draw))
+        a, b = (np.concatenate(([0.0], 0.5 * q[:, k])) for k in (0, 1))
+        original = chk.kin.velocity_sum
+
+        def inflated(u, v, *rest):
+            w, gap = original(u, v, *rest)
+            hit = (u == a).all(axis=-1) & (v == b).all(axis=-1)
+            return w, np.where(np.asarray(hit)[..., None], 1.0, gap)
+
+        monkeypatch.setattr(chk.kin, "velocity_sum", inflated)
+        stacked, reference = self._both(seed)
+        assert stacked.detail == {
+            "error": "InternalConsistencyError",
+            "message": "the two composition forms disagree by 1.000e+00"}
+        assert repr(stacked) == repr(reference)
+
+    def test_a_non_finite_draw_raises_as_the_per_draw_body(self, monkeypatch):
+        """A NaN rotation at draw 37: MetricSpace.vector refuses its legs."""
+        seed = 5
+        normals = self._normals(seed, 37)
+        original = np.linalg.qr
+
+        def poisoned(m):
+            q, r = original(m)
+            hit = (m == normals).all(axis=(-2, -1))
+            return np.where(hit[..., None, None], np.nan, q), r
+
+        monkeypatch.setattr(np.linalg, "qr", poisoned)
+        stacked, reference = self._both(seed)
+        assert stacked.detail == {"error": "NonFiniteError",
+                                  "message": "vector has non-finite entries: "
+                                             "[0.0, nan, nan, nan]"}
+        assert repr(stacked) == repr(reference)

@@ -127,6 +127,31 @@ class TestKinematicsCommands:
                                   str(DATA / "accel.json")))
         assert recs[0]["a_prime"][1] == pytest.approx(0.512)
 
+    def test_accel_magnitude_near_the_largest_double(self, tmp_path):
+        """The square of a' overflows; its magnitude does not."""
+        doc = json.loads((DATA / "accel.json").read_text())
+        doc["vectors"].update(v=[0, 0, 0, 0], u=[0, 0, 0, 0], a=[0, 1.7976931348e308, 0, 0])
+        path = write_scenario(tmp_path, json.dumps(doc))
+        proc = run_cli("accel", "--scenario", path)
+        assert ('"a_prime":[0.0,1.7976931348e+308,0.0,0.0],'
+                '"magnitude":1.7976931348e+308}') in proc.stdout
+
+    @pytest.mark.parametrize("components, magnitude", [
+        ([0.0, 1e308, 1e308, 0.0], 2.0 ** 0.5 * 1e308),   # v.v = inf
+        ([1e308, 1.5e308, 0.0, 0.0], 1.118033988749895e308),  # v.v = inf - inf
+        ([0.0, 1.5e308, 1.5e308, 0.0], float("inf")),     # |v| beyond the largest double
+        ([1.5e308, 1e308, 0.0, 0.0], 0.0),                # v.v = -inf + inf: time-like
+    ])
+    def test_magnitude_of_a_vector_whose_square_overflows(self, mink4, components,
+                                                          magnitude):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli._magnitude(mink4.vector(components)) == pytest.approx(magnitude)
+
+    def test_magnitude_of_a_finite_square_is_its_root(self, mink4):
+        for comps in ([0.0, 0.3, 0.4, 0.0], [1.0, 0.5, 0.0, 0.0], [0.0, 1e-200, 0.0, 0.0]):
+            v = mink4.vector(comps)
+            assert cli._magnitude(v) == float(np.sqrt(max(v.square(), 0.0)))
+
     def test_groupoid(self):
         recs = records_of(run_cli("groupoid", "--scenario",
                                   str(DATA / "groupoid.json")))
@@ -183,6 +208,26 @@ class TestOutputContract:
         lines = target.read_text().splitlines()
         assert json.loads(lines[0])["kind"] == "link"
         assert json.loads(lines[-1])["type"] == "summary"
+
+    @pytest.mark.parametrize("fmt, prefix", [("json", ""), ("csv", "# ")])
+    def test_out_file_that_cannot_be_opened_exits_two(self, tmp_path, fmt, prefix):
+        target = tmp_path / "missing" / "x.json"
+        proc = run_cli("link", "--scenario", str(DATA / "golden_link.json"),
+                       "--out", str(target), "--format", fmt, expect=2)
+        assert proc.stderr == ""
+        assert proc.stdout.startswith(prefix)
+        assert json.loads(proc.stdout[len(prefix):]) == {
+            "type": "error", "error": "FileNotFound",
+            "message": f"cannot write --out {str(target)!r}: No such file or directory"}
+        assert not target.parent.exists()
+
+    def test_out_file_that_cannot_be_opened_after_a_refusal_exits_two(self, tmp_path):
+        proc = run_cli("link", "--scenario", str(DATA / "zeromu.json"),
+                       "--out", str(tmp_path), expect=2)
+        assert proc.stderr == ""
+        assert records_of(proc) == [{
+            "type": "error", "error": "IsADirectory",
+            "message": f"cannot write --out {str(tmp_path)!r}: Is a directory"}]
 
     def test_csv_format(self):
         proc = run_cli("link", "--scenario", str(DATA / "golden_link.json"),
