@@ -42,6 +42,7 @@ from .metric_core import (
 from .sampling import (
     _MAX_TRIES,
     SIGNATURES,
+    Normals,
     RngBlock,
     make_space,
     random_admissible_bivector,
@@ -801,11 +802,13 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
     and residual, the general rays first.
 
     An index draws from its own stream, ``rng_for(seed, stream, i)``, until
-    a ray is accepted, at most 1000 times.  One
-    :class:`~relkin.sampling.RngBlock` seeds both streams' generators in one
-    bulk pass.  The rays are selected in rounds: round k stacks the k-th
-    draw of every index still open, and each index keeps its first accepted
-    ray with its planar flag.  Then the accepted rays are linked as one
+    a ray is accepted, at most 1000 times: a general ray is ``normal(size=
+    dim)``, a planar ray a R + b S from ``normal(size=2)``.  One
+    :class:`~relkin.sampling.RngBlock` seeds both streams in one bulk pass
+    and draws almost every index's first ray in one array pass over both.
+    The rays are selected in rounds: round k stacks the k-th draw of every
+    index still open, and each index keeps its first accepted ray with its
+    planar flag.  Then the accepted rays are linked as one
     batch in scan order, with every check of one link on every row.  A
     refused ray, or an index that spends its 1000 draws
     (DrawsExhaustedError), stops the scan: the first such index in scan
@@ -815,13 +818,7 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
     dim = r.space.dim
     rc, sc = r.components, s.components
 
-    def general_ray(rng):
-        return rng.normal(size=dim)  # the draw of random_vector
-
-    def planar_ray(rng):
-        a, b = rng.normal(size=2)
-        return a * rc + b * sc
-
+    general_ray, planar_weights = Normals(dim), Normals(2)
     counts = (max(0, int(n_general)), max(0, int(n_planar)))
     n_first, n = counts[0], sum(counts)
     # Scan position k < n_first is general index k; n_first + j is planar index j.
@@ -840,8 +837,9 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
         if not pending.size:
             break
         split = np.searchsorted(pending, n_first)
-        drawn = np.array(block.draw(pending[:split], general_ray)
-                         + block.draw(pending[split:], planar_ray))
+        general = np.reshape(block.draw(pending[:split], general_ray), (-1, dim))
+        ab = np.reshape(block.draw(pending[split:], planar_weights), (-1, 2))
+        drawn = np.concatenate((general, ab[:, :1] * rc + ab[:, 1:] * sc))
         terms = lnk._Terms.stacked(problem, drawn)
         keep = (~(terms.generic & ~terms.p_transversal)
                 & ~(np.abs(terms.psum) < 0.05)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relkin import checks, sampling
-from relkin.sampling import RngBlock, rng_for
+from relkin.sampling import Normals, RngBlock, rng_for
 from relkin.scenario import load as load_scenario
 
 DATA = Path(__file__).parent / "data"
@@ -221,3 +221,212 @@ class TestScanSeeding:
         assert _outcome(scan) == expected
         if seed == -1:
             assert expected[0] is ValueError
+
+
+# -- the array pass: every stream's first normals as uint64 arithmetic --------
+
+def _next_output(state):
+    """PCG64's next uint64 from a ``bit_generator.state`` dict, in Python
+    ints: one LCG step, then XSL-RR (the halves xored, rotated right by the
+    top 6 bits)."""
+    s = (state["state"]["state"] * sampling._PCG_MULT + state["state"]["inc"]) % 2**128
+    x, rot = (s >> 64) ^ (s % 2**64), s >> 122
+    return (x >> rot | x << (64 - rot)) % 2**64
+
+
+def _layer_and_magnitude(output):
+    return output & 0xFF, output >> 9 & (2**52 - 1)
+
+
+def _block_rows(seed, streams, counts, rounds):
+    """Each round's (indices, k) drawn as Normals(k) from one block."""
+    block = RngBlock(seed, streams, counts)
+    return block, [np.asarray(block.draw(indices, Normals(k))).tolist() for indices, k in rounds]
+
+
+def _reference_rows(seed, streams, counts, rounds):
+    """What each position's own rng_for generator draws, round by round."""
+    rngs = {}
+    for indices, _ in rounds:
+        for p in indices:
+            if p not in rngs:
+                part = int(p >= counts[0])
+                rngs[p] = rng_for(seed, streams[part], p - part * counts[0])
+    return [[rngs[p].normal(size=k).tolist() for p in indices] for indices, k in rounds]
+
+
+@st.composite
+def normal_plans(draw):
+    """Block counts, then rounds of (indices, k): any positions, repeats
+    included, or the first round every position once, in any order."""
+    counts = draw(st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(sum))
+    total = sum(counts)
+    any_positions = st.lists(st.integers(0, total - 1), max_size=2 * total)
+    rounds = [draw(st.one_of(st.permutations(range(total)), any_positions))]
+    rounds += draw(st.lists(any_positions, max_size=2))
+    return counts, [(indices, draw(st.integers(2, 6))) for indices in rounds]
+
+
+class TestArrayDraws:
+    """A block's first Normals draws come from one array pass, and every
+    row is what the position's own rng_for generator draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=words, streams=st.tuples(words, words), plan=normal_plans())
+    @example(seed=0, streams=(1, 2), plan=((3, 2), [([4, 0, 4, 1, 2, 0, 3], 4), ([4, 4, 0], 2)]))
+    @example(seed=WORD - 1, streams=(1, 2), plan=((40, 40), [(list(range(80)), 6)]))
+    def test_rows_are_those_of_rng_for(self, seed, streams, plan):
+        counts, rounds = plan
+        _, rows = _block_rows(seed, streams, counts, rounds)
+        assert rows == _reference_rows(seed, streams, counts, rounds)
+
+    def test_only_positions_off_the_fast_path_hold_a_state(self):
+        block, _ = _block_rows(9, (1, 2), (200, 20), [(range(220), 4)])
+        _, leading = block._first
+        assert 0 < len(block._saved) < 30
+        assert set(block._saved) == set(np.flatnonzero(leading < 4).tolist())
+
+    def test_a_million_normals_over_keyed_streams(self):
+        """42,000 keyed streams of 24 normals each: 1,008,000 draws.  About
+        1.5% of the draws leave the fast path, so about 30% of the streams
+        draw through the Generator."""
+        counts, k = (40_000, 2_000), 24
+        block = RngBlock(11, (1, 2), counts)
+        rows = block.draw(range(sum(counts)), Normals(k))
+        assert rows.shape == (42_000, 24)
+        expected = [rng_for(11, stream, i).normal(size=k)
+                    for stream, n in zip((1, 2), counts) for i in range(n)]
+        assert np.array_equal(rows, expected)
+        assert 0.2 < len(block._saved) / len(rows) < 0.4
+
+
+class TestOffTheFastPath:
+    """Streams whose first draw leaves NumPy's fast path, found by search:
+    in layer 0 (the tail layer) beyond its ki, in layer 1 (where ki is 0)
+    and in a layer 2-255 beyond its ki.  Such a position draws through the
+    Generator from its seed state, and later draws continue it."""
+
+    SEED, SEARCHED = 5, 30_000
+
+    @pytest.fixture(scope="class")
+    def found(self):
+        _, ki = sampling._ziggurat()
+        found = {}
+        for stream in (1, 2):
+            states = sampling._pcg64_states(self.SEED, stream, np.arange(self.SEARCHED))
+            for i, state in enumerate(states):
+                layer, rabs = _layer_and_magnitude(_next_output(state))
+                if rabs >= ki[layer]:
+                    kind = {0: "tail", 1: "layer 1"}.get(layer, "layers 2-255")
+                    found.setdefault((kind, stream), i)
+        return found
+
+    def test_the_search_finds_every_kind_in_both_streams(self, found):
+        assert sorted(found) == [(kind, stream) for kind in ("layer 1", "layers 2-255", "tail")
+                                 for stream in (1, 2)]
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_such_streams_draw_what_rng_for_draws(self, found, k):
+        """The found positions draw with their neighbours, then again in
+        reverse order, then once more with k = 2."""
+        general = sorted(i for (_, stream), i in found.items() if stream == 1)
+        planar = sorted(i for (_, stream), i in found.items() if stream == 2)
+        counts = (general[-1] + 1, planar[-1] + 1)
+        positions = general + [counts[0] + j for j in planar]
+        neighbours = [p - 1 for p in positions if p > 0 and p - 1 not in positions]
+        rounds = [(positions + neighbours, k), (positions[::-1], k), (positions, 2)]
+        block, rows = _block_rows(self.SEED, (1, 2), counts, rounds)
+        assert rows == _reference_rows(self.SEED, (1, 2), counts, rounds)
+        assert set(positions) <= set(block._saved)
+
+
+class TestFastPathGuard:
+    """ki of layers 2-255 comes from an estimate, less a band; the exact ki,
+    bisected here through NumPy's own draws, never lies below it."""
+
+    @staticmethod
+    def _takes_one_output(gen, output):
+        inc = 1
+        state = (output - inc) * pow(sampling._PCG_MULT, -1, 2**128) % 2**128
+        gen.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        gen.normal()
+        return (gen.bit_generator.state["state"]["state"]
+                == (state * sampling._PCG_MULT + inc) % 2**128)
+
+    def test_the_kept_bound_never_exceeds_the_exact_one(self):
+        gen = np.random.Generator(np.random.PCG64(0))
+        exact = []
+        for layer in range(256):
+            lo, hi = -1, 2**52  # magnitude lo is fast (none at -1), hi is not
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if self._takes_one_output(gen, layer | mid << 9) else (lo, mid)
+            exact.append(hi)
+        _, ki = sampling._ziggurat()
+        kept = [int(v) for v in ki]
+        assert exact[1] == kept[1] == 0
+        assert exact[0] == kept[0]
+        assert all(exact[i] - 2 * sampling._KI_BAND <= kept[i] <= exact[i]
+                   for i in range(2, 256))
+
+
+class TestNormalsProbe:
+    @pytest.fixture
+    def golden(self):
+        golden = load_scenario(str(DATA / "golden_scan.json"))
+        space = golden.build_space()
+        return golden.vector(space, "R"), golden.vector(space, "S")
+
+    @pytest.mark.parametrize("table, layer, factor", [(0, 37, 1 + 1e-12), (0, 0, 1 - 1e-12),
+                                                      (1, 200, 1 + 1e-6)])
+    def test_a_mismatch_draws_every_position_through_the_generator(
+            self, golden, monkeypatch, table, layer, factor):
+        """With one table entry changed (a wider fast path where ki grows),
+        the first-use probe fails, no block draws in the array pass, and the
+        scan is unchanged."""
+        r, s = golden
+
+        def scan():
+            return repr(checks.link_ray_scan(r, s, seed=4, n_general=60, n_planar=10))
+
+        expected = scan()
+        tables = [column.copy() for column in sampling._ziggurat()]
+        tables[table][layer] = tables[table][layer] * factor
+        monkeypatch.setattr(sampling, "_ZIGGURAT", tuple(tables))
+        monkeypatch.setattr(sampling, "_normals_ok", None)
+        assert not sampling._normals_agree()
+        calls = []
+        monkeypatch.setattr(sampling, "_first_normals", lambda *args: calls.append(args))
+        block = RngBlock(4, (1, 2), (30, 5))
+        rows = block.draw(range(35), Normals(3))
+        assert isinstance(rows, list) and len(block._saved) == 35
+        assert scan() == expected
+        assert calls == []
+
+    def test_the_probe_holds_on_this_numpy(self):
+        assert sampling._bulk_agrees() and sampling._normals_agree()
+
+
+class TestGoldenScanAtScale:
+    def test_ten_thousand_rays_are_those_of_per_index_generators(self, monkeypatch):
+        """About 6% of the golden scan's indices draw off the fast path in
+        round 1 at dim 4, so this covers the mixed round at scale."""
+        golden = load_scenario(str(DATA / "golden_scan.json"))
+        space = golden.build_space()
+        r, s = golden.vector(space, "R"), golden.vector(space, "S")
+        first_draws_off = []
+        true_draw_one = RngBlock._draw_one
+
+        def counted(block, i, fn):
+            if block._taken[i] == 0:
+                first_draws_off.append(i)
+            return true_draw_one(block, i, fn)
+
+        monkeypatch.setattr(RngBlock, "_draw_one", counted)
+        scan = checks.link_ray_scan(r, s, seed=0, n_general=10_000, n_planar=100)
+        assert 100 < len(first_draws_off) < 1000
+        monkeypatch.setattr(checks, "RngBlock", _PerIndexBlock)
+        assert checks.link_ray_scan(r, s, seed=0, n_general=10_000, n_planar=100)["records"] \
+            == scan["records"]
