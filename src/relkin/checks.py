@@ -808,8 +808,9 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
     and draws almost every index's first ray in one array pass over both.
     The rays are selected in rounds: round k stacks the k-th draw of every
     index still open, and each index keeps its first accepted ray with its
-    planar flag.  Then the accepted rays are linked as one
-    batch in scan order, with every check of one link on every row.  A
+    planar flag and the terms its round formed.  Then the accepted rays are
+    linked from those terms as one batch in scan order, with every check of
+    one link on every row.  A
     refused ray, or an index that spends its 1000 draws
     (DrawsExhaustedError), stops the scan: the first such index in scan
     order decides what is raised.  The first link is also built by
@@ -829,8 +830,9 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
         columns.update(planar=[], mu=[], gamma=[], residual=[])
         return _scan_summary(ScanRecords(columns), np.empty((0, dim, dim)), n_first)
     problem = lnk.LinkProblem(r, s)
-    # Selection: each round draws once for every index still open.
-    rays = np.empty((n, dim))
+    # Selection: each round draws once for every index still open, and each
+    # index keeps the terms of its accepted ray, in scan order.
+    kept = None
     planar = np.empty(n, dtype=bool)
     pending = np.arange(n)
     for _ in range(_MAX_TRIES):
@@ -844,12 +846,13 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
         keep = (~(terms.generic & ~terms.p_transversal)
                 & ~(np.abs(terms.psum) < 0.05)
                 & ~(np.abs(terms.denominator) < 0.05))
-        rays[pending[keep]] = drawn[keep]
+        kept = terms.room(n) if kept is None else kept
+        kept.put(pending[keep], terms, keep)
         planar[pending[keep]] = lnk._planar_rows(problem, terms)[keep]
         pending = pending[~keep]
     # Linking: the accepted rays before the first index that ran out of draws.
     stop = int(pending[0]) if pending.size else n
-    links = lnk._link_rows(problem, lnk._Terms.stacked(problem, rays[:stop]))
+    links = lnk._link_rows(problem, kept.rows(slice(stop)))
     if links.error is not None:
         raise links.error
     if pending.size:
@@ -861,7 +864,7 @@ def link_ray_scan(r, s, seed: int = 0, n_general: int = 100,
                    mu=[None] * n if links.mu is None else links.mu.tolist(),
                    gamma=links.gamma.tolist(), residual=links.residual.tolist())
     records = ScanRecords(columns)
-    _check_first_link(r, s, records[0], links.entries[0], rays[0])
+    _check_first_link(r, s, records[0], links.entries[0], kept.p[0])
     return _scan_summary(records, links.entries, n_first)
 
 

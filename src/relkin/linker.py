@@ -194,6 +194,18 @@ class _Terms(NamedTuple):
         return self._replace(**{name: getattr(self, name)[index]
                                 for name in _RAY_FIELDS})
 
+    def room(self, n: int) -> "_Terms":
+        """Stacked terms with ``n`` unset rays, the other fields as here."""
+        return self._replace(**{name: np.empty((n, *getattr(self, name).shape[1:]),
+                                               getattr(self, name).dtype)
+                                for name in _RAY_FIELDS})
+
+    def put(self, index, source: "_Terms", select) -> None:
+        """Write the rays of the stacked ``source`` selected by ``select`` to
+        the rays ``index`` of these terms."""
+        for name in _RAY_FIELDS:
+            getattr(self, name)[index] = getattr(source, name)[select]
+
     def problems(self, space) -> list["_Terms"]:
         """The terms of each stacked (R, S), as :meth:`of` forms one problem's."""
         columns = [[_fresh(Vector, row, space) for row in field] if field.ndim > 1

@@ -373,17 +373,13 @@ def scalar_product(a: Vector, b: Vector) -> float:
     """Metric pairing a.b.
 
     Evaluated through the symmetrized outer product so that the result is
-    bit-identical under argument exchange.  The outer product and the sum
-    call the ufuncs directly: the same operations as ``np.outer`` and
-    ``np.sum``, without their Python-level wrappers.  ``kernels.pairing_rows``
-    repeats this arithmetic bit for bit for stacked pairs, and the library's
-    own formulas evaluate all the pairings they need in one such pass: a pass
-    over several pairs costs about as much as one call here.
+    bit-identical under argument exchange, by ``kernels.pairing_rows``, the
+    one body of the pairing formula.  The library's own formulas evaluate
+    all the pairings they need in one such pass: a pass over several pairs
+    costs about as much as one call here.
     """
     space = same_space(a, b)
-    sym = a.components[:, None] * b.components
-    sym = sym + sym.T
-    return 0.5 * float(np.add.reduce(space.g * sym, axis=None))
+    return float(pairing_rows(space.g, a.components, b.components))
 
 
 def _check_unit_timelike(space: MetricSpace, message: str, *squares: float) -> None:
