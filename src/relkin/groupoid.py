@@ -15,9 +15,9 @@ import numpy as np
 
 from . import kernels
 from .errors import InternalConsistencyError, NotComposableError, SpaceMismatchError
-from .kinematics import Observer, Velocity3, _check_c, velocity_add
+from .kinematics import Observer, Velocity3, velocity_add
 from .linker import _Terms, _binary_velocity, _ternary_velocity, binary_velocity
-from .metric_core import Vector, _fresh, maxabs, same_space
+from .metric_core import Vector, _check_c, _fresh, maxabs, same_space
 
 __all__ = [
     "ObserverObject",

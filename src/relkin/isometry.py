@@ -22,8 +22,8 @@ from .errors import (
     NullVectorError,
     OutOfDomainError,
 )
-from .kernels import (GAMMA_MESSAGE, LAW_MESSAGE, LINK_MESSAGE, gamma_defect,
-                      law_defect, within)
+from .kernels import (GAMMA_MESSAGE, LAW_MESSAGE, LINK_MESSAGE, law_defect, run_checks,
+                      within)
 from .metric_core import (
     Covector,
     Endomorphism,
@@ -71,16 +71,9 @@ class Isometry:
     gamma: float | None = None
 
     def __post_init__(self):
-        space = self.mapping.space
-        res = isometry_residual(self.mapping)
-        size = self.mapping.max_norm()
-        if not within(res, space.tol_rel, space.g_max * (size * size)):
-            raise InternalConsistencyError(LAW_MESSAGE.format(res))
+        run_checks(_law_check(self.mapping.space, self.mapping.entries))
         if self.generator is not None and self.gamma is not None:
-            m2 = self.generator.square()
-            defect = gamma_defect(self.gamma, m2)
-            if not within(defect, space.tol_rel, abs(m2), self.gamma * self.gamma):
-                raise InternalConsistencyError(GAMMA_MESSAGE.format(defect))
+            run_checks(_gamma_check(self.mapping.space, self.generator.square(), self.gamma))
 
     @property
     def space(self) -> MetricSpace:
@@ -225,12 +218,30 @@ def stabilizer_element(r: Vector, b: SimpleBivector) -> Isometry:
 
 
 def _verified(iso: Isometry, r: Vector, s: Vector, message: str = LINK_MESSAGE):
-    """``iso`` once it is checked to map R to S within the link bound; raises
-    InternalConsistencyError with ``message`` and the residual otherwise."""
-    res = maxabs(iso.apply(r).components - s.components)
-    if not within(res, r.space.tol_rel, maxabs(s.components)):
-        raise InternalConsistencyError(message.format(res))
+    """``iso`` once it passes :func:`_link_check` for R and S with ``message``."""
+    run_checks(_link_check(r.space, iso.mapping.entries, r.components, s.components, message))
     return iso
+
+
+def _law_check(space: MetricSpace, entries, top=maxabs):
+    """The check L* g L = g of ``entries``, stacked with ``top`` = ``kernels.maxabs_rows``."""
+    residual, size = top(law_defect(space.g, entries)), top(entries)
+    return (within(residual, space.tol_rel, space.g_max * (size * size)) ^ True,
+            InternalConsistencyError, LAW_MESSAGE, residual)  # ^ True: not, on bools and masks
+
+
+def _gamma_check(space: MetricSpace, m2, gamma):
+    """The generator record gamma^2 = 1 - m2 of a generator of square ``m2``."""
+    defect = abs(gamma * gamma - (1.0 - m2))
+    return (within(defect, space.tol_rel, abs(m2), gamma * gamma) ^ True,
+            InternalConsistencyError, GAMMA_MESSAGE, defect)
+
+
+def _link_check(space: MetricSpace, entries, r, s, message: str = LINK_MESSAGE, top=maxabs):
+    """The check LR = S, of value max|LR - S|, with ``top`` as in :func:`_law_check`."""
+    residual = top(entries @ r - s)
+    return (within(residual, space.tol_rel, maxabs(s)) ^ True,
+            InternalConsistencyError, message, residual)
 
 
 def _max_abs_rows(flat, which, op):

@@ -20,7 +20,8 @@ find non-zero, nested as it nests them, to the same bits.  Powers
 are written as products, which round alike on floats and arrays and
 overflow to inf instead of raising.
 
-Every check of the library compares with one rule, :func:`within`.
+Every check of the library compares with one rule, :func:`within`, and a
+link's checks run through one runner, :func:`run_checks`, on floats or rows.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "LAW_MESSAGE",
     "LINK_MESSAGE",
     "bivector_pairing",
-    "gamma_defect",
     "is_null",
     "larger",
     "law_defect",
@@ -42,9 +42,9 @@ __all__ = [
     "link_terms",
     "maxabs_rows",
     "pairing_rows",
+    "run_checks",
     "trivector_rows",
     "velocity_sum",
-    "wedge_denominator",
     "wedge_maxabs_rows",
     "within",
 ]
@@ -80,6 +80,28 @@ def within(value, tol, *scales):
         return (value <= bound) & (bound < np.inf)
     bound = tol * max(1.0, *scales) if scales else tol
     return value <= bound < np.inf
+
+
+def run_checks(*checks, rows=None):
+    """Run ``checks``, each (failed, error type, message, value), in order.
+
+    One result raises the first failed check's error, ``message.format(value)``.
+    For ``rows`` stacked rows, ``failed`` is a mask (or one bool for all rows)
+    and ``value`` has one entry per row: return the number of rows before the
+    first failing row, and that row's first error (None if no row fails)."""
+    if rows is None:
+        for failed, kind, message, value in checks:
+            if failed:
+                raise kind(message.format(value))
+        return None
+    n, error = rows, None
+    for failed, kind, message, value in checks:
+        mask = failed[:n] if np.ndim(failed) else failed
+        hit = np.flatnonzero(np.broadcast_to(mask, (n,)))
+        if hit.size:
+            n = int(hit[0])
+            error = kind(message.format(value[n] if np.ndim(value) else value))
+    return n, error
 
 
 # -- combination formulas: floats for one ray, arrays for stacked rays ------
@@ -132,13 +154,6 @@ def is_null(square, comp_max, tol):
     return within(abs(square), tol, comp_max * comp_max)
 
 
-def wedge_denominator(psum, w2, tol):
-    """{P^(R-S)}^2 + {P.(R+S)}^2, and whether it vanishes to tolerance."""
-    psum2 = psum * psum
-    denom = w2 + psum2
-    return denom, within(abs(denom), tol, abs(w2), psum2)
-
-
 def link_mu(psum, wedge_denom):
     """mu = 2 P.(R+S) / ({P^(R-S)}^2 + {P.(R+S)}^2)."""
     return 2.0 * psum / wedge_denom
@@ -165,11 +180,6 @@ def link_entries(p, d, alpha, beta):
 def law_defect(g, entries):
     """L* g L - g, for one operator or stacked operators."""
     return entries.swapaxes(-1, -2) @ g @ entries - g
-
-
-def gamma_defect(gamma, m2):
-    """|gamma^2 - (1 - m2)| of a generator record of square ``m2``."""
-    return abs(gamma * gamma - (1.0 - m2))
 
 
 # -- stacked kernels: one row per ray ----------------------------------------

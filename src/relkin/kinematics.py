@@ -9,7 +9,6 @@ such an operator written out in scalars.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,7 +18,6 @@ from .errors import (
     DegenerateDenominatorError,
     DegenerateEpochError,
     InternalConsistencyError,
-    NonFiniteError,
     NotObservedError,
     NotFutureDirectedError,
     PreferredObserverMismatchError,
@@ -33,6 +31,7 @@ from .metric_core import (
     MetricSpace,
     SimpleBivector,
     Vector,
+    _check_c,
     _finite,
     _fresh,
     _check_unit_timelike,
@@ -140,14 +139,6 @@ class Velocity3:
         return float(np.sqrt(max(0.0, self.vector.square())))
 
 
-def _check_c(c) -> None:
-    """Refuse a speed of light that is not positive, then one that is not finite."""
-    if c <= 0.0:
-        raise SpaceMismatchError("c must be positive")
-    if not math.isfinite(c):
-        raise NonFiniteError(f"c = {c!r} is not finite")
-
-
 def _observed_square(space: MetricSpace, p: Vector, v: Vector, message: str) -> float:
     """v.v, once v is orthogonal to the observer vector P to the tolerance of
     ``space``; raises NotObservedError, ``message`` formatted with P.v, otherwise."""
@@ -185,6 +176,7 @@ class TransformResult:
 def event_coordinates(r: Observer, e: Vector, c: float = 1.0) -> EventCoordinates:
     """Decompose an event vector as e = c t R + x with x orthogonal to R."""
     same_space(r.vector, e)
+    _check_c(c)
     ct = -scalar_product(r.vector, e)
     return EventCoordinates(float(ct / c), r.rest_projection(e))
 
@@ -192,6 +184,7 @@ def event_coordinates(r: Observer, e: Vector, c: float = 1.0) -> EventCoordinate
 def event_vector(r: Observer, coords: EventCoordinates, c: float = 1.0) -> Vector:
     """Recompose an event vector from observer coordinates."""
     same_space(r.vector, coords.x)
+    _check_c(c)
     return float(c) * float(coords.t) * r.vector + coords.x
 
 
@@ -343,6 +336,7 @@ def urbantke_velocity(t: float, x: Vector, t_prime: float, x_prime: Vector,
     Requires t + t' != 0.
     """
     same_space(x, x_prime)
+    _check_c(c)
     if within(abs(t + t_prime), x.space.tol_abs, abs(t), abs(t_prime)):
         raise DegenerateEpochError("t + t' = 0; velocity recovery undefined")
     q = (1.0 / (t + t_prime)) * (x - x_prime)

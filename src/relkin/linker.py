@@ -37,11 +37,12 @@ from .errors import (
     RelkinError,
     ZeroMuError,
 )
-from .isometry import Isometry, _verified
+from .isometry import Isometry, _gamma_check, _law_check, _link_check, _verified
 from .metric_core import (
     Endomorphism,
     SimpleBivector,
     Vector,
+    _check_c,
     _fresh,
     _check_unit_timelike,
     idempotent_of,
@@ -223,32 +224,35 @@ def _split(values: np.ndarray, count: int, one: bool):
     return values.tolist() if one else values.reshape(count, -1)
 
 
-# mu's refusals, in the order they are raised.
-_MU_REFUSALS = (
-    (DegenerateLinkError, "(R-S)^2 = 0; no generic link exists"),
-    (ZeroMuError, "P.(R+S) = 0; the ray cannot parametrize a link"),
-    (DegenerateLinkError, "P^(R-S) = 0; the ray is not transversal"),
-    (DegenerateLinkError, "degenerate link denominator"),
-)
-
-
 def _mu_of(t: _Terms, tol: float) -> float:
-    """mu of one ray's terms, after the refusals of ``_MU_REFUSALS`` in order."""
-    tests, denom = _mu_tests(t, tol)
-    for failed, (error, message) in zip(tests, _MU_REFUSALS):
-        if failed:
-            raise error(message)
+    """mu of one ray's terms, once the refusals of :func:`_mu_checks` pass."""
+    checks, denom = _mu_checks(t, tol)
+    kernels.run_checks(*checks)
     return kernels.link_mu(t.psum, denom)
 
 
-def _mu_tests(t: _Terms, tol: float):
-    """The tests of ``_MU_REFUSALS`` and mu's wedge denominator.
+def _mu_checks(t: _Terms, tol: float):
+    """mu's four refusals of the terms ``t``, in order, and mu's denominator."""
+    wedge, denom = _mu_denominator(t, tol)
+    return ((not t.generic, DegenerateLinkError, "(R-S)^2 = 0; no generic link exists", None),
+            (kernels.within(abs(t.psum), tol, t.sum_scale), ZeroMuError,
+             "P.(R+S) = 0; the ray cannot parametrize a link", None),
+            (t.p_transversal ^ True, DegenerateLinkError,  # ^ True: not, on bools and masks
+             "P^(R-S) = 0; the ray is not transversal", None),
+            wedge), denom
 
-    Each test is a bool for one ray, or a mask for stacked rays.
-    """
-    denom, degenerate = kernels.wedge_denominator(t.psum, t.w2, tol)
-    return (not t.generic, kernels.within(abs(t.psum), tol, t.sum_scale),
-            np.logical_not(t.p_transversal), degenerate), denom
+
+def _mu_denominator(t: _Terms, tol: float):
+    """mu's denominator {P^(R-S)}^2 + {P.(R+S)}^2 as (its refusal, its value)."""
+    psum2 = t.psum * t.psum
+    denom = t.w2 + psum2
+    return _degenerate(denom, tol, abs(t.w2), psum2), denom
+
+
+def _degenerate(denominator, tol: float, *scales):
+    """The refusal of a vanishing link denominator: mu's, or D with no scales."""
+    return (kernels.within(abs(denominator), tol, *scales), DegenerateLinkError,
+            "degenerate link denominator", None)
 
 
 @dataclass(frozen=True)
@@ -314,8 +318,7 @@ def p_link(problem: LinkProblem) -> Isometry:
         return _planar_link(problem)
     mu = problem._mu
     p, d, dd = t.p, t.d, t.denominator
-    if kernels.within(abs(dd), space.tol_abs):
-        raise DegenerateLinkError("degenerate link denominator")
+    kernels.run_checks(_degenerate(dd, space.tol_abs))
     g = space.g
     alpha, beta = kernels.link_covectors(t.d2, t.pp, t.pr, t.ps, dd,
                                          g @ p.components, g @ d.components)
@@ -349,66 +352,41 @@ def _planar_rows(problem: LinkProblem, t: _Terms) -> np.ndarray:
     return kernels.within(witness, problem.space.tol_abs, t.norms * t.norms * t.norms)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _link_rows(problem: LinkProblem, t: _Terms) -> _RayLinks:
     """The links of the stacked rays of ``t``, with every check of one link.
 
     Each row gets what :func:`p_link` builds for its ray, with the gamma of
-    :func:`gamma_of_link` for R = S, and mu when the problem is generic.  The
-    refusals of mu, the denominator test, the isometry law, the gamma record
-    and LR = S run on every row, in that order and with the bounds and
-    messages of the object path (the identity rows of R = S skip the
-    denominator, law and gamma checks); the rows stop at the first refused ray.
-    """
+    :func:`gamma_of_link` for R = S, and mu when the problem is generic.  All
+    rows are formed, then run one link's checks (R = S skips D, law and gamma)
+    and stop at the first refused ray, whose values may be non-finite."""
     space = problem.space
-    tol_rel = space.tol_rel
-    n = len(t.psum)
-    error = None
-
-    def check(failed, kind, message):
-        nonlocal n, error
-        rows = failed[:n] if np.ndim(failed) else failed
-        hit = np.flatnonzero(np.broadcast_to(rows, (n,)))
-        if hit.size:
-            n = int(hit[0])
-            error = kind(message if isinstance(message, str) else message(n))
-
-    mu = None
+    checks, mu = [], None
     if t.generic or not t.coincide:
-        tests, denom = _mu_tests(t, space.tol_abs)
-        for failed, (kind, message) in zip(tests, _MU_REFUSALS):
-            check(failed, kind, message)
-        mu = kernels.link_mu(t.psum[:n], denom[:n])
+        checks, denom = _mu_checks(t, space.tol_abs)
+        mu = kernels.link_mu(t.psum, denom)
     r, s = problem.R.components, problem.S.components
     if t.coincide:
         eye = space.eye
-        entries, gamma = np.broadcast_to(eye, (n,) + eye.shape), np.ones(n)
+        entries, gamma = np.broadcast_to(eye, (len(t.p),) + eye.shape), np.ones(len(t.p))
     else:
-        check(kernels.within(abs(t.denominator), space.tol_abs), DegenerateLinkError,
-              "degenerate link denominator")
         g = space.g
-        p = t.p[:n]
-        gp = np.matmul(g, p[:, :, None])[..., 0]
-        alpha, beta = kernels.link_covectors(
-            t.d2, t.pp[:n, None], t.pr[:n, None], t.ps[:n, None],
-            t.denominator[:n, None], gp, g @ t.d.components)
-        entries = kernels.link_entries(p, t.d.components, alpha, beta)
-        law = kernels.maxabs_rows(kernels.law_defect(g, entries))
-        size = kernels.maxabs_rows(entries)
-        check(np.logical_not(kernels.within(law, tol_rel, space.g_max * (size * size))),
-              InternalConsistencyError, lambda j: kernels.LAW_MESSAGE.format(law[j]))
+        gp = np.matmul(g, t.p[:, :, None])[..., 0]
+        alpha, beta = kernels.link_covectors(t.d2, t.pp[:, None], t.pr[:, None],
+                                             t.ps[:, None], t.denominator[:, None],
+                                             gp, g @ t.d.components)
+        entries = kernels.link_entries(t.p, t.d.components, alpha, beta)
         # The generator record (mu P)^(R-S), with gamma + 1 = mu P.(R+S).
-        q = mu[:n, None] * p[:n]
+        q = mu[:, None] * t.p
         d = np.broadcast_to(t.d.components, q.shape)
-        m2 = kernels.bivector_pairing(g, q, d, q, d)
-        gamma = mu[:n] * t.psum[:n] - 1.0
-        defect = kernels.gamma_defect(gamma, m2)
-        check(np.logical_not(kernels.within(defect, tol_rel, abs(m2), gamma * gamma)),
-              InternalConsistencyError, lambda j: kernels.GAMMA_MESSAGE.format(defect[j]))
-    residual = kernels.maxabs_rows(entries[:n] @ r - s)
-    check(np.logical_not(kernels.within(residual, tol_rel, maxabs(s))),
-          InternalConsistencyError, lambda j: kernels.LINK_MESSAGE.format(residual[j]))
+        gamma = mu * t.psum - 1.0
+        checks = [*checks, _degenerate(t.denominator, space.tol_abs),
+                  _law_check(space, entries, kernels.maxabs_rows),
+                  _gamma_check(space, kernels.bivector_pairing(g, q, d, q, d), gamma)]
+    link = _link_check(space, entries, r, s, top=kernels.maxabs_rows)
+    n, error = kernels.run_checks(*checks, link, rows=len(t.p))
     return _RayLinks(entries[:n], None if mu is None else mu[:n], gamma[:n],
-                     residual[:n], error)
+                     link[-1][:n], error)
 
 
 def planar_link(r: Vector, s: Vector) -> Isometry:
@@ -531,6 +509,7 @@ def ternary_velocity(problem: LinkProblem, c: float = 1.0) -> Vector:
     satisfies P.v = 0.  R = S gives the zero velocity; an omitted P defaults
     to the planar choice P = R.
     """
+    _check_c(c)
     t = problem._terms
     return _ternary_velocity(problem.space, t, c, lambda: idempotent_of(t.p).entries)
 
@@ -563,7 +542,6 @@ def gamma_of_link(problem: LinkProblem) -> float:
     t = problem._terms
     if t.coincide:
         return 1.0
-    denom, degenerate = kernels.wedge_denominator(t.psum, t.w2, problem.space.tol_abs)
-    if degenerate:
-        raise DegenerateLinkError("degenerate link denominator")
+    refusal, denom = _mu_denominator(t, problem.space.tol_abs)
+    kernels.run_checks(refusal)
     return abs((t.psum * t.psum - t.w2) / denom)

@@ -15,6 +15,7 @@ builds a new value, which forms its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -362,9 +363,6 @@ class Endomorphism:
     def trace(self) -> float:
         return float(np.trace(self.entries))
 
-    def max_norm(self) -> float:
-        return maxabs(self.entries)
-
     def __repr__(self):
         return f"Endomorphism({np.array2string(self.entries, separator=', ')})"
 
@@ -388,6 +386,14 @@ def _check_unit_timelike(space: MetricSpace, message: str, *squares: float) -> N
     for square in squares:
         if not within(abs(square + 1.0), space.tol_rel):
             raise NotUnitTimelikeError(message.format(square))
+
+
+def _check_c(c) -> None:
+    """Refuse a speed of light that is not positive, then one that is not finite."""
+    if c <= 0.0:
+        raise SpaceMismatchError("c must be positive")
+    if not math.isfinite(c):
+        raise NonFiniteError(f"c = {c!r} is not finite")
 
 
 def bivector_product(b1: SimpleBivector, b2: SimpleBivector) -> float:
@@ -430,7 +436,7 @@ def lie_map(b: SimpleBivector) -> Endomorphism:
     """
     space = b.space
     p, q = b.first.components, b.second.components
-    entries = np.outer(p, space.g @ q) - np.outer(q, space.g @ p)
+    entries = p[:, None] * (space.g @ q) - q[:, None] * (space.g @ p)
     return _fresh(Endomorphism, entries, space)
 
 

@@ -18,18 +18,25 @@ import pytest
 
 from relkin import (
     DrawsExhaustedError,
+    EventCoordinates,
     InternalConsistencyError,
     LinkProblem,
     NonFiniteError,
+    Observer,
     SimpleBivector,
     SpaceMismatchError,
+    Velocity3,
     cli,
+    event_coordinates,
+    event_vector,
     fahnline_boost,
     isometry_from_bivector,
     p_link,
     planar_link,
     reflection,
     sampling,
+    ternary_velocity,
+    urbantke_velocity,
 )
 from relkin.sampling import make_space, random_nonnull_vector, rng_for
 
@@ -359,3 +366,31 @@ class TestOverflowIsQuiet:
         assert np.geterr() == before
         with pytest.warns(RuntimeWarning, match="overflow"):
             np.array([1e200]) * np.array([1e200])
+
+
+class TestSpeedOfLight:
+    """Every public function that takes c refuses a c that is not positive,
+    then one that is not finite, with the errors of ``Velocity3``."""
+
+    @pytest.mark.parametrize("c, error, message", [
+        (0.0, SpaceMismatchError, "c must be positive"),
+        (-1.0, SpaceMismatchError, "c must be positive"),
+        (np.nan, NonFiniteError, "c = nan is not finite"),
+        (np.inf, NonFiniteError, "c = inf is not finite"),
+    ])
+    def test_c_is_checked(self, golden, c, error, message):
+        space, r, s = golden
+        rest = Observer(r)
+        e = space.vector([1.0, 0.5, 0.2, 0.0])
+        x, x_prime = space.vector([0.0, 0.5, 0.0, 0.0]), space.vector([0.0, 0.1, 0.0, 0.0])
+        calls = [
+            lambda: Velocity3(space.vector([0.0, 0.5, 0.0, 0.0]), rest, c),
+            lambda: ternary_velocity(LinkProblem(r, s, r), c),
+            lambda: event_coordinates(rest, e, c),
+            lambda: event_vector(rest, EventCoordinates(1.0, rest.rest_projection(e)), c),
+            lambda: urbantke_velocity(1.0, x, 0.5, x_prime, c),
+        ]
+        for call in calls:
+            with pytest.raises(error) as exc:
+                call()
+            assert str(exc.value) == message
