@@ -55,15 +55,6 @@ def _round_float(value: float):
 
 def _round10(value):
     """Round floats to 10 significant digits, recursively; NaN/inf to None."""
-    # The exact types of most record fields come first; subclasses such as
-    # np.float64 and bool take the general path below.
-    kind = type(value)
-    if kind is float:
-        return _round_float(value)
-    if kind is dict:
-        return {str(k): _round10(v) for k, v in value.items()}
-    if kind is str or value is None:
-        return value
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (float, np.floating)):

@@ -39,10 +39,6 @@ class ObserverObject:
     observer: Observer
     label: str = ""
 
-    @property
-    def space(self):
-        return self.observer.space
-
     def __eq__(self, other):
         if not isinstance(other, ObserverObject):
             return NotImplemented

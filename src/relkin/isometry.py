@@ -86,8 +86,6 @@ class Isometry:
         """self o other; the presentation record does not survive composition."""
         return Isometry(self.mapping @ other.mapping)
 
-    __matmul__ = compose
-
     def inverse(self) -> "Isometry":
         """g^-1 L* g, which inverts any isometry exactly.
 

@@ -315,7 +315,7 @@ def p_link(problem: LinkProblem) -> Isometry:
     r, s = problem.R, problem.S
     t = problem._terms
     if t.coincide or problem.P is None:
-        return _planar_link(problem)
+        return _planar_link(space, r, s, t)
     mu = problem._mu
     p, d, dd = t.p, t.d, t.denominator
     kernels.run_checks(_degenerate(dd, space.tol_abs))
@@ -398,15 +398,15 @@ def planar_link(r: Vector, s: Vector) -> Isometry:
     (S/S.S)^R with gamma = R.S / R.R; R = S returns the identity.  Every
     branch verifies LR = S.
     """
-    return _planar_link(LinkProblem(r, s))
+    problem = LinkProblem(r, s)
+    return _planar_link(problem.space, r, s, problem._terms)
 
 
-def _planar_link(problem: LinkProblem) -> Isometry:
-    """:func:`planar_link` for the R and S of ``problem``, whose construction
-    has already checked R.R = S.S.  Unless R = S the problem's ray is R, so
-    its P.S is R.S."""
-    space, tol = problem.space, problem.space.tol_abs
-    r, s, t = problem.R, problem.S, problem._terms
+def _planar_link(space, r: Vector, s: Vector, t: _Terms) -> Isometry:
+    """:func:`planar_link` of R = ``r`` and S = ``s``, whose R.R = S.S the
+    caller has checked, from the terms ``t`` of the ray P = R, so that P.S
+    is R.S.  R = S reads only ``t.coincide``, which no ray changes."""
+    tol = space.tol_abs
     if t.coincide:
         return _verified(Isometry(space.identity()), r, s)
     if (kernels.is_null(t.rr, maxabs(r.components), tol)
@@ -424,30 +424,20 @@ def _planar_link(problem: LinkProblem) -> Isometry:
 
 
 def fahnline_boost(r: Vector, s: Vector) -> Isometry:
-    """Planar link between future unit time-like vectors, factored form
+    """The planar link between future unit time-like vectors.
 
-        L = id - 2 S (x) gR + (R+S) (x) g(R+S) / (1 - R.S).
-
-    Requires R.R = S.S = -1 within tol_rel and R.S <= -1 within tolerance.
-    Coincides with the planar link; gamma = -R.S.  R = S returns the
+    Checks its domain, R.R = S.S = -1 within tol_rel and then R.S <= -1
+    within tolerance, and returns :func:`planar_link`'s operator and record,
+    whose gamma R.S / R.R is -R.S on that domain.  R = S returns the
     identity, and every branch verifies LR = S.
     """
     space = same_space(r, s)
     # The terms of the ray P = R, whose P.S is R.S.
     t = _Terms.of(space, r.components, r.components, s.components)
     _check_unit_timelike(space, "vectors must be unit time-like (square -1)", t.rr, t.ss)
-    rs = t.ps
-    if rs > -1.0 + space.tol_rel:
-        raise NotFutureDirectedError(f"R.S = {rs!r} must not exceed -1")
-    if t.coincide:
-        return _verified(Isometry(space.identity()), r, s)
-    g = space.g
-    u = r.components + s.components
-    ent = (space.eye
-           - 2.0 * np.outer(s.components, g @ r.components)
-           + np.outer(u, g @ u) / (1.0 - rs))
-    return _verified(Isometry(_fresh(Endomorphism, ent, space),
-                              SimpleBivector(r, s), -rs), r, s)
+    if t.ps > -1.0 + space.tol_rel:
+        raise NotFutureDirectedError(f"R.S = {t.ps!r} must not exceed -1")
+    return _planar_link(space, r, s, t)
 
 
 def null_link_conditions(problem: LinkProblem, gamma: float) -> tuple[float, float]:

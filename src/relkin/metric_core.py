@@ -243,18 +243,11 @@ class Vector(_Components):
     components: np.ndarray
     space: MetricSpace
 
-    def dot(self, other: "Vector") -> float:
-        return scalar_product(self, other)
-
     def square(self) -> float:
         """v.v, formed on first use and kept when the components are settled."""
         kept = self.__dict__.get("_square")
         return kept if kept is not None else _keep(self, scalar_product(self, self),
                                                    self.components)
-
-    def wedge(self, other: "Vector") -> "SimpleBivector":
-        same_space(self, other)
-        return SimpleBivector(self, other)
 
     def lower(self) -> "Covector":
         """Metric-dual covector g(v, .)."""
