@@ -14,17 +14,21 @@ formula one pass per call, and the groupoid comparison one pass over all its
 observers.
 
 A reduction over one row runs the same ufunc reduction over the same
-contiguous entries as the scalar one, which keeps the rows exact; a large
-pairing batch on a diagonal metric adds only the terms that reduction would
-find non-zero, nested as it nests them, to the same bits.  Powers
-are written as products, which round alike on floats and arrays and
-overflow to inf instead of raising.
+contiguous entries as the scalar one, which keeps the rows exact.  On a
+diagonal metric a pairing adds only the terms that reduction would find
+non-zero, nested as it nests them, to the same bits, on arrays for a large
+batch and on Python floats for a small one, unless an entry is non-finite or
+an off-diagonal term could overflow.  Powers are written as products, which
+round alike on floats and arrays and overflow to inf instead of raising.
 
 Every check of the library compares with one rule, :func:`within`, and a
 link's checks run through one runner, :func:`run_checks`, on floats or rows.
 """
 
 from __future__ import annotations
+
+import functools
+from itertools import repeat
 
 import numpy as np
 
@@ -33,6 +37,7 @@ __all__ = [
     "LAW_MESSAGE",
     "LINK_MESSAGE",
     "bivector_pairing",
+    "identity_entries",
     "is_null",
     "larger",
     "law_defect",
@@ -41,6 +46,7 @@ __all__ = [
     "link_mu",
     "link_terms",
     "maxabs_rows",
+    "pairing_floats",
     "pairing_rows",
     "run_checks",
     "trivector_rows",
@@ -172,9 +178,17 @@ def link_covectors(d2, pp, pr, ps, denominator, gp, gd):
 
 def link_entries(p, d, alpha, beta):
     """id - P (x) alpha - (R-S) (x) beta, for one ray or stacked rays."""
-    return (np.eye(p.shape[-1])
+    return (identity_entries(p.shape[-1])
             - p[..., :, None] * alpha[..., None, :]
             - d[..., :, None] * beta[..., None, :])
+
+
+@functools.lru_cache(maxsize=32)
+def identity_entries(dim: int) -> np.ndarray:
+    """The entries of the d x d identity, read-only, one array per dimension."""
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
 
 
 def law_defect(g, entries):
@@ -200,17 +214,26 @@ def pairing_rows(g, a, b) -> np.ndarray:
 
     The arithmetic of ``scalar_product``: the symmetrized outer product, g
     times it, and one sum over each pair's d^2 entries, halved.  On a metric
-    without off-diagonal entries, a batch where a or b has at least
-    ``_DIAGONAL_ENTRIES`` entries adds only the d diagonal terms, to the
-    same bits (:func:`_diagonal_sum`), unless an entry is non-finite or so
-    large that an off-diagonal term could overflow.
+    without off-diagonal entries, a small batch (:func:`_float_pairings`) and
+    one where a or b has at least ``_DIAGONAL_ENTRIES`` entries add only the d
+    diagonal terms, to the same bits (:func:`_diagonal_sum`), unless an entry
+    is non-finite or so large that an off-diagonal term could overflow.
     """
+    values = _float_pairings(g, a, b)
+    if values is not None:
+        return np.float64(values) if a.ndim == b.ndim == 1 else np.array(values)
     if ((a.size >= _DIAGONAL_ENTRIES or b.size >= _DIAGONAL_ENTRIES)
             and np.count_nonzero(g) == np.count_nonzero(np.diagonal(g))
             and float(np.max(np.abs(a))) * float(np.max(np.abs(b))) < _PAIRING_LIMIT
             and (order := _diagonal_order(len(g))) is not None):
         return _diagonal_sum(np.diagonal(g), a, b, order)
     return _square_sum(g, a, b)
+
+
+def pairing_floats(g, a, b):
+    """``pairing_rows(g, a, b).tolist()``, without the arrays on the float path."""
+    values = _float_pairings(g, a, b)
+    return pairing_rows(g, a, b).tolist() if values is None else values
 
 
 def _square_sum(g, a, b) -> np.ndarray:
@@ -227,13 +250,51 @@ def _square_sum(g, a, b) -> np.ndarray:
 # times at 512.  Counting entries, not rows, keeps the test cheap for the
 # one-object pairings, which never reach it.
 _DIAGONAL_ENTRIES = 1024
+# The largest batch paired on Python floats, a call per pair against NumPy's
+# fixed cost per batch: in two runs at d = 2-12 (one core, NumPy 2.4.6) the
+# floats ran 1.2-2.0 times as fast for one pair, 0.9-1.6 times for two or
+# three within 24 entries, about even for four and slower beyond.
+_FLOAT_PAIRS = 3
+_FLOAT_ENTRIES = 24
 # Below this bound on max|a| max|b| no term a_i b_j + a_j b_i overflows, so
 # every off-diagonal term of a diagonal metric is 0 times a finite number.
 # The bound is tested on Python floats, which overflow to inf without a
 # warning; an inf or NaN entry makes the product inf or NaN and fails it.
 _PAIRING_LIMIT = 2.0 ** 1022
-# dim -> the order of _pairwise_order(dim), or None where its probe failed.
+_FLOAT64 = np.dtype(np.float64)
+# dim -> the sums of _diagonal_order(dim), or None where their probe failed.
 _diagonal_orders = {}
+
+
+def _float_pairings(g, a, b):
+    """:func:`pairing_rows` of float64 vectors or rows within the float bounds,
+    on a diagonal metric, as ``tolist`` gives it but on floats; else None."""
+    if (a.size + b.size > _FLOAT_ENTRIES or not (a.dtype is b.dtype is g.dtype is _FLOAT64)
+            or not 0 < a.ndim <= 2 or not 0 < b.ndim <= 2 or g.ndim != 2
+            or (diagonal := _diagonal_of(g.tobytes(), g.shape)) is None
+            or max(a.size, b.size) > _FLOAT_PAIRS * len(diagonal)
+            or not a.shape[-1] == b.shape[-1] == len(diagonal)
+            or a.ndim == b.ndim == 2 and len(a) != len(b)
+            or (order := _diagonal_order(len(diagonal))) is None):
+        return None
+    xs, ys, pair = a.tolist(), b.tolist(), order[1]
+    if a.ndim == b.ndim == 1:
+        return pair(diagonal, xs, ys)
+    values = list(map(pair, repeat(diagonal), repeat(xs) if a.ndim == 1 else xs,
+                      repeat(ys) if b.ndim == 1 else ys))
+    return None if None in values else values
+
+
+@functools.lru_cache(maxsize=32)
+def _diagonal_of(key: bytes, shape):
+    """The diagonal, as floats, of the square float64 metric whose bytes are
+    ``key`` when it has no entry off the diagonal, else None; cached by
+    content, as fresh spaces hold new arrays of the same metrics."""
+    g = np.frombuffer(key).reshape(shape)
+    diagonal = np.diagonal(g)
+    if shape[0] != shape[1] or not g.size or np.count_nonzero(g) != np.count_nonzero(diagonal):
+        return None
+    return tuple(diagonal.tolist())
 
 
 def _diagonal_sum(diagonal, a, b, order) -> np.ndarray:
@@ -243,18 +304,27 @@ def _diagonal_sum(diagonal, a, b, order) -> np.ndarray:
     pairwise order.  With finite terms every off-diagonal one is a signed
     zero, which leaves a non-zero partial sum as it is, and the leading
     +0.0 makes the sign of a zero total +0.0.  So the d diagonal terms,
-    added as ``order`` nests them, give the same bits.
+    added as ``_pairwise_order`` nests them (``order[0]``), give the same bits.
     """
-    terms = a * b
-    terms = diagonal * (terms + terms)
-    return 0.5 * (_add_in_order(order, np.moveaxis(terms, -1, 0)) + 0.0)
+    return order[0](diagonal, np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0))
 
 
-def _add_in_order(order, columns):
-    """The sum of ``columns`` nested as ``order``: an index or a pair."""
-    if isinstance(order, int):
-        return columns[order]
-    return _add_in_order(order[0], columns) + _add_in_order(order[1], columns)
+def _compiled_sums(dim: int, order):
+    """The sum of the d terms g_i (x_i y_i + x_i y_i) nested as ``order``, plus
+    +0.0, halved, compiled for arrays and for floats, where it is None unless
+    (x.x)(y.y) is finite, which keeps every |x_i y_j| below 2^513, and the sum
+    is not NaN.  Walking ``order`` per call would cost several times as much."""
+    def total(node):
+        if isinstance(node, int):
+            return f"g[{node}] * ((p{node} := x[{node}] * y[{node}]) + p{node})"
+        return f"({total(node[0])} + {total(node[1])})"
+
+    pairing = f"0.5 * ({total(order)} + 0.0)"
+    bound = " * ".join(f"({' + '.join(f'{v}[{i}] * {v}[{i}]' for i in range(dim))})"
+                       for v in "xy")
+    return (eval(f"lambda g, x, y: {pairing}"),
+            eval(f"lambda g, x, y: (v if (v := {pairing}) == v else None) "
+                 f"if {bound} < inf else None", {"inf": np.inf}))
 
 
 def _pairwise_order(dim: int):
@@ -297,19 +367,19 @@ def _pairwise_order(dim: int):
 
 
 def _diagonal_order(dim: int):
-    """``_pairwise_order(dim)`` once its probe holds, else None; probed on
-    first use of each dimension in a process."""
+    """The sums compiled from ``_pairwise_order(dim)`` once their probe holds,
+    else None; compiled and probed on first use of each dimension in a process."""
     if dim not in _diagonal_orders:
-        order = _pairwise_order(dim)
+        order = _compiled_sums(dim, _pairwise_order(dim))
         _diagonal_orders[dim] = order if _diagonal_agrees(dim, order) else None
     return _diagonal_orders[dim]
 
 
 def _diagonal_agrees(dim: int, order) -> bool:
-    """Whether :func:`_diagonal_sum` in ``order`` gives the bits of the d^2
-    sum on probe rows: entries from 1e-40 to 1e40 and of both signs, signed
-    zeros, and pairs that cancel, in every shape the callers pass, on a unit
-    and a scaled diagonal metric."""
+    """Whether :func:`_diagonal_sum` with ``order`` gives the bits of the d^2
+    sum on probe rows, on arrays and row by row on Python floats: entries
+    from 1e-40 to 1e40 and of both signs, signed zeros, and pairs that cancel,
+    in every shape the callers pass, on a unit and a scaled diagonal metric."""
     gen = np.random.Generator(np.random.PCG64(dim))
     a = gen.normal(size=(64, dim)) * 10.0 ** gen.integers(-40, 41, size=(64, dim))
     b = gen.normal(size=(64, dim)) * 10.0 ** gen.integers(-40, 41, size=(64, dim))
@@ -323,6 +393,10 @@ def _diagonal_agrees(dim: int, order) -> bool:
             if not np.array_equal(_diagonal_sum(diagonal, x, y, order).view(np.int64),
                                   _square_sum(g, x, y).view(np.int64)):
                 return False
+        floats = map(order[1], repeat(tuple(diagonal.tolist())), a.tolist(), b.tolist())
+        if not np.array_equal(np.array(list(floats), dtype=float).view(np.int64),
+                              _square_sum(g, a, b).view(np.int64)):
+            return False
     return True
 
 

@@ -69,9 +69,10 @@ __all__ = [
 class LinkProblem:
     """Link data: source R, target S and an optional preferred ray P.
 
-    R and S must have equal squared magnitude within tol_rel.  When P is
-    omitted the planar link acts as the default solution.  The scalars that
-    admissibility, mu and the link share are formed once, at construction.
+    R and S must have equal squared magnitude within tol_rel, tested on their
+    squares first.  When P is omitted the planar link acts as the default
+    solution.  The scalars that admissibility, mu and the link share are
+    formed once, at construction, for an accepted pair.
     """
 
     R: Vector
@@ -80,7 +81,8 @@ class LinkProblem:
 
     def __post_init__(self):
         same_space(*(v for v in (self.R, self.S, self.P) if v is not None))
-        _check_isomagnitude(self.space, self._terms.rr, self._terms.ss)
+        _check_isomagnitude(self.space, self.R.square(), self.S.square())
+        self._terms  # formed now, so that no later call pays for them
 
     @property
     def space(self):

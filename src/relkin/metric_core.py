@@ -29,7 +29,8 @@ from .errors import (
     NullVectorError,
     SpaceMismatchError,
 )
-from .kernels import bivector_pairing, is_null, pairing_rows, trivector_rows, within
+from .kernels import (bivector_pairing, identity_entries, is_null, pairing_floats,
+                      pairing_rows, trivector_rows, within)
 
 __all__ = [
     "DEFAULT_TOL_ABS",
@@ -57,10 +58,15 @@ DEFAULT_TOL_ABS = 1e-12
 def maxabs(values) -> float:
     """Largest absolute entry of an array (the operator norm used throughout).
 
-    Calls the ufunc reduction directly; it is what ``np.max`` runs, without
-    the wrapper, and a NaN entry still propagates.
+    A vector of at most 8 entries is read as Python floats unless its sum is
+    NaN, as ``max`` passes over a NaN that is not first.  Other arrays call
+    the ufunc reduction that ``np.max`` runs, and a NaN entry propagates.
     """
     arr = np.asarray(values, dtype=float)
+    if arr.ndim == 1 and arr.size <= 8:
+        xs = arr.tolist()
+        if (total := sum(xs)) == total:
+            return max(map(abs, xs), default=0.0)
     return float(np.maximum.reduce(np.abs(arr), axis=None)) if arr.size else 0.0
 
 
@@ -163,11 +169,9 @@ class MetricSpace:
 
     @cached_property
     def eye(self) -> np.ndarray:
-        """The entries of the identity, read-only; the formulas of the
-        library read them where :meth:`identity` would build a new one."""
-        eye = np.eye(self.dim)
-        eye.setflags(write=False)
-        return eye
+        """The read-only entries of the identity, ``kernels.identity_entries``;
+        the library reads them where :meth:`identity` would build a new one."""
+        return identity_entries(self.dim)
 
     @property
     def is_lorentzian(self) -> bool:
@@ -246,8 +250,8 @@ class Vector(_Components):
     def square(self) -> float:
         """v.v, formed on first use and kept when the components are settled."""
         kept = self.__dict__.get("_square")
-        return kept if kept is not None else _keep(self, scalar_product(self, self),
-                                                   self.components)
+        return kept if kept is not None else _keep(
+            self, pairing_floats(self.space.g, self.components, self.components), self.components)
 
     def lower(self) -> "Covector":
         """Metric-dual covector g(v, .)."""
@@ -365,12 +369,12 @@ def scalar_product(a: Vector, b: Vector) -> float:
 
     Evaluated through the symmetrized outer product so that the result is
     bit-identical under argument exchange, by ``kernels.pairing_rows``, the
-    one body of the pairing formula.  The library's own formulas evaluate
-    all the pairings they need in one such pass: a pass over several pairs
-    costs about as much as one call here.
+    one body of the pairing formula, as a float (``pairing_floats``).  The
+    library's own formulas evaluate all the pairings they need in one such
+    pass: a pass over several pairs costs about as much as one call here.
     """
     space = same_space(a, b)
-    return float(pairing_rows(space.g, a.components, b.components))
+    return pairing_floats(space.g, a.components, b.components)
 
 
 def _check_unit_timelike(space: MetricSpace, message: str, *squares: float) -> None:
