@@ -28,7 +28,7 @@ link's checks run through one runner, :func:`run_checks`, on floats or rows.
 from __future__ import annotations
 
 import functools
-from itertools import repeat
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "LAW_MESSAGE",
     "LINK_MESSAGE",
     "bivector_pairing",
+    "float_pairing",
     "identity_entries",
     "is_null",
     "larger",
@@ -51,6 +52,7 @@ __all__ = [
     "run_checks",
     "trivector_rows",
     "velocity_sum",
+    "wedge_maxabs",
     "wedge_maxabs_rows",
     "within",
 ]
@@ -209,6 +211,17 @@ def wedge_maxabs_rows(a, b) -> np.ndarray:
     return maxabs_rows(a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :])
 
 
+def wedge_maxabs(a, b, a_max: float, b_max: float):
+    """:func:`wedge_maxabs_rows` of one pair, given as lists of floats with no
+    NaN and largest components ``a_max`` and ``b_max``; None unless a_max
+    b_max < 2^1022, so that no product a_i b_j overflows and no component is
+    inf - inf, a NaN that ``max`` would pass over.  The components a_i b_j -
+    b_i a_j with i > j are those with i < j negated, and with i = j zero."""
+    if not a_max * b_max < _PAIRING_LIMIT:
+        return None
+    return max(abs(a[i] * b[j] - b[i] * a[j]) for i, j in combinations(range(len(a)), 2))
+
+
 def pairing_rows(g, a, b) -> np.ndarray:
     """Metric pairings a.b of stacked vectors, broadcast over the leading axes.
 
@@ -234,6 +247,20 @@ def pairing_floats(g, a, b):
     """``pairing_rows(g, a, b).tolist()``, without the arrays on the float path."""
     values = _float_pairings(g, a, b)
     return pairing_rows(g, a, b).tolist() if values is None else values
+
+
+def float_pairing(g):
+    """The float path of :func:`pairing_floats` for one pair on the metric
+    ``g``, resolved once: a function of ``a.tolist()`` and ``b.tolist()``
+    for float64 d-vectors a and b that returns their pairing, or None where
+    an entry is non-finite or an off-diagonal term could overflow.  None in
+    place of the function for a metric that is not float64, has an entry off
+    the diagonal or whose dimension failed its probe."""
+    if (g.dtype is not _FLOAT64 or g.ndim != 2
+            or (diagonal := _diagonal_of(g.tobytes(), g.shape)) is None
+            or (order := _diagonal_order(len(diagonal))) is None):
+        return None
+    return functools.partial(order[1], diagonal)
 
 
 def _square_sum(g, a, b) -> np.ndarray:

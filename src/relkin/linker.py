@@ -156,7 +156,9 @@ class _Terms(NamedTuple):
         Each argument is a (d,) vector or (N, d) rows: stacked rays of one
         (R, S), or stacked (R, S) with one P.  The nine pairings take one
         ``pairing_rows`` pass, each as ``scalar_product`` evaluates it, so
-        every row is bit-identical to the terms of its one problem.
+        every row is bit-identical to the terms of its one problem.  One
+        problem takes its maxima on Python floats (:func:`_float_maxima`)
+        where they give the bits of the rows.
         """
         tol, dim = space.tol_abs, space.dim
         d, u = r - s, r + s
@@ -166,18 +168,23 @@ class _Terms(NamedTuple):
         if p.ndim > d.ndim:  # stacked rays of one (R, S)
             partners = np.broadcast_arrays(*partners)
         one_pair, one_ray = d.ndim == 1, p.ndim == 1
+        one = one_pair and one_ray
         m, n = d.size // dim, p.size // dim
         # The rows of R, S, R - S and R + S (m each), then of P (n) five times.
         legs = (r, s, d, u)
-        stack = _rows([*legs, p, p, p, p, p], dim)
+        rows = np.array if one else lambda vectors: _rows(vectors, dim)
+        stack = rows([*legs, p, p, p, p, p])
         # R.R, S.S, (R-S)^2, (R+S)^2, then P.(R+S), P.P, P.R, P.S, P.(R-S).
-        pairs = kernels.pairing_rows(space.g, stack, _rows([*legs, *partners], dim))
-        top = kernels.maxabs_rows(stack[:4 * m + n])
-        wedge = kernels.wedge_maxabs_rows(stack[4 * m:4 * m + n], stack[2 * m:3 * m])
+        pairs = kernels.pairing_rows(space.g, stack, rows([*legs, *partners]))
+        if one and (floats := _float_maxima(pairs, stack)):
+            r_max, s_max, d_max, u_max, p_max, wedge_max = floats
+        else:
+            top = kernels.maxabs_rows(stack[:4 * m + n])
+            wedge = kernels.wedge_maxabs_rows(stack[4 * m:4 * m + n], stack[2 * m:3 * m])
+            r_max, s_max, d_max, u_max = _split(top[:4 * m], 4, one_pair)
+            p_max, wedge_max = _split(np.concatenate((top[4 * m:], wedge)), 2, one_ray)
         rr, ss, d2, u2 = _split(pairs[:4 * m], 4, one_pair)
-        r_max, s_max, d_max, u_max = _split(top[:4 * m], 4, one_pair)
         psum, pp, pr, ps, pd = _split(pairs[4 * m:], 5, one_ray)
-        p_max, wedge_max = _split(np.concatenate((top[4 * m:], wedge)), 2, one_ray)
         null = kernels.is_null(d2, d_max, tol)
         sum_scale, w2, denominator, p_transversal, norms = kernels.link_terms(
             psum, pp, pr, ps, pd, p_max, wedge_max, d2, d_max, u_max, r_max, s_max, tol)
@@ -219,6 +226,21 @@ class _Terms(NamedTuple):
 def _rows(vectors, dim: int) -> np.ndarray:
     """(d,) vectors and (k, d) rows, stacked as rows in order."""
     return np.concatenate([v.reshape(-1, dim) for v in vectors])
+
+
+def _float_maxima(pairs: np.ndarray, stack: np.ndarray):
+    """max|R|, max|S|, max|R-S|, max|R+S|, max|P| and max|P^(R-S)| of one
+    problem on Python floats, with the bits of the rows, or None.  ``max``
+    passes over a NaN that the rows keep, so the sum of the nine pairings
+    may not be NaN, as the squares R.R, S.S, (R-S)^2, (R+S)^2 and P.P are
+    for a NaN entry, and ``kernels.wedge_maxabs`` must take P and R - S."""
+    total = sum(pairs.tolist())
+    vectors = stack[:5].tolist()
+    maxima = [max(map(abs, xs)) for xs in vectors]
+    if total == total and (wedge := kernels.wedge_maxabs(
+            vectors[4], vectors[2], maxima[4], maxima[2])) is not None:
+        return (*maxima, wedge)
+    return None
 
 
 def _split(values: np.ndarray, count: int, one: bool):

@@ -8,9 +8,9 @@ function, so objects can be shared freely between threads.
 
 A value forms its invariants on first use and keeps them: the square of a
 ``Vector`` and of a ``SimpleBivector``, and a ``MetricSpace``'s max|g|,
-identity entries and signature.  A square is kept only when the components
-it was formed from can no longer change (see :func:`_settled`); arithmetic
-builds a new value, which forms its own.
+identity entries, signature and float pairing.  A square is kept only when
+the components it was formed from can no longer change (see
+:func:`_settled`); arithmetic builds a new value, which forms its own.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .errors import (
     NullVectorError,
     SpaceMismatchError,
 )
-from .kernels import (bivector_pairing, identity_entries, is_null, pairing_floats,
-                      pairing_rows, trivector_rows, within)
+from .kernels import (bivector_pairing, float_pairing, identity_entries, is_null,
+                      pairing_floats, pairing_rows, trivector_rows, within)
 
 __all__ = [
     "DEFAULT_TOL_ABS",
@@ -53,21 +53,24 @@ __all__ = [
 
 DEFAULT_TOL_REL = 1e-9
 DEFAULT_TOL_ABS = 1e-12
+_FLOAT64 = np.dtype(np.float64)
 
 
 def maxabs(values) -> float:
     """Largest absolute entry of an array (the operator norm used throughout).
 
-    A vector of at most 8 entries is read as Python floats unless its sum is
-    NaN, as ``max`` passes over a NaN that is not first.  Other arrays call
-    the ufunc reduction that ``np.max`` runs, and a NaN entry propagates.
+    An array of at most 36 entries, a vector or a d x d operator up to d = 6,
+    is read as Python floats unless its sum is NaN, as ``max`` passes over a
+    NaN that is not first.  Larger arrays call the ufunc reduction that
+    ``np.max`` runs, and a NaN entry propagates.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1 and arr.size <= 8:
-        xs = arr.tolist()
+    arr = values if type(values) is np.ndarray and values.dtype is _FLOAT64 else \
+        np.asarray(values, dtype=float)
+    if arr.size <= 36:
+        xs = arr.ravel().tolist()
         if (total := sum(xs)) == total:
             return max(map(abs, xs), default=0.0)
-    return float(np.maximum.reduce(np.abs(arr), axis=None)) if arr.size else 0.0
+    return float(np.maximum.reduce(np.abs(arr), axis=None))
 
 
 def _fresh(cls, values: np.ndarray, space: "MetricSpace"):
@@ -163,6 +166,12 @@ class MetricSpace:
         return int(np.sum(eig < 0.0)), int(np.sum(eig > 0.0))
 
     @cached_property
+    def _float_pairing(self):
+        """``kernels.float_pairing`` of g, or None: resolved once per space, by
+        the metric's content."""
+        return float_pairing(self.g)
+
+    @cached_property
     def g_max(self) -> float:
         """max|g|, the metric's scale in the bound of the isometry law."""
         return maxabs(self.g)
@@ -251,7 +260,7 @@ class Vector(_Components):
         """v.v, formed on first use and kept when the components are settled."""
         kept = self.__dict__.get("_square")
         return kept if kept is not None else _keep(
-            self, pairing_floats(self.space.g, self.components, self.components), self.components)
+            self, _pairing(self.space, self.components, self.components), self.components)
 
     def lower(self) -> "Covector":
         """Metric-dual covector g(v, .)."""
@@ -374,7 +383,18 @@ def scalar_product(a: Vector, b: Vector) -> float:
     pass: a pass over several pairs costs about as much as one call here.
     """
     space = same_space(a, b)
-    return pairing_floats(space.g, a.components, b.components)
+    return _pairing(space, a.components, b.components)
+
+
+def _pairing(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> float:
+    """``pairing_floats(space.g, a, b)``, on the space's float pairing for two
+    float64 d-vectors it takes."""
+    pair = space._float_pairing
+    if (pair is not None and a.dtype is b.dtype is _FLOAT64
+            and a.shape == b.shape == (space.dim,)
+            and (value := pair(a.tolist(), b.tolist())) is not None):
+        return value
+    return pairing_floats(space.g, a, b)
 
 
 def _check_unit_timelike(space: MetricSpace, message: str, *squares: float) -> None:
@@ -394,8 +414,17 @@ def _check_c(c) -> None:
 
 
 def bivector_product(b1: SimpleBivector, b2: SimpleBivector) -> float:
-    """Induced pairing (A^B).(P^Q) = (A.P)(B.Q) - (A.Q)(B.P)."""
+    """Induced pairing (A^B).(P^Q) = (A.P)(B.Q) - (A.Q)(B.P).
+
+    A square, where P and Q hold the arrays of A and B, is (A.A)(B.B) -
+    (A.B)^2, from the legs' squares and one pairing: B.A has the bits of A.B,
+    as each of its terms a_i b_j + a_j b_i only swaps commuting operands.
+    """
     same_space(b1.first, b2.first)
+    a, b = b1.first, b1.second
+    if b2.first.components is a.components and b2.second.components is b.components:
+        ab = float(pairing_rows(b1.space.g, a.components, b.components))
+        return a.square() * b.square() - ab * ab
     return float(bivector_pairing(b1.space.g, b1.first.components,
                                   b1.second.components, b2.first.components,
                                   b2.second.components))

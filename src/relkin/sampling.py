@@ -465,7 +465,8 @@ def make_space(dim: int, kind: str = "lorentzian") -> MetricSpace:
 
 def random_vector(space: MetricSpace, rng: np.random.Generator,
                   scale: float = 1.0) -> Vector:
-    return _fresh(Vector, rng.normal(size=space.dim) * scale, space)
+    values = rng.normal(size=space.dim)
+    return _fresh(Vector, values if scale == 1.0 else values * scale, space)  # x * 1.0 is x
 
 
 def random_nonnull_vector(space: MetricSpace, rng: np.random.Generator,
