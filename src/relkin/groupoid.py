@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import InternalConsistencyError, NotComposableError, SpaceMismatchError
 from .kinematics import Observer, Velocity3, velocity_add
-from .linker import _Terms, _binary_velocity, _ternary_velocity, binary_velocity
-from .metric_core import Vector, _check_c, _fresh, maxabs, same_space
+from .linker import _Terms, _binary_velocity, _ternary_velocity
+from .metric_core import Vector, _check_c, maxabs, same_space
 
 __all__ = [
     "ObserverObject",
@@ -69,10 +68,12 @@ def hom(p: ObserverObject, q: ObserverObject, c: float = 1.0) -> VelocityMorphis
     into velocity units by c; it is orthogonal to the source observer and
     strictly sub-luminal.  Depends only on the observer vectors, never on
     labels.  hom(p, p) is the zero morphism.  c must be positive and finite,
-    as for a Velocity3.
+    as for a Velocity3.  The projector onto p is the idempotent the source
+    observer caches, the one ``binary_velocity`` would build.
     """
     _check_c(c)
-    w = binary_velocity(p.observer.vector, q.observer.vector)
+    w = _binary_velocity(p.observer.vector, q.observer.vector,
+                         lambda: p.observer.idempotent.entries)
     return VelocityMorphism(p, q, float(c) * w, float(c))
 
 
@@ -101,33 +102,20 @@ def compare_with_isometric(p: ObserverObject, q: ObserverObject,
     the relativistic sum in both composition orders, reporting how far the
     two orders differ and how far each lands from the direct velocity of r.
     All discrepancies vanish for coplanar chains and generically do not.
-    Both sides share one pass over the pairings of p, q and r, and the
-    idempotents the observers cache; the results and refusals are those of
-    the separate hom, ternary_velocity and velocity_add calls.
+    The groupoid side is hom itself; the isometric side forms the terms of
+    each of its three link problems (P = p) once, on floats.  Both read the
+    idempotent and the squares the observers keep, and the results and
+    refusals are those of the separate hom, ternary_velocity and
+    velocity_add calls.
     """
     _check_c(c)
-    objs = (p, q, r)
-    pv, qv, rv = vecs = [o.observer.vector for o in objs]
+    pv, qv, rv = vecs = [o.observer.vector for o in (p, q, r)]
     try:
         space = same_space(*vecs)
     except SpaceMismatchError:
         hom(p, q, c)        # hom(p, q)'s refusals come first
         raise
-    comps = np.array([v.components for v in vecs])
-    # The six pairings of p, q and r, in one pass; dot[i][j] pairs objs i and j.
-    pp, qq, rr, pq, qr, pr = kernels.pairing_rows(
-        space.g, comps[[0, 1, 2, 0, 1, 0]], comps[[0, 1, 2, 1, 2, 2]]).tolist()
-    dot = [[pp, pq, pr], [pq, qq, qr], [pr, qr, rr]]
-    top = kernels.maxabs_rows(comps).tolist()
-    projector = [lambda o=o: o.observer.idempotent.entries for o in objs]
-
-    def morphism(i, j):
-        w = _binary_velocity(vecs[i].space, comps[i], comps[j], dot[i][i], dot[i][j],
-                             top[i], top[j], projector[i])
-        return VelocityMorphism(objs[i], objs[j],
-                                _fresh(Vector, w * float(c), vecs[i].space), float(c))
-
-    h_pq, h_qr, h_pr = morphism(0, 1), morphism(1, 2), morphism(0, 2)
+    h_pq, h_qr, h_pr = hom(p, q, c), hom(q, r, c), hom(p, r, c)
     chain = compose(h_qr, h_pq)
     groupoid_discrepancy = maxabs(chain.velocity.components
                                   - h_pr.velocity.components)
@@ -136,9 +124,10 @@ def compare_with_isometric(p: ObserverObject, q: ObserverObject,
             f"groupoid chain p -> q -> r misses hom(p, r) by {groupoid_discrepancy:.3e}")
 
     # The link problems (R, S) = (p, q), (q, r), (p, r), all with P = p.
-    terms = _Terms.of(space, comps[0], comps[[0, 1, 0]], comps[[1, 2, 2]])
-    leg_pq, leg_qr, direct = [_ternary_velocity(space, t, c, projector[0])
-                              for t in terms.problems(space)]
+    leg_pq, leg_qr, direct = [
+        _ternary_velocity(space, _Terms.of(space, pv.components, a.components, b.components),
+                          c, lambda: p.observer.idempotent.entries)
+        for a, b in ((pv, qv), (qv, rv), (pv, rv))]
 
     u = Velocity3(leg_pq, p.observer, c)
     v = Velocity3(leg_qr, p.observer, c)

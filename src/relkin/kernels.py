@@ -7,11 +7,13 @@ of one link problem as the rows of an (N, d) array.  Each combination
 formula below is written once and serves both: its per-ray arguments are
 floats for one ray, or arrays with one entry per ray.  The ``*_rows``
 kernels repeat the scalar arithmetic operation for operation, so every row
-is bit-identical to the value the object API computes for that ray.  A
-link problem's terms take one :func:`pairing_rows` pass (``linker._Terms.of``)
-for one ray, a scan's rays or stacked ternary problems alike, each velocity
-formula one pass per call, and the groupoid comparison one pass over all its
-observers.
+is bit-identical to the value the object API computes for that ray, up to
+the sign of a NaN, which depends on the order of two NaN operands.  The
+terms of a scan's rays take one :func:`pairing_rows` pass
+(``linker._Terms.of``).  One object's formulas, one link problem's terms
+and the groupoid comparison included, pair on the space's float pairing
+(``MetricSpace._float_pairing``, see :func:`float_pairing`), with the bits
+of this pass.
 
 A reduction over one row runs the same ufunc reduction over the same
 contiguous entries as the scalar one, which keeps the rows exact.  On a
@@ -219,7 +221,17 @@ def wedge_maxabs(a, b, a_max: float, b_max: float):
     b_i a_j with i > j are those with i < j negated, and with i = j zero."""
     if not a_max * b_max < _PAIRING_LIMIT:
         return None
-    return max(abs(a[i] * b[j] - b[i] * a[j]) for i, j in combinations(range(len(a)), 2))
+    return _compiled_wedge(len(a))(a, b)
+
+
+@functools.cache
+def _compiled_wedge(dim: int):
+    """The largest |a_i b_j - b_i a_j| over i < j in the order of
+    ``itertools.combinations``, compiled once per dimension, as
+    :func:`_compiled_sums` compiles the pairings."""
+    terms = ", ".join(f"abs(a[{i}] * b[{j}] - b[{i}] * a[{j}])"
+                      for i, j in combinations(range(dim), 2))
+    return eval(f"lambda a, b: {terms if dim == 2 else f'max({terms})'}")
 
 
 def pairing_rows(g, a, b) -> np.ndarray:

@@ -35,6 +35,7 @@ from .metric_core import (
     _finite,
     _fresh,
     _check_unit_timelike,
+    _pairings,
     idempotent_of,
     maxabs,
     same_space,
@@ -142,11 +143,10 @@ class Velocity3:
 def _observed_square(space: MetricSpace, p: Vector, v: Vector, message: str) -> float:
     """v.v, once v is orthogonal to the observer vector P to the tolerance of
     ``space``; raises NotObservedError, ``message`` formatted with P.v, otherwise."""
-    ortho, square = pairing_rows(space.g, v.components,
-                                 np.array([p.components, v.components])).tolist()
+    (ortho,) = _pairings(space, (v.components, p.components))
     if not within(abs(ortho), space.tol_abs, maxabs(v.components)):
         raise NotObservedError(message.format(ortho))
-    return square
+    return v.square()
 
 
 def negate(v: Velocity3) -> Velocity3:
@@ -281,19 +281,19 @@ def coordinate_transform(r: Observer, p: Observer, v: Velocity3,
                                   "transform requires a velocity orthogonal to P"),
                  v.c, v.luminal)
     vbar = (gam / v.c) * v.vector
-    g, rc, pc = space.g, r.vector.components, p.vector.components
-    re, pr, rv = pairing_rows(g, rc, np.array([e.components, pc, v.vector.components])).tolist()
+    rc, pc = r.vector.components, p.vector.components
+    re, pr, rv = _pairings(space, (rc, e.components), (rc, pc), (rc, v.vector.components))
     ct = -re
     x = r.rest_projection(e)
     xc, vbc = x.components, vbar.components
-    vbr, vbx, px, xx = pairing_rows(g, np.array([vbc, vbc, pc, xc]),
-                                    np.array([rc, xc, xc, xc])).tolist()
+    vbr, vbx, px, xx = _pairings(space, (vbc, rc), (vbc, xc), (pc, xc), (xc, xc))
 
     nu_e = ct * ((gam - 1.0) * pr + vbr) + vbx + (gam - 1.0) * px
     xi_e = ct * (pr + vbr / (gam + 1.0)) + vbx / (gam + 1.0) + px
     delta = nu_e * p.vector - xi_e * vbar
 
-    ct_prime = ct + float(pairing_rows(g, rc, delta.components))
+    (r_delta,) = _pairings(space, (rc, delta.components))
+    ct_prime = ct + r_delta
     x_prime = x - r.rest_projection(delta)
     t, t_prime = float(ct / v.c), float(ct_prime / v.c)
     c2 = v.c * v.c
@@ -367,7 +367,8 @@ def velocity_add(u: Velocity3, v: Velocity3) -> Velocity3:
     if v.luminal:
         return v
     uc, vc = u.vector.components, v.vector.components
-    vv, vu = pairing_rows(u.space.g, vc, np.array([vc, uc])).tolist()
+    vv = v.vector.square()
+    (vu,) = _pairings(u.space, (vc, uc))
     w, gap = velocity_sum(uc, vc, vv, vu, _gamma(vv, v.c, False), v.c * v.c)
     defect = maxabs(gap)
     if not within(defect, 1e2 * u.space.tol_rel, maxabs(w)):
@@ -413,12 +414,12 @@ def velocity_subtract(u: Velocity3, w: Velocity3) -> Velocity3:
     """
     _check_same_frame(u, w)
     uc, wc = u.vector.components, w.vector.components
-    uu, ww = pairing_rows(u.space.g, np.array([uc, wc]), np.array([uc, wc])).tolist()
-    gu, gw = _gamma(uu, u.c, u.luminal), _gamma(ww, w.c, w.luminal)
+    gu = _gamma(u.vector.square(), u.c, u.luminal)
+    gw = _gamma(w.vector.square(), w.c, w.luminal)
     diff = uc * float(gu) - wc * float(gw)
     k = diff * float(1.0 / (gu + gw))
     y = (gu + gw) * (gu + gw)
-    x = float(pairing_rows(u.space.g, diff, diff))
+    (x,) = _pairings(u.space, (diff, diff))
     c2 = u.c * u.c
     denom = y - x / c2
     if denom <= 0.0:
@@ -440,9 +441,8 @@ def acceleration_transform(v: Velocity3, u: Velocity3, a: Vector) -> Vector:
     _check_same_frame(v, u)
     same_space(v.vector, a)
     vc = v.vector.components
-    vv, vu, va = pairing_rows(v.space.g, vc, np.array([vc, u.vector.components,
-                                                      a.components])).tolist()
-    gv = _gamma(vv, v.c, v.luminal)
+    vu, va = _pairings(v.space, (vc, u.vector.components), (vc, a.components))
+    gv = _gamma(v.vector.square(), v.c, v.luminal)
     c2 = v.c * v.c
     denom = c2 - vu
     if abs(denom) <= v.space.tol_rel * c2:

@@ -10,10 +10,11 @@ all rays coplanar with R and S collapse onto the single planar link.  The
 module also provides the relative-velocity vectors extracted from links and
 the unit-time-like specializations used by kinematics.
 
-A link problem's pairings and scales are formed in one pairing pass, by
-:meth:`_Terms.of`: at construction for a :class:`LinkProblem`, on stacked
-rays for a ray scan and on stacked (R, S) for the groupoid comparison's
-ternary velocities.  Every test, mu, gamma and link reads that record.
+A link problem's pairings and scales are formed once, by :meth:`_Terms.of`:
+on Python floats for one problem, at construction for a :class:`LinkProblem`
+and for each of the groupoid comparison's ternary velocities, and in one
+pairing pass on stacked rays for a ray scan.  Every test, mu, gamma and link
+reads that record.
 """
 
 from __future__ import annotations
@@ -42,9 +43,11 @@ from .metric_core import (
     Endomorphism,
     SimpleBivector,
     Vector,
+    _FLOAT64,
     _check_c,
     _fresh,
     _check_unit_timelike,
+    _pairings,
     idempotent_of,
     maxabs,
     same_space,
@@ -154,37 +157,47 @@ class _Terms(NamedTuple):
         """The terms of the ray P = ``p`` for R = ``r`` and S = ``s``.
 
         Each argument is a (d,) vector or (N, d) rows: stacked rays of one
-        (R, S), or stacked (R, S) with one P.  The nine pairings take one
-        ``pairing_rows`` pass, each as ``scalar_product`` evaluates it, so
-        every row is bit-identical to the terms of its one problem.  One
-        problem takes its maxima on Python floats (:func:`_float_maxima`)
-        where they give the bits of the rows.
+        (R, S), or stacked (R, S) with one P.  Stacked, the nine pairings
+        take one ``pairing_rows`` pass, each as ``scalar_product`` evaluates
+        it.  One problem pairs them on the space's float pairing and takes
+        its maxima on Python floats (:func:`_float_maxima`); where the space
+        has none, a pair is refused or the maxima are None, it takes the
+        arrays, as stacked rows do.  Every row is bit-identical to the terms
+        of its one problem, up to the sign of a NaN.
         """
         tol, dim = space.tol_abs, space.dim
         d, u = r - s, r + s
         if p.ndim < d.ndim:  # one P for every stacked (R, S)
             p = p[None].repeat(len(d), axis=0)
-        partners = (u, p, r, s, d)
-        if p.ndim > d.ndim:  # stacked rays of one (R, S)
-            partners = np.broadcast_arrays(*partners)
         one_pair, one_ray = d.ndim == 1, p.ndim == 1
-        one = one_pair and one_ray
-        m, n = d.size // dim, p.size // dim
-        # The rows of R, S, R - S and R + S (m each), then of P (n) five times.
-        legs = (r, s, d, u)
-        rows = np.array if one else lambda vectors: _rows(vectors, dim)
-        stack = rows([*legs, p, p, p, p, p])
-        # R.R, S.S, (R-S)^2, (R+S)^2, then P.(R+S), P.P, P.R, P.S, P.(R-S).
-        pairs = kernels.pairing_rows(space.g, stack, rows([*legs, *partners]))
-        if one and (floats := _float_maxima(pairs, stack)):
+        legs, floats = (r, s, d, u), None
+        if (one_pair and one_ray and (pair := space._float_pairing) is not None
+                and p.dtype is r.dtype is s.dtype is _FLOAT64
+                and p.shape == r.shape == s.shape == (dim,)):
+            vectors = [v.tolist() for v in (*legs, p)]
+            rl, sl, dl, ul, pl = vectors
+            # R.R, S.S, (R-S)^2, (R+S)^2, then P.(R+S), P.P, P.R, P.S, P.(R-S).
+            pairs = list(map(pair, (rl, sl, dl, ul, pl, pl, pl, pl, pl),
+                             (rl, sl, dl, ul, ul, pl, rl, sl, dl)))
+            floats = None not in pairs and _float_maxima(pairs, vectors)
+        if floats:
+            rr, ss, d2, u2, psum, pp, pr, ps, pd = pairs
             r_max, s_max, d_max, u_max, p_max, wedge_max = floats
         else:
+            partners = (u, p, r, s, d)
+            if p.ndim > d.ndim:  # stacked rays of one (R, S)
+                partners = np.broadcast_arrays(*partners)
+            m, n = d.size // dim, p.size // dim
+            # The rows of R, S, R - S and R + S (m each), then of P (n) five times.
+            rows = np.array if one_pair and one_ray else lambda vectors: _rows(vectors, dim)
+            stack = rows([*legs, p, p, p, p, p])
+            pairs = kernels.pairing_rows(space.g, stack, rows([*legs, *partners]))
             top = kernels.maxabs_rows(stack[:4 * m + n])
             wedge = kernels.wedge_maxabs_rows(stack[4 * m:4 * m + n], stack[2 * m:3 * m])
             r_max, s_max, d_max, u_max = _split(top[:4 * m], 4, one_pair)
             p_max, wedge_max = _split(np.concatenate((top[4 * m:], wedge)), 2, one_ray)
-        rr, ss, d2, u2 = _split(pairs[:4 * m], 4, one_pair)
-        psum, pp, pr, ps, pd = _split(pairs[4 * m:], 5, one_ray)
+            rr, ss, d2, u2 = _split(pairs[:4 * m], 4, one_pair)
+            psum, pp, pr, ps, pd = _split(pairs[4 * m:], 5, one_ray)
         null = kernels.is_null(d2, d_max, tol)
         sum_scale, w2, denominator, p_transversal, norms = kernels.link_terms(
             psum, pp, pr, ps, pd, p_max, wedge_max, d2, d_max, u_max, r_max, s_max, tol)
@@ -216,27 +229,22 @@ class _Terms(NamedTuple):
         for name in _RAY_FIELDS:
             getattr(self, name)[index] = getattr(source, name)[select]
 
-    def problems(self, space) -> list["_Terms"]:
-        """The terms of each stacked (R, S), as :meth:`of` forms one problem's."""
-        columns = [[_fresh(Vector, row, space) for row in field] if field.ndim > 1
-                   else field.tolist() for field in self]
-        return [self._make(values) for values in zip(*columns)]
-
 
 def _rows(vectors, dim: int) -> np.ndarray:
     """(d,) vectors and (k, d) rows, stacked as rows in order."""
     return np.concatenate([v.reshape(-1, dim) for v in vectors])
 
 
-def _float_maxima(pairs: np.ndarray, stack: np.ndarray):
+def _float_maxima(pairs, vectors):
     """max|R|, max|S|, max|R-S|, max|R+S|, max|P| and max|P^(R-S)| of one
-    problem on Python floats, with the bits of the rows, or None.  ``max``
-    passes over a NaN that the rows keep, so the sum of the nine pairings
-    may not be NaN, as the squares R.R, S.S, (R-S)^2, (R+S)^2 and P.P are
-    for a NaN entry, and ``kernels.wedge_maxabs`` must take P and R - S."""
-    total = sum(pairs.tolist())
-    vectors = stack[:5].tolist()
-    maxima = [max(map(abs, xs)) for xs in vectors]
+    problem on Python floats, with the bits of the rows, or None, from its
+    nine pairings and the components of R, S, R - S, R + S and P, given
+    first in ``vectors``.  ``max`` passes over a NaN that the rows keep, so
+    the sum of the pairings may not be NaN, as the squares R.R, S.S,
+    (R-S)^2, (R+S)^2 and P.P are for a NaN entry, and
+    ``kernels.wedge_maxabs`` must take P and R - S."""
+    total = sum(pairs)
+    maxima = [max(map(abs, xs)) for xs in vectors[:5]]
     if total == total and (wedge := kernels.wedge_maxabs(
             vectors[4], vectors[2], maxima[4], maxima[2])) is not None:
         return (*maxima, wedge)
@@ -495,23 +503,22 @@ def binary_velocity(r: Vector, s: Vector) -> Vector:
     exchanging the arguments, but its squared magnitude
     -R.R + R.R^3/(R.S)^2 is exchange-symmetric when R.R = S.S.
     """
+    return _binary_velocity(r, s, lambda: idempotent_of(r).entries)
+
+
+def _binary_velocity(r: Vector, s: Vector, projector) -> Vector:
+    """:func:`binary_velocity`, where ``projector()`` gives the entries of R's
+    idempotent once both refusals passed."""
     space = same_space(r, s)
     rc, sc = r.components, s.components
-    rr, rs = kernels.pairing_rows(space.g, rc, np.array([rc, sc])).tolist()
-    w = _binary_velocity(space, rc, sc, rr, rs, maxabs(rc), maxabs(sc),
-                         lambda: idempotent_of(r).entries)
-    return _fresh(Vector, w, space)
-
-
-def _binary_velocity(space, r, s, rr, rs, r_max, s_max, projector):
-    """:func:`binary_velocity` on components, from R.R, R.S and the largest components
-    of R and S; ``projector()`` gives R's idempotent once both refusals passed."""
+    (rs,) = _pairings(space, (rc, sc))
+    rr, r_max, s_max = r.square(), maxabs(rc), maxabs(sc)
     if kernels.is_null(rr, r_max, space.tol_abs):
         raise NullVectorError("binary velocity requires non-null R")
     if kernels.within(abs(rs), space.tol_abs, r_max * s_max):
         raise OrthogonalPairError("R.S = 0; relative velocity undefined")
-    d = s - r
-    return (d - projector() @ d) * float(rr / rs)
+    d = sc - rc
+    return _fresh(Vector, (d - projector() @ d) * float(rr / rs), space)
 
 
 def ternary_velocity(problem: LinkProblem, c: float = 1.0) -> Vector:
@@ -538,7 +545,7 @@ def _ternary_velocity(space, t: _Terms, c, projector) -> Vector:
         return _fresh(Vector, np.zeros(space.dim), space)
     d = t.d.components
     vbar = (d - projector() @ d) * float(_mu_of(t, space.tol_abs))
-    vbar2 = float(kernels.pairing_rows(space.g, vbar, vbar))
+    (vbar2,) = _pairings(space, (vbar, vbar))
     if vbar2 < 0.0:
         raise InternalConsistencyError(
             f"vbar.vbar = {vbar2!r} should be non-negative")

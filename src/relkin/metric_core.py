@@ -377,10 +377,11 @@ def scalar_product(a: Vector, b: Vector) -> float:
     """Metric pairing a.b.
 
     Evaluated through the symmetrized outer product so that the result is
-    bit-identical under argument exchange, by ``kernels.pairing_rows``, the
-    one body of the pairing formula, as a float (``pairing_floats``).  The
-    library's own formulas evaluate all the pairings they need in one such
-    pass: a pass over several pairs costs about as much as one call here.
+    bit-identical under argument exchange, up to the sign of a NaN, by
+    ``kernels.pairing_rows``, the one body of the pairing formula, as a
+    float: on the space's float pairing where it takes the pair, else by
+    ``pairing_floats``.  The library's one-object formulas pair the same way
+    (:func:`_pairings`), without this call's space check.
     """
     space = same_space(a, b)
     return _pairing(space, a.components, b.components)
@@ -395,6 +396,12 @@ def _pairing(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> float:
             and (value := pair(a.tolist(), b.tolist())) is not None):
         return value
     return pairing_floats(space.g, a, b)
+
+
+def _pairings(space: MetricSpace, *pairs) -> list[float]:
+    """The pairings a.b of a few (a, b) component pairs, as floats, each by
+    :func:`_pairing`: the one pass of a one-object formula's pairings."""
+    return [_pairing(space, a, b) for a, b in pairs]
 
 
 def _check_unit_timelike(space: MetricSpace, message: str, *squares: float) -> None:
@@ -448,7 +455,7 @@ def idempotent_of(p: Vector) -> Endomorphism:
     Satisfies p o p = p and trace(p) = 1.  Raises NullVectorError when P is
     null to tolerance (the test is relative to the component scale).
     """
-    pp = float(pairing_rows(p.space.g, p.components, p.components))
+    pp = p.square()
     if is_null(pp, maxabs(p.components), p.space.tol_abs):
         raise NullVectorError("idempotent requires a non-null vector")
     gp = p.space.g @ p.components

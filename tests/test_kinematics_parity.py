@@ -445,17 +445,20 @@ class TestPublicConstructorsValidate:
 
 
 def test_compare_evaluates_its_pairings_in_few_passes(monkeypatch):
-    """One comparison makes no scalar_product call.  Its pairing passes are
-    fixed: the six pairings of p, q and r; the idempotents of p and q; the
-    P-pairings of the three link problems; one vbar.vbar per problem; the
-    chain's hom(p, r), with its own idempotent; one per Velocity3 built (two
-    legs and two sums); one per velocity_add."""
+    """One comparison makes no scalar_product call and no pairing_rows pass.
+    Its _pairings passes are fixed: R.S for each hom (hom(p, q), hom(q, r),
+    hom(p, r) and the chain's hom(p, r)), one vbar.vbar per link problem
+    (three), one P.v per Velocity3 built (two legs and two sums) and one v.u
+    per velocity_add (two): 13.  The link terms pair on the space's float
+    pairing, and the squares and idempotents are those the observers and
+    velocities keep, so a second comparison makes the same passes."""
     space = make_space(4)
     rng = rng_for(87)
     p, q, r = (ObserverObject(random_observer(space, rng)) for _ in range(3))
-    counts = {"scalar_product": 0, "pairing_rows": 0}
+    counts = {"scalar_product": 0, "pairing_rows": 0, "_pairings": 0}
     originals = {"scalar_product": metric_core.scalar_product,
-                 "pairing_rows": kernels.pairing_rows}
+                 "pairing_rows": kernels.pairing_rows,
+                 "_pairings": metric_core._pairings}
 
     def counted(name):
         def call(*args):
@@ -470,10 +473,10 @@ def test_compare_evaluates_its_pairings_in_few_passes(monkeypatch):
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counted(name))
     compare_with_isometric(p, q, r, 1.5)
-    assert counts == {"scalar_product": 0, "pairing_rows": 15}
-    counts["pairing_rows"] = 0
+    assert counts == {"scalar_product": 0, "pairing_rows": 0, "_pairings": 13}
+    counts["_pairings"] = 0
     compare_with_isometric(p, q, r, 1.5)   # the observers' idempotents are cached
-    assert counts == {"scalar_product": 0, "pairing_rows": 13}
+    assert counts == {"scalar_product": 0, "pairing_rows": 0, "_pairings": 13}
 
 
 def test_space_mismatch_keeps_the_order_of_refusals():

@@ -552,10 +552,11 @@ class TestPlanarLinkProblemChecks:
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Calls of ``scalar_product`` and passes of ``kernels.pairing_rows``, counted
-    in every relkin module that holds either name."""
-    counts = dict.fromkeys(("scalar_product", "pairing_rows"), 0)
-    for name, home in (("scalar_product", relkin.metric_core), ("pairing_rows", kernels)):
+    """Calls of ``scalar_product`` and passes of ``kernels.pairing_rows`` and of
+    ``metric_core._pairings``, counted in every relkin module that holds the name."""
+    counts = dict.fromkeys(("scalar_product", "pairing_rows", "_pairings"), 0)
+    for name, home in (("scalar_product", relkin.metric_core), ("pairing_rows", kernels),
+                       ("_pairings", relkin.metric_core)):
         original = getattr(home, name)
 
         def counted(*args, _original=original, _name=name):
@@ -593,16 +594,19 @@ class TestOnePassTerms:
     def test_a_link_pairs_its_vectors_in_one_pass(self, golden, passes):
         mink4, r, s = golden
         p_link(LinkProblem(r, s, mink4.vector([1.1, 0.2, 0.5, 0.0])))
-        # One pass for the terms, one for the generator record's square.
-        assert passes == {"scalar_product": 0, "pairing_rows": 2}
+        # The terms pair on the space's float pairing and the squares of R and S
+        # are kept, so neither counts; one pairing_rows pass for the generator
+        # record's square (P.Q, with the legs' squares).
+        assert passes == {"scalar_product": 0, "pairing_rows": 1, "_pairings": 0}
 
     def test_a_built_problem_gives_its_ternary_velocity_in_two_passes(self, golden, passes):
         mink4, r, s = golden
         problem = LinkProblem(r, s, mink4.vector([1.25, 0.0, 0.75, 0.0]))
-        passes.update(scalar_product=0, pairing_rows=0)
+        passes.update(scalar_product=0, pairing_rows=0, _pairings=0)
         ternary_velocity(problem)
-        # P's idempotent and vbar.vbar; the terms were formed with the problem.
-        assert passes == {"scalar_product": 0, "pairing_rows": 2}
+        # One _pairings pass for vbar.vbar.  P's idempotent reads the square of
+        # P, and the terms were formed with the problem.
+        assert passes == {"scalar_product": 0, "pairing_rows": 0, "_pairings": 1}
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("kind", SIGNATURES)
