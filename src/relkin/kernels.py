@@ -10,16 +10,17 @@ kernels repeat the scalar arithmetic operation for operation, so every row
 is bit-identical to the value the object API computes for that ray, up to
 the sign of a NaN, which depends on the order of two NaN operands.  The
 terms of a scan's rays take one :func:`pairing_rows` pass
-(``linker._Terms.of``).  One object's formulas, one link problem's terms
-and the groupoid comparison included, pair on the space's float pairing
-(``MetricSpace._float_pairing``, see :func:`float_pairing`), with the bits
-of this pass.
+(``linker._Terms.of``).  One pair of vectors takes the space's float
+pairing (``MetricSpace._float_pairing``, see :func:`float_pairing`), with
+the bits of this pass: one object's formulas, one link problem's terms and
+the groupoid comparison included.  These are the two pairing paths: one
+pair on Python floats and stacked rows on arrays.
 
 A reduction over one row runs the same ufunc reduction over the same
 contiguous entries as the scalar one, which keeps the rows exact.  On a
 diagonal metric a pairing adds only the terms that reduction would find
 non-zero, nested as it nests them, to the same bits, on arrays for a large
-batch and on Python floats for a small one, unless an entry is non-finite or
+batch and on Python floats for one pair, unless an entry is non-finite or
 an off-diagonal term could overflow.  Powers are written as products, which
 round alike on floats and arrays and overflow to inf instead of raising.
 
@@ -49,7 +50,6 @@ __all__ = [
     "link_mu",
     "link_terms",
     "maxabs_rows",
-    "pairing_floats",
     "pairing_rows",
     "run_checks",
     "trivector_rows",
@@ -239,14 +239,12 @@ def pairing_rows(g, a, b) -> np.ndarray:
 
     The arithmetic of ``scalar_product``: the symmetrized outer product, g
     times it, and one sum over each pair's d^2 entries, halved.  On a metric
-    without off-diagonal entries, a small batch (:func:`_float_pairings`) and
-    one where a or b has at least ``_DIAGONAL_ENTRIES`` entries add only the d
-    diagonal terms, to the same bits (:func:`_diagonal_sum`), unless an entry
-    is non-finite or so large that an off-diagonal term could overflow.
+    without off-diagonal entries, a batch where a or b has at least
+    ``_DIAGONAL_ENTRIES`` entries adds only the d diagonal terms, to the same
+    bits (:func:`_diagonal_sum`), unless an entry is non-finite or so large
+    that an off-diagonal term could overflow.  One pair takes the float
+    pairing of :func:`float_pairing` instead (``metric_core._pairing``).
     """
-    values = _float_pairings(g, a, b)
-    if values is not None:
-        return np.float64(values) if a.ndim == b.ndim == 1 else np.array(values)
     if ((a.size >= _DIAGONAL_ENTRIES or b.size >= _DIAGONAL_ENTRIES)
             and np.count_nonzero(g) == np.count_nonzero(np.diagonal(g))
             and float(np.max(np.abs(a))) * float(np.max(np.abs(b))) < _PAIRING_LIMIT
@@ -255,19 +253,14 @@ def pairing_rows(g, a, b) -> np.ndarray:
     return _square_sum(g, a, b)
 
 
-def pairing_floats(g, a, b):
-    """``pairing_rows(g, a, b).tolist()``, without the arrays on the float path."""
-    values = _float_pairings(g, a, b)
-    return pairing_rows(g, a, b).tolist() if values is None else values
-
-
 def float_pairing(g):
-    """The float path of :func:`pairing_floats` for one pair on the metric
-    ``g``, resolved once: a function of ``a.tolist()`` and ``b.tolist()``
-    for float64 d-vectors a and b that returns their pairing, or None where
-    an entry is non-finite or an off-diagonal term could overflow.  None in
-    place of the function for a metric that is not float64, has an entry off
-    the diagonal or whose dimension failed its probe."""
+    """:func:`pairing_rows` of one pair on Python floats for the metric ``g``,
+    resolved once: a function of ``a.tolist()`` and ``b.tolist()`` for
+    float64 d-vectors a and b that returns their pairing, to the same bits,
+    or None where an entry is non-finite, an off-diagonal term could
+    overflow or the pairing is NaN.  None in place of the function for a
+    metric that is not float64, has an entry off the diagonal or whose
+    dimension failed its probe."""
     if (g.dtype is not _FLOAT64 or g.ndim != 2
             or (diagonal := _diagonal_of(g.tobytes(), g.shape)) is None
             or (order := _diagonal_order(len(diagonal))) is None):
@@ -287,14 +280,9 @@ def _square_sum(g, a, b) -> np.ndarray:
 # 171 at d = 6.  At d = 3-6 (one core, NumPy 2.4.6) the diagonal terms ran
 # 0.94-0.97 times as fast at 128 rows, 1.1-1.9 times at 256 and 1.9-2.9
 # times at 512.  Counting entries, not rows, keeps the test cheap for the
-# one-object pairings, which never reach it.
+# batches below it, the one-object pairings that the float pairing refuses
+# included, which fail it first.
 _DIAGONAL_ENTRIES = 1024
-# The largest batch paired on Python floats, a call per pair against NumPy's
-# fixed cost per batch: in two runs at d = 2-12 (one core, NumPy 2.4.6) the
-# floats ran 1.2-2.0 times as fast for one pair, 0.9-1.6 times for two or
-# three within 24 entries, about even for four and slower beyond.
-_FLOAT_PAIRS = 3
-_FLOAT_ENTRIES = 24
 # Below this bound on max|a| max|b| no term a_i b_j + a_j b_i overflows, so
 # every off-diagonal term of a diagonal metric is 0 times a finite number.
 # The bound is tested on Python floats, which overflow to inf without a
@@ -303,25 +291,6 @@ _PAIRING_LIMIT = 2.0 ** 1022
 _FLOAT64 = np.dtype(np.float64)
 # dim -> the sums of _diagonal_order(dim), or None where their probe failed.
 _diagonal_orders = {}
-
-
-def _float_pairings(g, a, b):
-    """:func:`pairing_rows` of float64 vectors or rows within the float bounds,
-    on a diagonal metric, as ``tolist`` gives it but on floats; else None."""
-    if (a.size + b.size > _FLOAT_ENTRIES or not (a.dtype is b.dtype is g.dtype is _FLOAT64)
-            or not 0 < a.ndim <= 2 or not 0 < b.ndim <= 2 or g.ndim != 2
-            or (diagonal := _diagonal_of(g.tobytes(), g.shape)) is None
-            or max(a.size, b.size) > _FLOAT_PAIRS * len(diagonal)
-            or not a.shape[-1] == b.shape[-1] == len(diagonal)
-            or a.ndim == b.ndim == 2 and len(a) != len(b)
-            or (order := _diagonal_order(len(diagonal))) is None):
-        return None
-    xs, ys, pair = a.tolist(), b.tolist(), order[1]
-    if a.ndim == b.ndim == 1:
-        return pair(diagonal, xs, ys)
-    values = list(map(pair, repeat(diagonal), repeat(xs) if a.ndim == 1 else xs,
-                      repeat(ys) if b.ndim == 1 else ys))
-    return None if None in values else values
 
 
 @functools.lru_cache(maxsize=32)

@@ -30,7 +30,7 @@ from .errors import (
     SpaceMismatchError,
 )
 from .kernels import (bivector_pairing, float_pairing, identity_entries, is_null,
-                      pairing_floats, pairing_rows, trivector_rows, within)
+                      pairing_rows, trivector_rows, within)
 
 __all__ = [
     "DEFAULT_TOL_ABS",
@@ -379,8 +379,8 @@ def scalar_product(a: Vector, b: Vector) -> float:
     Evaluated through the symmetrized outer product so that the result is
     bit-identical under argument exchange, up to the sign of a NaN, by
     ``kernels.pairing_rows``, the one body of the pairing formula, as a
-    float: on the space's float pairing where it takes the pair, else by
-    ``pairing_floats``.  The library's one-object formulas pair the same way
+    float: on the space's float pairing where it takes the pair, else on
+    arrays.  The library's one-object formulas pair the same way
     (:func:`_pairings`), without this call's space check.
     """
     space = same_space(a, b)
@@ -388,14 +388,14 @@ def scalar_product(a: Vector, b: Vector) -> float:
 
 
 def _pairing(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> float:
-    """``pairing_floats(space.g, a, b)``, on the space's float pairing for two
-    float64 d-vectors it takes."""
+    """``pairing_rows(space.g, a, b).tolist()``, on the space's float pairing
+    for two float64 d-vectors it takes."""
     pair = space._float_pairing
     if (pair is not None and a.dtype is b.dtype is _FLOAT64
             and a.shape == b.shape == (space.dim,)
             and (value := pair(a.tolist(), b.tolist())) is not None):
         return value
-    return pairing_floats(space.g, a, b)
+    return pairing_rows(space.g, a, b).tolist()
 
 
 def _pairings(space: MetricSpace, *pairs) -> list[float]:
@@ -430,7 +430,7 @@ def bivector_product(b1: SimpleBivector, b2: SimpleBivector) -> float:
     same_space(b1.first, b2.first)
     a, b = b1.first, b1.second
     if b2.first.components is a.components and b2.second.components is b.components:
-        ab = float(pairing_rows(b1.space.g, a.components, b.components))
+        ab = _pairing(b1.space, a.components, b.components)
         return a.square() * b.square() - ab * ab
     return float(bivector_pairing(b1.space.g, b1.first.components,
                                   b1.second.components, b2.first.components,

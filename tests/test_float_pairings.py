@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relkin import kernels
+from relkin import kernels, metric_core
 from relkin.errors import NotIsomagnitudeError
 from relkin.linker import LinkProblem, _Terms
 from relkin.metric_core import MetricSpace, maxabs
@@ -32,13 +32,9 @@ def _bits(values):
 
 
 def _shapes(dim, shape):
-    """The shapes of a and b for ``shape``, with as many rows as the float
-    path takes (at least one)."""
-    rows = max(1, min(kernels._FLOAT_PAIRS,
-                      (kernels._FLOAT_ENTRIES - dim) // dim if shape in ("v-r", "r-v")
-                      else kernels._FLOAT_ENTRIES // (2 * dim)))
-    return {"v-v": ((dim,), (dim,)), "v-r": ((dim,), (rows, dim)),
-            "r-v": ((rows, dim), (dim,)), "r-r": ((rows, dim), (rows, dim))}[shape]
+    """The shapes of a and b for ``shape``: a vector or three rows each."""
+    return {"v-v": ((dim,), (dim,)), "v-r": ((dim,), (3, dim)),
+            "r-v": ((3, dim), (dim,)), "r-r": ((3, dim), (3, dim))}[shape]
 
 
 def _entries(gen, shape, scale, zeros, specials):
@@ -57,7 +53,7 @@ def _entries(gen, shape, scale, zeros, specials):
 
 def _guard_holds(a, b):
     """Whether (sum x_i^2)(sum y_i^2), added left to right on floats, is finite
-    for every pair of rows x of a and y of b, the float path's bound."""
+    for every pair of rows x of a and y of b, the float pairing's bound."""
     def squares(rows):
         return [sum(v * v for v in row) for row in np.atleast_2d(rows).tolist()]
 
@@ -70,44 +66,55 @@ def _metric(gen, dim, unit):
 
 
 class TestFloatPairings:
-    @given(dim=st.integers(2, 12), shape=st.sampled_from(["v-v", "v-r", "r-v", "r-r"]),
+    @given(dim=st.integers(2, 12), rows=st.integers(1, 3),
            seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0, 20, 150, 300]),
            zeros=st.sampled_from([0.0, 0.3]), specials=st.sampled_from([0.0, 0.0, 0.1]),
            unit=st.booleans())
-    def test_small_pairings_equal_the_square_sum(self, dim, shape, seed, scale, zeros,
-                                                 specials, unit):
+    def test_one_pair_on_floats_equals_the_square_sum(self, dim, rows, seed, scale, zeros,
+                                                      specials, unit):
         gen = np.random.default_rng(seed)
-        a_shape, b_shape = _shapes(dim, shape)
-        a = _entries(gen, a_shape, scale, zeros, specials)
-        b = _entries(gen, b_shape, scale, zeros, specials)
+        a, b = (_entries(gen, dim, scale, zeros, specials) for _ in range(2))
+        ra, rb = (_entries(gen, (rows, dim), scale, zeros, specials) for _ in range(2))
         g = _metric(gen, dim, unit)
+        pair = kernels.float_pairing(g)
+        assert pair is not None
         with np.errstate(all="ignore"):
             expected = reference_pairings(g, a, b)
-            out = kernels.pairing_rows(g, a, b)
-            floats = kernels.pairing_floats(g, a, b)
-        assert type(out) is type(expected) and np.shape(out) == np.shape(expected)
-        assert np.array_equal(_bits(out), _bits(expected))
-        assert np.array_equal(_bits(floats), _bits(expected))
-        assert type(floats) is type(expected.tolist())
-        if _guard_holds(a, b) and not np.isnan(expected).any():
-            assert kernels._float_pairings(g, a, b) is not None  # the float path ran
+            value = pair(a.tolist(), b.tolist())
+            # Vectors, rows, a broadcast row and stacks on the array path.
+            for x, y in ((a, b), (a, rb), (ra, b), (ra, rb), (ra[:1], rb),
+                         (ra[None], rb[:, None])):
+                out = kernels.pairing_rows(g, x, y)
+                want = reference_pairings(g, x, y)
+                assert type(out) is type(want) and np.shape(out) == np.shape(want)
+                assert np.array_equal(_bits(out), _bits(want))
+        if _guard_holds(a, b) and not np.isnan(expected):
+            assert type(value) is float and _bits(value) == _bits(expected)
+        else:
+            assert value is None
 
     @pytest.mark.parametrize("shape", ["v-v", "v-r", "r-v", "r-r"])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_each_shape_pairs_its_rows(self, dim, shape):
+        """A vector or rows on either side: ``pairing_rows`` gives a scalar or
+        one pairing per row, and the float pairing gives each pair's bits."""
         gen = np.random.default_rng(dim)
         a_shape, b_shape = _shapes(dim, shape)
         a, b = gen.normal(size=a_shape), gen.normal(size=b_shape)
         g = _metric(gen, dim, False)
-        values = kernels._float_pairings(g, a, b)
-        assert values is not None
-        assert np.array_equal(_bits(values), _bits(reference_pairings(g, a, b)))
+        expected = reference_pairings(g, a, b)
         out = kernels.pairing_rows(g, a, b)
+        assert np.array_equal(_bits(out), _bits(expected))
         if shape == "v-v":
-            assert type(values) is float and type(out) is np.float64
+            assert type(out) is np.float64
         else:
-            assert type(values) is list and out.dtype == np.float64
+            assert out.dtype == np.float64
             assert out.shape == (b_shape if len(a_shape) == 1 else a_shape)[:1]
+        pair = kernels.float_pairing(g)
+        rows = np.broadcast_arrays(np.atleast_2d(a), np.atleast_2d(b))
+        values = [pair(x, y) for x, y in zip(rows[0].tolist(), rows[1].tolist())]
+        assert all(type(value) is float for value in values)
+        assert np.array_equal(_bits(values), _bits(np.atleast_1d(expected)))
 
     @pytest.mark.parametrize("a_top, b_top, taken", [
         (2.0 ** 511, 2.0 ** 511 * (1.0 - 2.0 ** -52), False),  # max|a| max|b| just below 2^1022
@@ -120,26 +127,31 @@ class TestFloatPairings:
         (np.nan, 1.0, False),
     ])
     def test_the_bound_on_the_squares(self, a_top, b_top, taken):
-        """The float path takes a pair only where (sum a_i^2)(sum b_i^2) is
+        """The float pairing takes a pair only where (sum a_i^2)(sum b_i^2) is
         finite, which keeps every |a_i b_j| below 2^513; on either side of
         that bound and of max|a| max|b| = 2^1022 the bits are the d^2 sum's."""
         g = np.diag([-1.0, 1.0, 1.0])
         a, b = np.array([a_top, 1.0, 0.5]), np.array([0.25, b_top, -1.0])
         with np.errstate(all="ignore"):
-            assert (kernels._float_pairings(g, a, b) is not None) is taken
-            assert np.array_equal(_bits(kernels.pairing_rows(g, a, b)),
-                                  _bits(reference_pairings(g, a, b)))
+            value = kernels.float_pairing(g)(a.tolist(), b.tolist())
+            expected = reference_pairings(g, a, b)
+            assert (value is not None) is taken
+            if taken:
+                assert _bits(value) == _bits(expected)
+            assert np.array_equal(_bits(kernels.pairing_rows(g, a, b)), _bits(expected))
 
     def test_a_nan_entry_after_the_first_leaves_the_floats(self):
         g = np.diag([-1.0, 1.0, 1.0])
         a = np.array([1.0, np.nan, 2.0])
-        assert kernels._float_pairings(g, a, a) is None
+        assert kernels.float_pairing(g)(a.tolist(), a.tolist()) is None
         assert np.isnan(kernels.pairing_rows(g, a, a))
 
     @pytest.mark.parametrize("case", ["off-diagonal", "float32 metric", "int rows",
                                       "4 pairs", "over 24 entries", "stacks",
                                       "broadcast row", "wrong length"])
     def test_other_batches_keep_the_array_path(self, case):
+        """Metrics without a float pairing and batches of more than one pair
+        pair on arrays, with the d^2 sum's bits."""
         gen = np.random.default_rng(7)
         dim = {"4 pairs": 2, "over 24 entries": 6}.get(case, 4)
         g = np.diag([-1.0] + [1.0] * (dim - 1))
@@ -160,35 +172,40 @@ class TestFloatPairings:
             a = a.reshape(1, dim)
         elif case == "wrong length":
             a = gen.normal(size=dim + 1)
-        assert kernels._float_pairings(g, a, b) is None
+        assert (kernels.float_pairing(g) is None) is (case in ("off-diagonal", "float32 metric"))
         if case == "wrong length":
             with pytest.raises(ValueError):
                 kernels.pairing_rows(g, a, b)
             return
         with np.errstate(all="ignore"):
-            assert np.array_equal(_bits(kernels.pairing_rows(g, a, b)),
-                                  _bits(reference_pairings(g, a, b)))
+            expected = reference_pairings(g, a, b)
+            assert np.array_equal(_bits(kernels.pairing_rows(g, a, b)), _bits(expected))
+            if g.dtype == np.float64:
+                space = MetricSpace.from_metric(g)
+                assert np.array_equal(_bits(metric_core._pairing(space, a, b)), _bits(expected))
 
     @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, 1e308])
     def test_a_non_finite_or_huge_metric_entry_keeps_the_bits(self, entry):
         gen = np.random.default_rng(8)
         g = np.diag([-1.0, entry, 1.0, -entry])
+        pair = kernels.float_pairing(g)
         for a, b in ((gen.normal(size=4), gen.normal(size=4)),
                      (gen.normal(size=4), gen.normal(size=(3, 4))),
                      (np.zeros(4), gen.normal(size=4))):
             with np.errstate(all="ignore"):
-                assert np.array_equal(_bits(kernels.pairing_rows(g, a, b)),
-                                      _bits(reference_pairings(g, a, b)))
+                expected = reference_pairings(g, a, b)
+                assert np.array_equal(_bits(kernels.pairing_rows(g, a, b)), _bits(expected))
+                if b.ndim == 1 and (value := pair(a.tolist(), b.tolist())) is not None:
+                    assert _bits(value) == _bits(expected)
 
     def test_the_probe_holds_on_this_numpy(self, monkeypatch):
-        """Every dimension's float path runs once its compiled sums are probed."""
+        """Every dimension's float pairing resolves once its compiled sums are probed."""
         monkeypatch.setattr(kernels, "_diagonal_orders", {})
-        assert all(kernels._float_pairings(np.eye(dim), np.ones(dim), np.ones(dim))
-                   is not None for dim in range(2, 13))
+        assert all(kernels.float_pairing(np.eye(dim)) is not None for dim in range(2, 13))
 
     def test_a_probe_mismatch_pairs_on_arrays(self, monkeypatch):
         """Compiled from a wrong order (one by one), the function fails its
-        probe, and pairings leave the floats with the same output."""
+        probe: no float pairing resolves, and pairings keep their bits on arrays."""
         def one_by_one(dim):
             order = 0
             for i in range(1, dim):
@@ -200,9 +217,12 @@ class TestFloatPairings:
         assert kernels._diagonal_order(4) is None
         gen = np.random.default_rng(4)
         g, a, b = np.diag([-1.0, 1.0, 1.0, 1.0]), gen.normal(size=4), gen.normal(size=(2, 4))
-        assert kernels._float_pairings(g, a, b) is None
+        assert kernels.float_pairing(g) is None
         assert np.array_equal(_bits(kernels.pairing_rows(g, a, b)),
                               _bits(reference_pairings(g, a, b)))
+        space = MetricSpace.from_metric(g)
+        assert space._float_pairing is None
+        assert _bits(space.vector(a).square()) == _bits(reference_pairings(g, a, a))
 
 
 class TestMetricLookup:
@@ -213,7 +233,8 @@ class TestMetricLookup:
             for metric in metrics:
                 space = MetricSpace.from_metric(metric)
                 v = space.vector(np.linspace(0.5, 1.5, space.dim))
-                kernels.pairing_rows(space.g, v.components, v.components)
+                assert space._float_pairing is not None
+                v.square()
 
         pair_in_fresh_spaces()
         size = kernels._diagonal_of.cache_info().currsize
@@ -225,7 +246,7 @@ class TestMetricLookup:
 
     def test_the_cache_is_bounded(self):
         for k in range(100):
-            kernels.pairing_rows(np.diag([-1.0, 1.0 + k, 1.0]), np.ones(3), np.ones(3))
+            kernels.float_pairing(np.diag([-1.0, 1.0 + k, 1.0]))
         assert kernels._diagonal_of.cache_info().currsize <= 32
 
 

@@ -595,9 +595,9 @@ class TestOnePassTerms:
         mink4, r, s = golden
         p_link(LinkProblem(r, s, mink4.vector([1.1, 0.2, 0.5, 0.0])))
         # The terms pair on the space's float pairing and the squares of R and S
-        # are kept, so neither counts; one pairing_rows pass for the generator
-        # record's square (P.Q, with the legs' squares).
-        assert passes == {"scalar_product": 0, "pairing_rows": 1, "_pairings": 0}
+        # are kept, so neither counts; the generator record's square (P.Q, with
+        # the legs' squares) pairs on the float pairing too.
+        assert passes == {"scalar_product": 0, "pairing_rows": 0, "_pairings": 0}
 
     def test_a_built_problem_gives_its_ternary_velocity_in_two_passes(self, golden, passes):
         mink4, r, s = golden

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relkin import kernels, linker, sampling
+from relkin import kernels, linker, metric_core, sampling
 from relkin.linker import _Terms
 from relkin.metric_core import (MetricSpace, SimpleBivector, Vector, bivector_product,
                                 maxabs, scalar_product)
@@ -93,8 +93,8 @@ class TestSpacePairing:
 
     def test_other_components_keep_the_array_path(self, mink4):
         ints = Vector(np.array([1, 2, 3, 4]), mink4)
-        assert ints.square() == kernels.pairing_floats(mink4.g, ints.components,
-                                                       ints.components) == 28.0
+        assert ints.square() == kernels.pairing_rows(mink4.g, ints.components,
+                                                     ints.components).tolist() == 28.0
         rows = Vector(np.ones((2, 4)), mink4)
         assert rows.square() == [2.0, 2.0]
 
@@ -154,18 +154,23 @@ class TestBivectorSquares:
             assert _same(kernels.pairing_rows(space.g, a, b), kernels.pairing_rows(space.g, b, a))
 
     def test_a_square_makes_one_pass_and_keeps_the_legs_squares(self, mink4, monkeypatch):
+        """Besides the squares of its legs, which it keeps, a square pairs A
+        with B once, on the space's float pairing: no pass runs on arrays."""
         a, b = mink4.vector([1.0, 0.5, 0.25, 0.0]), mink4.vector([0.0, 1.0, 0.0, 2.0])
-        calls = []
-        original = kernels.pairing_rows
+        calls = {"pairing_rows": [], "_pairing": []}
+        for name, seen in calls.items():
+            original = getattr(metric_core, name)
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+            def counted(*args, _original=original, _seen=seen):
+                _seen.append(args)
+                return _original(*args)
 
-        monkeypatch.setattr(kernels, "pairing_rows", counted)
-        monkeypatch.setattr("relkin.metric_core.pairing_rows", counted)
+            monkeypatch.setattr(metric_core, name, counted)
+        monkeypatch.setattr(kernels, "pairing_rows", metric_core.pairing_rows)
         SimpleBivector(a, b).square()
-        assert len(calls) == 1
+        names = {id(a.components): "a", id(b.components): "b"}
+        pairs = sorted(names[id(x)] + names[id(y)] for _, x, y in calls["_pairing"])
+        assert calls["pairing_rows"] == [] and pairs == ["aa", "ab", "bb"]
         assert a.__dict__["_square"] == -0.6875 and b.__dict__["_square"] == 5.0
 
 
