@@ -100,6 +100,13 @@ def _column(values: list, fmt: str) -> list:
     if kinds <= {str, bool, type(None)}:  # no two of these are equal
         texts = {v: _json_scalar(v) for v in set(values)}
         return [texts[v] for v in values]
+    if kinds == {float}:  # one formatting pass, _json_scalar's texts where they differ
+        text = ("%.10g," * len(values))[:-1] % tuple(values)
+        if "e+1" not in text and "e+3" not in text and "e-3" not in text:
+            texts = text.split(",")
+            if text.count(".") == len(texts):  # a point in every text
+                return texts
+            return [t if "." in t else _json_scalar(v) for t, v in zip(texts, values)]
     return list(map(str if kinds == {int} else _json_scalar, values))
 
 

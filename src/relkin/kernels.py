@@ -24,6 +24,13 @@ batch and on Python floats for one pair, unless an entry is non-finite or
 an off-diagonal term could overflow.  Powers are written as products, which
 round alike on floats and arrays and overflow to inf instead of raising.
 
+The planarity witness, the largest component of P^R^S, has one definition,
+:func:`trivector_rows`.  A planarity flag needs only whether it lies within
+its bound, so :func:`trivector_triple_rows` forms the components i < j < k
+first, with the bits of their entries in the full array: a row whose
+largest one exceeds the bound is not planar, and only the other rows take
+the full d^3 witness (``linker._planar_rows``).
+
 Every check of the library compares with one rule, :func:`within`, and a
 link's checks run through one runner, :func:`run_checks`, on floats or rows.
 """
@@ -53,6 +60,7 @@ __all__ = [
     "pairing_rows",
     "run_checks",
     "trivector_rows",
+    "trivector_triple_rows",
     "velocity_sum",
     "wedge_maxabs",
     "wedge_maxabs_rows",
@@ -442,6 +450,51 @@ def trivector_rows(a, b, c) -> np.ndarray:
         worst[start:start + len(x)] = np.maximum.reduce(np.abs(total, out=total),
                                                       axis=(1, 2, 3))
     return worst
+
+
+def trivector_triple_rows(a, b, c) -> np.ndarray:
+    """Largest |component ijk| of a^b^c over the triples i < j < k, for each
+    row; 0.0 for d < 3, where there are none.
+
+    Arguments as for :func:`trivector_rows`.  Each component repeats that
+    entry of the full array operation for operation, to the same bits
+    (:func:`_triple_components`).  They are 1/27 to 1/11 of the d^3
+    components at d = 3-6, and no component of the full array is left out
+    of its maximum, so a row whose value here exceeds a bound has a witness
+    that exceeds it too.  The rows are taken in blocks of
+    ``_WITNESS_ENTRIES`` components.
+    """
+    n = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c))[0]
+    worst = np.empty(n)
+    rows = max(1, _WITNESS_ENTRIES // max(1, _triples(np.shape(a)[-1]).shape[1]))
+    for start in range(0, n, rows):
+        total = _triple_components(*(v[start:start + rows] if np.ndim(v) == 2 else v
+                                     for v in (a, b, c)))
+        worst[start:start + rows] = np.maximum.reduce(np.abs(total, out=total),
+                                                     axis=-1, initial=0.0)
+    return worst
+
+
+def _triple_components(x, y, z) -> np.ndarray:
+    """The components ijk of x^y^z with i < j < k, one column per triple,
+    each added and rounded as :func:`trivector_rows` forms it."""
+    i, j, k = _triples(np.shape(x)[-1])
+    xi, xj, xk, yi, yj, yk, zi, zj, zk = (v[..., m] for v in (x, y, z) for m in (i, j, k))
+    total = (xi * yj) * zk + (yi * zj) * xk
+    total += (zi * xj) * yk
+    total -= (zj * xi) * yk
+    total -= (xj * yi) * zk
+    total -= (yj * zi) * xk
+    return total
+
+
+@functools.cache
+def _triples(dim: int):
+    """The indices i, j and k of the triples i < j < k of a dimension, in
+    the order of ``itertools.combinations``, built on first use."""
+    triples = np.array(list(combinations(range(dim), 3)), dtype=np.intp).reshape(-1, 3)
+    triples.setflags(write=False)
+    return triples.T
 
 
 # Components per block of the planarity witness, 64 KB per temporary: 303

@@ -308,8 +308,10 @@ def admissibility(problem: LinkProblem) -> LinkAdmissibility:
 
     With P omitted the flags are those of the planar default ray P = R.
     The flags other than ``planar`` come from the problem's shared terms;
-    only the planarity witness P^R^S is evaluated here, by :func:`_planar_rows`,
-    and the link path (:func:`mu_scalar`, :func:`p_link`) never evaluates it.
+    only the planarity witness P^R^S is evaluated here, by :func:`_planar_rows`
+    on the ray as one row: the components i < j < k first, and the full
+    witness only when they leave the ray a planar candidate.  The link path
+    (:func:`mu_scalar`, :func:`p_link`) never evaluates it.
     """
     t = problem._terms
     planar = _planar_rows(problem, t._replace(p=t.p.components[None]))
@@ -378,10 +380,22 @@ class _RayLinks:
 
 
 def _planar_rows(problem: LinkProblem, t: _Terms) -> np.ndarray:
-    """The ``planar`` flag of :func:`admissibility` for each stacked ray."""
-    witness = kernels.trivector_rows(t.p, problem.R.components,
-                                     problem.S.components)
-    return kernels.within(witness, problem.space.tol_abs, t.norms * t.norms * t.norms)
+    """The ``planar`` flag of :func:`admissibility` for each stacked ray.
+
+    A ray is planar when the witness P^R^S lies within tol_abs max(1, n^3),
+    n the largest component of P, R and S.  The components i < j < k
+    (:func:`kernels.trivector_triple_rows`) come first: a ray whose largest
+    one exceeds the bound is not planar.  Only the other rays, the planar
+    candidates, those with a NaN and all rays at d = 2, take the full d^3
+    witness (:func:`kernels.trivector_rows`), and ``within`` decides every
+    ray as it would on the full witness.
+    """
+    tol, r, s = problem.space.tol_abs, problem.R.components, problem.S.components
+    cube = t.norms * t.norms * t.norms
+    witness = kernels.trivector_triple_rows(t.p, r, s)
+    candidates = ~(witness > tol * kernels.larger(1.0, cube))
+    witness[candidates] = kernels.trivector_rows(t.p[candidates], r, s)
+    return kernels.within(witness, tol, cube)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")

@@ -481,28 +481,33 @@ class TestSharedTerms:
 
     def test_scan_evaluates_one_witness_per_ray_draw(self, golden, monkeypatch):
         """The scan links its draws in stacked rounds; each draw is one row
-        of one stacked witness evaluation."""
+        of one stacked pre-pass over the components i < j < k, and only the
+        planar-stream draws, whose rays lie in the plane of R and S, take the
+        full witness."""
         _, r, s = golden
-        counts = {"draws": 0, "witnesses": 0}
-        true_witness = kernels.trivector_rows
+        counts = {"draws": 0, "planar draws": 0, "pre-pass": 0, "witnesses": 0}
         true_draw = sampling.RngBlock.draw
 
         def counted_draw(block, indices, fn):
-            def counted(rng):
-                counts["draws"] += 1
-                return fn(rng)
-            return true_draw(block, indices, counted)
+            counts["draws"] += len(indices)
+            counts["planar draws"] += int(np.count_nonzero(np.asarray(indices) >= 40))
+            return true_draw(block, indices, fn)
 
-        def counted_witness(rays, r, s):
-            counts["witnesses"] += len(rays)
-            return true_witness(rays, r, s)
+        def counted(name, kernel):
+            def run(rays, r, s):
+                counts[name] += len(rays)
+                return kernel(rays, r, s)
+            return run
 
         monkeypatch.setattr(sampling.RngBlock, "draw", counted_draw)
-        monkeypatch.setattr(kernels, "trivector_rows", counted_witness)
+        monkeypatch.setattr(kernels, "trivector_triple_rows",
+                            counted("pre-pass", kernels.trivector_triple_rows))
+        monkeypatch.setattr(kernels, "trivector_rows",
+                            counted("witnesses", kernels.trivector_rows))
         scan = checks.link_ray_scan(r, s, seed=11, n_general=40, n_planar=10)
         assert len(scan["records"]) == 50
-        assert counts["draws"] > 50  # some draws are rejected
-        assert counts["witnesses"] == counts["draws"]
+        assert counts["draws"] == counts["pre-pass"] == 53  # some draws are rejected
+        assert counts["witnesses"] == counts["planar draws"] == 13
 
 
 class TestIdentityBranchesVerifyLink:

@@ -102,6 +102,18 @@ class TestTables:
         table["index"] = list(range(rows))
         self._same_output(table)
 
+    @pytest.mark.parametrize("value", [v for v in EDGES if type(v) is float])
+    def test_a_float_column_takes_the_scalar_texts(self, value):
+        """A float column is formatted in one pass; each edge value among
+        ordinary ones must still come out as the scalar formatter writes it."""
+        for column in ([value], [0.5, value, -2.25e-7, 1 / 3], [1 / 3] * 5 + [value]):
+            assert cli._column(column, "json") == list(map(cli._json_scalar, column))
+
+    @settings(max_examples=500, deadline=None)
+    @given(column=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=12))
+    def test_float_columns_equal_the_scalar_texts(self, column):
+        assert cli._column(column, "json") == list(map(cli._json_scalar, column))
+
     def test_columns_of_every_kind(self):
         """Constant, float with NaN, all-None, bool, str and mixed int and
         float columns (1 and 1.0 must not share a text)."""
