@@ -28,10 +28,7 @@ import time
 
 import numpy as np
 
-from . import checks as chk
-from . import groupoid as grp
 from . import kinematics as kin
-from . import linker as lnk
 from .errors import (DegenerateEpochError, InternalConsistencyError,
                      NotObservedError, RelkinError, ScenarioError)
 from .metric_core import maxabs
@@ -89,24 +86,33 @@ def _json_scalar(value) -> str:
     return _JSON.encode(_round10(value))
 
 
+def _float_texts(values: list) -> list:
+    """``_json_scalar`` of each float or None in ``values`` ("null" for None,
+    NaN and inf), formatted in one pass where that pass gives its texts."""
+    if None in values:
+        values = [math.nan if v is None else v for v in values]
+    text = ("%.10g," * len(values))[:-1] % tuple(values)
+    if "e+1" in text or "e+3" in text or "e-3" in text:
+        return list(map(_json_scalar, values))
+    texts = text.split(",")
+    if text.count(".") == len(texts):  # a point in every text
+        return texts
+    return [t if "." in t else _json_scalar(v) for t, v in zip(texts, values)]
+
+
 def _column(values: list, fmt: str) -> list:
     """One table column as JSON texts, or as csv fields, rounded as the
     general path rounds them."""
     kinds = set(map(type, values))
     if fmt == "csv":
         if kinds <= {float, type(None)}:  # None and NaN are empty fields
-            return [None if t == "null" else t for t in map(_json_scalar, values)]
+            return [None if t == "null" else t for t in _float_texts(values)]
         return list(map(_round10, values))
     if kinds <= {str, bool, type(None)}:  # no two of these are equal
         texts = {v: _json_scalar(v) for v in set(values)}
         return [texts[v] for v in values]
-    if kinds == {float}:  # one formatting pass, _json_scalar's texts where they differ
-        text = ("%.10g," * len(values))[:-1] % tuple(values)
-        if "e+1" not in text and "e+3" not in text and "e-3" not in text:
-            texts = text.split(",")
-            if text.count(".") == len(texts):  # a point in every text
-                return texts
-            return [t if "." in t else _json_scalar(v) for t, v in zip(texts, values)]
+    if kinds == {float}:
+        return _float_texts(values)
     return list(map(str if kinds == {int} else _json_scalar, values))
 
 
@@ -209,6 +215,8 @@ def _velocity(space, scenario, role, observer, c):
 # default or None when it draws nothing, whether it reads --c), in definition
 # order; a command takes only the flags it reads.  A runner returns its records
 # and the summary's fields; only check's include n_failed, which decides passed.
+# A runner imports the modules only it uses (linker, groupoid, checks), so a
+# one-shot command loads no more of the package than it runs.
 _COMMANDS = {}
 
 
@@ -221,6 +229,7 @@ def _command(name, help_text, needs_scenario=True, samples=None, reads_c=False):
 
 @_command("link", "solve one linking problem from a scenario file")
 def _run_link(args, scenario, space):
+    from . import linker as lnk
     r = scenario.vector(space, "R")
     s = scenario.vector(space, "S")
     p = scenario.vector(space, "P") if scenario.has_vector("P") else None
@@ -249,6 +258,7 @@ def _run_link(args, scenario, space):
 @_command("link-scan", "scan many preferred rays for one linking problem",
           samples=100)
 def _run_link_scan(args, scenario, space):
+    from . import checks as chk
     r = scenario.vector(space, "R")
     s = scenario.vector(space, "S")
     scan = chk.link_ray_scan(r, s, seed=args.seed, n_general=args.samples,
@@ -262,6 +272,7 @@ def _run_link_scan(args, scenario, space):
 @_command("check", "run the full property suite", needs_scenario=False,
           samples=25)
 def _run_check(args, scenario, space):
+    from . import checks as chk
     results = chk.run_all(seed=args.seed, tol_rel=args.tol_rel, samples=args.samples)
     failed = [res for res in results if not res.passed]
     return ([{"kind": "property", "id": res.id, **vars(res)} for res in results],
@@ -364,6 +375,7 @@ def _run_accel(args, scenario, space):
 @_command("groupoid", "compare groupoid and isometric composition for three observers",
           reads_c=True)
 def _run_groupoid(args, scenario, space):
+    from . import groupoid as grp
     c = _resolve_c(args, scenario)
     names = scenario.param("observers")
     if not names:

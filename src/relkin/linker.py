@@ -36,6 +36,7 @@ from .errors import (
     NullVectorError,
     OrthogonalPairError,
     RelkinError,
+    SpaceMismatchError,
     ZeroMuError,
 )
 from .isometry import Isometry, _gamma_check, _law_check, _link_check, _verified
@@ -539,10 +540,10 @@ def ternary_velocity(problem: LinkProblem, c: float = 1.0) -> Vector:
     """Velocity of S relative to R as measured by the preferred observer P.
 
     All three vectors must be unit time-like (square -1 within tol_rel; no
-    silent normalization).  The scaled vector vbar = mu (id - p)(R - S) obeys
-    vbar.vbar = gamma^2 - 1; the returned velocity is v = c vbar / gamma and
-    satisfies P.v = 0.  R = S gives the zero velocity; an omitted P defaults
-    to the planar choice P = R.
+    silent normalization), in a Lorentzian space.  The scaled vector
+    vbar = mu (id - p)(R - S) obeys vbar.vbar = gamma^2 - 1; the returned
+    velocity is v = c vbar / gamma and satisfies P.v = 0.  R = S gives the
+    zero velocity; an omitted P defaults to the planar choice P = R.
     """
     _check_c(c)
     t = problem._terms
@@ -555,6 +556,9 @@ def _ternary_velocity(space, t: _Terms, c, projector) -> Vector:
     _check_isomagnitude(space, t.rr, t.ss)
     _check_unit_timelike(space, "ternary velocity requires unit time-like P, R, S",
                          t.pp, t.rr, t.ss)
+    if not space.is_lorentzian:
+        # elsewhere vbar.vbar = gamma^2 - 1 need not hold; it can be negative
+        raise SpaceMismatchError("ternary velocity requires a Lorentzian space")
     if t.coincide:
         return _fresh(Vector, np.zeros(space.dim), space)
     d = t.d.components

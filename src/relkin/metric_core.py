@@ -53,6 +53,8 @@ __all__ = [
 
 DEFAULT_TOL_REL = 1e-9
 DEFAULT_TOL_ABS = 1e-12
+# The named diagonal metric families of scenario files and the samplers.
+SIGNATURES = ("euclidean", "lorentzian", "split")
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -101,6 +103,19 @@ def _finite(arr: np.ndarray, quantity: str, error=NonFiniteError) -> np.ndarray:
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise error(f"{quantity} has non-finite entries: {arr.tolist()}")
     return arr
+
+
+def metric_for(dim: int, kind: str) -> np.ndarray:
+    """Diagonal metric of the named signature family."""
+    diag = np.ones(dim)
+    if kind == "lorentzian":
+        diag[0] = -1.0
+    elif kind == "split":
+        diag[0] = -1.0
+        diag[1 % dim] = -1.0
+    elif kind != "euclidean":
+        raise ValueError(f"unknown signature kind {kind!r}")
+    return np.diag(diag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,12 +404,17 @@ def scalar_product(a: Vector, b: Vector) -> float:
 
 def _pairing(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> float:
     """``pairing_rows(space.g, a, b).tolist()``, on the space's float pairing
-    for two float64 d-vectors it takes."""
+    for two float64 d-vectors it takes; components of any shape other than
+    (d,) are refused, as :meth:`MetricSpace.vector` refuses them."""
     pair = space._float_pairing
     if (pair is not None and a.dtype is b.dtype is _FLOAT64
             and a.shape == b.shape == (space.dim,)
             and (value := pair(a.tolist(), b.tolist())) is not None):
         return value
+    for arr in (a, b):
+        if arr.shape != (space.dim,):
+            raise SpaceMismatchError(
+                f"vector needs {space.dim} components, got shape {arr.shape}")
     return pairing_rows(space.g, a, b).tolist()
 
 

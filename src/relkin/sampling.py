@@ -22,7 +22,8 @@ from .errors import DrawsExhaustedError
 from .isometry import isometry_from_bivector
 from .kinematics import Observer, Velocity3
 from .linker import LinkProblem
-from .metric_core import MetricSpace, SimpleBivector, Vector, _fresh, maxabs, scalar_product
+from .metric_core import (SIGNATURES, MetricSpace, SimpleBivector, Vector, _fresh, maxabs,
+                          metric_for, scalar_product)
 
 __all__ = [
     "Normals",
@@ -39,8 +40,6 @@ __all__ = [
     "random_vector",
     "rng_for",
 ]
-
-SIGNATURES = ("euclidean", "lorentzian", "split")
 
 _MAX_TRIES = 1000
 
@@ -62,6 +61,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
 _WORD = 1 << 32
 _MASK_128 = (1 << 128) - 1
 
@@ -266,7 +266,7 @@ def _lined_up(output: int, then_zero: bool = False) -> tuple:
     where inc = -mult output.
     """
     inc = -_PCG_MULT * output & _MASK_128 if then_zero else 1
-    return (output - inc) * pow(_PCG_MULT, -1, 1 << 128) & _MASK_128, inc
+    return (output - inc) * _PCG_MULT_INV & _MASK_128, inc
 
 
 def _numpy_normal(gen: np.random.Generator, state: int, inc: int) -> tuple:
@@ -443,19 +443,6 @@ class RngBlock:
         self._saved[i] = bits.state
         self._taken[i] = -1
         return out
-
-
-def metric_for(dim: int, kind: str) -> np.ndarray:
-    """Diagonal metric of the named signature family."""
-    diag = np.ones(dim)
-    if kind == "lorentzian":
-        diag[0] = -1.0
-    elif kind == "split":
-        diag[0] = -1.0
-        diag[1 % dim] = -1.0
-    elif kind != "euclidean":
-        raise ValueError(f"unknown signature kind {kind!r}")
-    return np.diag(diag)
 
 
 def make_space(dim: int, kind: str = "lorentzian") -> MetricSpace:

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScenarioError
-from .metric_core import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, MetricSpace
-from .sampling import SIGNATURES, metric_for
+from .metric_core import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, SIGNATURES, MetricSpace, metric_for
 
 __all__ = ["Scenario", "load", "from_dict"]
 

@@ -262,6 +262,9 @@ class TestRecordedOutput:
         ("matrix_scan_seed0_samples30.jsonl",
          ("link-scan", "--scenario", str(DATA / "matrix_scan.json"),
           "--samples", "30", "--seed", "0")),
+        ("link_scan_seed0_samples30.csv",
+         ("link-scan", "--scenario", str(DATA / "golden_scan.json"),
+          "--samples", "30", "--seed", "0", "--format", "csv")),
     ])
     def test_matches_recording(self, recording, args):
         out = re.sub(r',"wall_time_s":[^,}]+', "", run_cli(*args).stdout)

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relkin import kernels, metric_core
-from relkin.errors import NotIsomagnitudeError
+from relkin.errors import NotIsomagnitudeError, SpaceMismatchError
 from relkin.linker import LinkProblem, _Terms
 from relkin.metric_core import MetricSpace, maxabs
 
@@ -180,9 +180,10 @@ class TestFloatPairings:
         with np.errstate(all="ignore"):
             expected = reference_pairings(g, a, b)
             assert np.array_equal(_bits(kernels.pairing_rows(g, a, b)), _bits(expected))
-            if g.dtype == np.float64:
+            if g.dtype == np.float64:  # a batch is no pair of vectors
                 space = MetricSpace.from_metric(g)
-                assert np.array_equal(_bits(metric_core._pairing(space, a, b)), _bits(expected))
+                with pytest.raises(SpaceMismatchError, match="vector needs"):
+                    metric_core._pairing(space, a, b)
 
     @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, 1e308])
     def test_a_non_finite_or_huge_metric_entry_keeps_the_bits(self, entry):

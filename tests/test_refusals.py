@@ -1,20 +1,26 @@
 """Refusals and record rules that no other test reaches."""
 
+import re
+
 import numpy as np
 import pytest
 
 from relkin import (
     DegenerateMetricError,
+    LinkProblem,
     MetricSpace,
     Observer,
     PreferredObserverMismatchError,
     SimpleBivector,
     SpaceMismatchError,
+    Vector,
     Velocity3,
     isometry_from_bivector,
+    scalar_product,
+    ternary_velocity,
     velocity_add,
 )
-from relkin import sampling
+from relkin import kernels, metric_core, sampling
 from relkin.sampling import make_space
 
 
@@ -61,3 +67,53 @@ def test_metric_must_be_invertible():
 def test_metric_for_refuses_an_unknown_signature():
     with pytest.raises(ValueError, match="unknown signature kind 'minkowski'"):
         sampling.metric_for(3, "minkowski")
+
+
+def _unit_timelike_draws(space, rng, n):
+    """``n`` vectors of square -1 in ``space``: normal draws of negative
+    square, scaled."""
+    out = []
+    while len(out) < n:
+        x = rng.normal(size=space.dim)
+        square = float(x @ space.g @ x)
+        if square < -0.1:
+            out.append(space.vector(x / np.sqrt(-square)))
+    return out
+
+
+def test_ternary_velocity_refuses_a_split_space():
+    """In diag(-1, -1, 1, 1) vbar.vbar = gamma^2 - 1 need not hold; about half
+    of these triples once came out as a broken invariant instead."""
+    space = make_space(4, "split")
+    draws = _unit_timelike_draws(space, np.random.default_rng(26), 900)
+    for r, s, p in zip(draws[0::3], draws[1::3], draws[2::3]):
+        with pytest.raises(SpaceMismatchError,
+                           match="ternary velocity requires a Lorentzian space"):
+            ternary_velocity(LinkProblem(r, s, p))
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 4)], ids=["5 components", "2 rows"])
+def test_a_vector_of_another_shape_does_not_pair(shape):
+    space = make_space(4)
+    wrong = Vector(np.ones(shape), space)
+    message = re.escape(f"vector needs 4 components, got shape {shape}")
+    with pytest.raises(SpaceMismatchError, match=message):
+        wrong.square()
+    with pytest.raises(SpaceMismatchError, match=message):
+        scalar_product(space.vector([1.0, 0.0, 0.0, 0.0]), wrong)
+
+
+@pytest.mark.parametrize("components", [np.array([1, 2, 3, 4]),
+                                        np.array([1.0, np.inf, 0.0, 0.0]),
+                                        np.array([np.nan, 1.0, 0.5, 0.0])],
+                         ids=["int", "inf", "nan"])
+def test_int_and_non_finite_vectors_pair_through_pairing_rows(components, monkeypatch):
+    space = make_space(4)
+    calls = []
+    rows = metric_core.pairing_rows
+    monkeypatch.setattr(metric_core, "pairing_rows", lambda *args: calls.append(args) or rows(*args))
+    with np.errstate(invalid="ignore"):  # inf times a zero entry of g
+        square = Vector(components, space).square()
+        assert len(calls) == 1
+        np.testing.assert_equal(square,
+                                kernels.pairing_rows(space.g, components, components).tolist())

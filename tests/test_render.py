@@ -50,6 +50,21 @@ EDGES = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.5e-300, 0.0, -0.0, 
          0.0001234, 1.2345e-5, None, True, False, 0, -3, 2**64]
 
 
+CSV_EDGES = [0.0, -0.0, 1e16, 1e-320, 1.797e308, math.nan, math.inf, None]
+
+
+def recorded_float_columns():
+    """Each field of the tests/data recordings whose values are floats (and
+    None), as one column per recording."""
+    columns = {}
+    for path in sorted(DATA.glob("*.jsonl")):
+        for record in map(json.loads, path.read_text().splitlines()):
+            for name, value in record.items():
+                columns.setdefault((path.stem, name), []).append(value)
+    return [column for column in columns.values()
+            if float in set(map(type, column)) <= {float, type(None)}]
+
+
 class TestScalarFormatter:
     @settings(max_examples=3000, deadline=None)
     @given(value=st.one_of(st.floats(allow_subnormal=True), scalars))
@@ -113,6 +128,18 @@ class TestTables:
     @given(column=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=12))
     def test_float_columns_equal_the_scalar_texts(self, column):
         assert cli._column(column, "json") == list(map(cli._json_scalar, column))
+
+    def test_csv_float_columns_take_the_scalar_texts(self):
+        """A csv float column is formatted in one pass, as a JSON one is: each
+        recorded float column, alone and with each edge value appended, comes
+        out as the scalar formatter writes it value by value, with None and
+        NaN as empty fields."""
+        columns = [[value] for value in CSV_EDGES] + [CSV_EDGES]
+        columns += [column + extra for column in recorded_float_columns()
+                    for extra in [[]] + [[value] for value in CSV_EDGES]]
+        for column in columns:
+            assert cli._column(column, "csv") == [
+                None if text == "null" else text for text in map(cli._json_scalar, column)]
 
     def test_columns_of_every_kind(self):
         """Constant, float with NaN, all-None, bool, str and mixed int and

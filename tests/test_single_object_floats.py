@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from relkin import kernels, linker, metric_core, sampling
+from relkin.errors import SpaceMismatchError
 from relkin.linker import _Terms
 from relkin.metric_core import (MetricSpace, SimpleBivector, Vector, bivector_product,
                                 maxabs, scalar_product)
@@ -96,7 +97,8 @@ class TestSpacePairing:
         assert ints.square() == kernels.pairing_rows(mink4.g, ints.components,
                                                      ints.components).tolist() == 28.0
         rows = Vector(np.ones((2, 4)), mink4)
-        assert rows.square() == [2.0, 2.0]
+        with pytest.raises(SpaceMismatchError, match=r"got shape \(2, 4\)"):
+            rows.square()
 
     def test_fresh_spaces_grow_no_cache(self):
         def pair_in_fresh_spaces():
