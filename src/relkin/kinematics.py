@@ -25,7 +25,7 @@ from .errors import (
     SuperluminalError,
 )
 from .isometry import Isometry
-from .kernels import maxabs_rows, pairing_rows, velocity_sum, within
+from .kernels import is_null, maxabs_rows, pairing_rows, velocity_sum, within
 from .metric_core import (
     Endomorphism,
     MetricSpace,
@@ -377,30 +377,53 @@ def velocity_add(u: Velocity3, v: Velocity3) -> Velocity3:
     return Velocity3(_fresh(Vector, w, u.space), u.observer, u.c, luminal=u.luminal)
 
 
-def _accepted_rows(p: Observer, rows, c: float):
-    """A mask of the stacked vectors ``rows`` that ``Velocity3(row, p, c)``
-    accepts as sub-luminal velocities.  A row with a non-finite entry, which
-    ``MetricSpace.vector`` refuses, is False: its bound is infinite or its
-    pairing NaN."""
-    g, pc = p.space.g, p.vector.components
-    seen = within(abs(pairing_rows(g, rows, pc)), p.space.tol_abs, maxabs_rows(rows))
-    return seen & ~(pairing_rows(g, rows, rows) >= c * c)
+def _observer_rows(space: MetricSpace, rows):
+    """A mask of the stacked vectors ``rows`` that ``Observer`` accepts: unit
+    time-like and future-directed in a Lorentzian ``space``."""
+    unit = within(np.abs(pairing_rows(space.g, rows, rows) + 1.0), space.tol_rel)
+    return unit & (rows[:, TIME_AXIS] > 0.0) & space.is_lorentzian
+
+
+def _rest_rows(space: MetricSpace, pc, rows):
+    """``Observer.rest_projection`` of the stacked vectors ``rows`` for the
+    observer rows ``pc``, through the stacked idempotents, bit for bit, and a
+    mask of the rows whose idempotent ``idempotent_of`` forms (P not null)."""
+    pp = pairing_rows(space.g, pc, pc)
+    gp = np.matmul(space.g, pc[:, :, None])[:, :, 0]
+    proj = pc[:, :, None] * gp[:, None, :] / pp[:, None, None]
+    rest = rows - np.matmul(proj, rows[:, :, None])[:, :, 0]
+    return rest, ~is_null(pp, maxabs_rows(pc), space.tol_abs)
+
+
+def _accepted_rows(space: MetricSpace, pc, rows, c, luminal: bool = False):
+    """A mask of the stacked vectors ``rows`` that ``Velocity3(row, P, c,
+    luminal)`` accepts, for the observer components ``pc`` (one vector or one
+    row per vector) and a speed ceiling ``c`` (a float or an (N, 1) column).
+    A row with a non-finite entry, which ``MetricSpace.vector`` refuses, is
+    False: its bound is infinite or its pairing NaN."""
+    g, c2 = space.g, np.reshape(c * c, -1)
+    seen = within(abs(pairing_rows(g, rows, pc)), space.tol_abs, maxabs_rows(rows))
+    v2 = pairing_rows(g, rows, rows)
+    if luminal:
+        return seen & within(abs(v2 - c2), 2e2 * space.tol_rel * c2)
+    return seen & ~(v2 >= c2)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _velocity_add_rows(p: Observer, u, v, c: float):
-    """``velocity_add`` of stacked sub-luminal velocities seen by ``p`` with
-    speed ceiling ``c``, given as the rows of ``u`` and ``v``: the rows of
-    u (+) v, bit for bit, and a mask of the rows whose sum ``velocity_add``
-    returns.  A row it would refuse, with any error, is False; the other
-    rows do not depend on it."""
-    g, c2 = p.space.g, c * c
+def _velocity_add_rows(space: MetricSpace, pc, u, v, c, luminal: bool = False):
+    """``velocity_add`` of stacked velocities seen by the observer
+    components ``pc`` with speed ceiling ``c``, as for :func:`_accepted_rows`,
+    given as the rows of ``u`` (luminal when ``luminal``) and of the
+    sub-luminal ``v``: the rows of u (+) v, bit for bit, and a mask of the
+    rows whose sum ``velocity_add`` returns.  A row it would refuse, with any
+    error, is False; the other rows do not depend on it."""
+    g, c2 = space.g, c * c
     vv, vu = pairing_rows(g, v, v)[:, None], pairing_rows(g, v, u)[:, None]
     ratio = vv / c2
     w, gap = velocity_sum(u, v, vv, vu, 1.0 / np.sqrt(1.0 - ratio), c2)
-    ok = ~(ratio[:, 0] >= 1.0) & within(maxabs_rows(gap), 1e2 * p.space.tol_rel,
+    ok = ~(ratio[:, 0] >= 1.0) & within(maxabs_rows(gap), 1e2 * space.tol_rel,
                                         maxabs_rows(w))
-    return w, ok & _accepted_rows(p, w, c)
+    return w, ok & _accepted_rows(space, pc, w, c, luminal)
 
 
 def velocity_subtract(u: Velocity3, w: Velocity3) -> Velocity3:

@@ -241,16 +241,37 @@ def same_space(*objs) -> MetricSpace:
     return space
 
 
+def _shape_error(exc: ValueError, *values):
+    """The refusal of :meth:`MetricSpace.vector` (or ``covector``) for the
+    first of the vectors or covectors ``values`` whose components are not of
+    shape (d,), for the NumPy error ``exc`` their arithmetic raised; ``exc``
+    itself if every shape is (d,)."""
+    for value in values:
+        shape, dim = value.components.shape, value.space.dim
+        if shape != (dim,):
+            return SpaceMismatchError(
+                f"{type(value).__name__.lower()} needs {dim} components, got shape {shape}")
+    return exc
+
+
 class _Components:
     """Componentwise arithmetic of vectors and covectors in one space."""
 
     def __add__(self, other):
         same_space(self, other)
-        return _fresh(type(self), self.components + other.components, self.space)
+        try:
+            values = self.components + other.components
+        except ValueError as exc:
+            raise _shape_error(exc, self, other) from None
+        return _fresh(type(self), values, self.space)
 
     def __sub__(self, other):
         same_space(self, other)
-        return _fresh(type(self), self.components - other.components, self.space)
+        try:
+            values = self.components - other.components
+        except ValueError as exc:
+            raise _shape_error(exc, self, other) from None
+        return _fresh(type(self), values, self.space)
 
     def __neg__(self):
         return _fresh(type(self), -self.components, self.space)
@@ -279,7 +300,11 @@ class Vector(_Components):
 
     def lower(self) -> "Covector":
         """Metric-dual covector g(v, .)."""
-        return _fresh(Covector, self.space.g @ self.components, self.space)
+        try:
+            values = self.space.g @ self.components
+        except ValueError as exc:
+            raise _shape_error(exc, self) from None
+        return _fresh(Covector, values, self.space)
 
     def is_null(self, tol: float | None = None) -> bool:
         tol = self.space.tol_abs if tol is None else tol
@@ -299,7 +324,11 @@ class Covector(_Components):
 
     def raise_index(self) -> Vector:
         """Metric-dual vector (inverse metric applied to the components)."""
-        return _fresh(Vector, self.space.g_inv @ self.components, self.space)
+        try:
+            values = self.space.g_inv @ self.components
+        except ValueError as exc:
+            raise _shape_error(exc, self) from None
+        return _fresh(Vector, values, self.space)
 
 
 @dataclass(frozen=True, eq=False)

@@ -372,3 +372,138 @@ class TestStackedOrderRow:
                                   "message": "vector has non-finite entries: "
                                              "[0.0, nan, nan, nan]"}
         assert repr(stacked) == repr(reference)
+
+
+def _reference_closure_draw(space, rng):
+    """One draw of property 27 as it ran before its draws were stacked: an
+    observer, two sampled velocities, a luminal Velocity3 and one
+    velocity_add."""
+    kin = chk.kin
+    p = chk.random_observer(space, rng)
+    c = float(rng.uniform(0.5, 3.0))
+    v = chk.random_observed_velocity(p, rng, c)
+    ray = chk.random_observed_velocity(p, rng, c, beta_min=0.5)
+    photon = kin.Velocity3((c / ray.speed()) * ray.vector, p, c, luminal=True)
+    return abs(kin.velocity_add(photon, v).speed() - c) / c
+
+
+def _reference_closure_row(ctx, rng, judge):
+    value, _, n = chk._sweep(ctx.families["mink4"], 100, rng, _reference_closure_draw)
+    return judge(n, value)
+
+
+class _Tilted:
+    """A generator whose normal draw equal to ``target`` comes out as
+    ``replacement``; every other call goes to ``rng``."""
+
+    def __init__(self, rng, target, replacement):
+        self._rng, self._target, self._replacement = rng, target, replacement
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def normal(self, *args, **kwargs):
+        drawn = self._rng.normal(*args, **kwargs)
+        if drawn.shape == self._target.shape and (drawn == self._target).all():
+            return self._replacement.copy()
+        return drawn
+
+
+class TestStackedClosureRow:
+    """Property 27 evaluates its 100 draws as stacked rows."""
+
+    ROW = dict(chk._PROPERTIES)[27]
+
+    @staticmethod
+    def _ctx(seed, samples=4):
+        return chk._Ctx(seed, 1e-9, samples, {"mink4": (make_space(4, "lorentzian"),)})
+
+    def _both(self, seed, samples=4):
+        ctx = self._ctx(seed, samples)
+        reference = replace(self.ROW, body=_reference_closure_row)
+        return chk._run(27, self.ROW, ctx), chk._run(27, reference, ctx)
+
+    @staticmethod
+    def _velocity_adds(monkeypatch):
+        calls = []
+        original = chk.kin.velocity_add
+        monkeypatch.setattr(chk.kin, "velocity_add",
+                            lambda u, v: calls.append(u) or original(u, v))
+        return calls
+
+    @staticmethod
+    def _draw(seed, draw):
+        """The observer, its direction normals and the first velocity's
+        normals of ``draw`` at ``seed``, a run without sampler rejections."""
+        rng = rng_for(seed, 127)
+        for _ in range(draw + 1):
+            chi, n = rng.uniform(0.0, 1.5), rng.normal(size=3)
+            rng.uniform(0.5, 3.0)
+            y = rng.normal(size=4)
+            rng.uniform(0.05, 0.85), rng.normal(size=4), rng.uniform(0.5, 0.85)
+        direction = n / np.linalg.norm(n)
+        return np.concatenate(([np.cosh(chi)], np.sinh(chi) * direction)), n, y
+
+    @pytest.mark.parametrize("samples", [4, 40])
+    @pytest.mark.parametrize("seed", list(range(16)) + [41801270])
+    def test_matches_the_per_draw_body(self, seed, samples):
+        stacked, reference = self._both(seed, samples)
+        assert stacked.passed and stacked.samples == 100
+        assert repr(stacked) == repr(reference)
+
+    def test_makes_no_per_draw_velocity_add_call(self, monkeypatch):
+        calls = self._velocity_adds(monkeypatch)
+        chk._run(27, self.ROW, self._ctx(0))
+        assert calls == []
+
+    @pytest.mark.parametrize("draw", [0, 37, 99])
+    def test_a_refused_draw_raises_as_the_per_draw_body(self, monkeypatch, draw):
+        """Inflate the composition defect of the draw's photon (+) v, in both
+        forms of the row."""
+        seed = 5
+        original = chk.kin.velocity_sum
+        pairs = []
+        monkeypatch.setattr(chk.kin, "velocity_sum",
+                            lambda u, v, *rest: pairs.append((u, v)) or original(u, v, *rest))
+        chk._run(27, replace(self.ROW, body=_reference_closure_row), self._ctx(seed))
+        a, b = pairs[draw]
+
+        def inflated(u, v, *rest):
+            w, gap = original(u, v, *rest)
+            hit = (u == a).all(axis=-1) & (v == b).all(axis=-1)
+            return w, np.where(np.asarray(hit)[..., None], 1.0, gap)
+
+        monkeypatch.setattr(chk.kin, "velocity_sum", inflated)
+        stacked, reference = self._both(seed)
+        assert stacked.detail == {
+            "error": "InternalConsistencyError",
+            "message": "the two composition forms disagree by 1.000e+00"}
+        assert repr(stacked) == repr(reference)
+
+    def test_a_sampler_rejection_replays_the_per_draw_body(self, monkeypatch):
+        """Draw 37's first velocity normals come out as their rest projection
+        times 1e-7, whose square is below tol_abs and which every other check
+        accepts: random_observed_velocity draws again, and every later draw
+        shifts."""
+        seed = 5
+        observer, _, y = self._draw(seed, 37)
+        space = make_space(4, "lorentzian")
+        tiny = 1e-7 * chk.kin.Observer(space.vector(observer)).rest_projection(
+            space.vector(y)).components
+        monkeypatch.setattr(chk, "rng_for", lambda *key: _Tilted(rng_for(*key), y, tiny))
+        calls = self._velocity_adds(monkeypatch)
+        stacked, reference = self._both(seed)
+        assert len(calls) == 200  # the replay's and the reference's
+        assert stacked.passed and stacked.samples == 100
+        assert repr(stacked) == repr(reference)
+
+    def test_a_non_finite_draw_raises_as_the_per_draw_body(self, monkeypatch):
+        """Draw 37's direction normals come out NaN: Observer refuses them."""
+        seed = 5
+        _, n, _ = self._draw(seed, 37)
+        monkeypatch.setattr(chk, "rng_for",
+                            lambda *key: _Tilted(rng_for(*key), n, np.full(3, np.nan)))
+        stacked, reference = self._both(seed)
+        assert stacked.detail == {"error": "NotUnitTimelikeError",
+                                  "message": "observer square is nan, expected -1"}
+        assert repr(stacked) == repr(reference)

@@ -103,6 +103,26 @@ def test_a_vector_of_another_shape_does_not_pair(shape):
         scalar_product(space.vector([1.0, 0.0, 0.0, 0.0]), wrong)
 
 
+_RIGHT = make_space(4).vector([1.0, 0.0, 0.0, 0.0])
+_WRONG = Vector(np.ones(5), _RIGHT.space)
+_WRONG_DUAL = metric_core.Covector(np.ones(5), _RIGHT.space)
+
+
+@pytest.mark.parametrize("call, quantity", [
+    (_WRONG.lower, "vector"),
+    (lambda: _WRONG + _RIGHT, "vector"),
+    (lambda: _RIGHT - _WRONG, "vector"),
+    (_WRONG_DUAL.raise_index, "covector"),
+    (lambda: _RIGHT.lower() - _WRONG_DUAL, "covector"),
+], ids=["lower", "w + v", "v - w", "raise_index", "covector difference"])
+def test_a_value_of_another_shape_is_refused_outside_the_pairings(call, quantity):
+    """NumPy's own matmul and broadcasting errors became the refusal of
+    MetricSpace.vector (or covector)."""
+    message = re.escape(f"{quantity} needs 4 components, got shape (5,)")
+    with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("components", [np.array([1, 2, 3, 4]),
                                         np.array([1.0, np.inf, 0.0, 0.0]),
                                         np.array([np.nan, 1.0, 0.5, 0.0])],
