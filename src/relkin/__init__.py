@@ -15,9 +15,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each export module's __all__, in dependency order; the package exports
-# these names, in this order.  tests/test_package.py holds them to the
-# modules' own lists.
+# What each export module exports, in dependency order; the package exports
+# these names, in this order.  Each row is its module's __all__, so this
+# table is the one list of them; only scenario's own list is longer (it also
+# names its loader), and kernels, sampling and cli are not exported.
 _EXPORTS = {
     "errors": (
         "RelkinError", "SpaceMismatchError", "DegenerateMetricError", "NonFiniteError",

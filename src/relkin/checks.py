@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _EXPORTS
 from . import groupoid as grp
 from . import isometry as iso
 from . import kernels
@@ -30,6 +31,7 @@ from .errors import (DrawsExhaustedError, InternalConsistencyError, NotIsomagnit
                      RelkinError)
 from .isometry import operator_classes as _clusters
 from .metric_core import (
+    DEFAULT_TOL_REL,
     SimpleBivector,
     bivector_product,
     contract,
@@ -55,7 +57,7 @@ from .sampling import (
     rng_for,
 )
 
-__all__ = ["PropertyResult", "ScanRecords", "link_ray_scan", "run_all", "NUMERICAL_FLOOR"]
+__all__ = _EXPORTS["checks"]
 
 # Residuals below this are attributable to double-precision rounding alone.
 NUMERICAL_FLOOR = 1e-8
@@ -781,7 +783,7 @@ def _run(pid: int, row: _Row, ctx: _Ctx) -> PropertyResult:
                               pid)
 
 
-def run_all(seed: int = 0, tol_rel: float = 1e-9, samples: int = 40,
+def run_all(seed: int = 0, tol_rel: float = DEFAULT_TOL_REL, samples: int = 40,
             dims: tuple[int, ...] = _FIXTURE_DIMS) -> list[PropertyResult]:
     """Run every property suite with one seed; deterministic output order."""
     spaces = tuple(make_space(dim, kind) for dim in dims for kind in SIGNATURES)

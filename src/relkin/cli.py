@@ -31,7 +31,7 @@ import numpy as np
 from . import kinematics as kin
 from .errors import (DegenerateEpochError, InternalConsistencyError,
                      NotObservedError, RelkinError, ScenarioError)
-from .metric_core import maxabs
+from .metric_core import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, maxabs
 from .scenario import load as load_scenario
 
 __all__ = ["main"]
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_scenario:
             sp.add_argument("--scenario", help="path to a scenario JSON file")
             # Only the spaces built from a scenario take an absolute tolerance.
-            sp.add_argument("--tol-abs", type=_at_least_zero(float), default=1e-12,
+            sp.add_argument("--tol-abs", type=_at_least_zero(float), default=DEFAULT_TOL_ABS,
                             help="absolute tolerance (default 1e-12)")
         sp.add_argument("--seed", type=_at_least_zero(int), default=0,
                         help="base seed for all sampling (default 0)")
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         if reads_c:
             sp.add_argument("--c", type=float, default=None,
                             help="speed ceiling; overrides the scenario value")
-        sp.add_argument("--tol-rel", type=_at_least_zero(float), default=1e-9,
+        sp.add_argument("--tol-rel", type=_at_least_zero(float), default=DEFAULT_TOL_REL,
                         help="relative tolerance (default 1e-9)")
         sp.add_argument("--out", default=None,
                         help="write output to this file instead of stdout")

@@ -6,35 +6,9 @@ identities that are supposed to hold by construction; seeing it means a bug or
 catastrophic ill-conditioning, not bad input.
 """
 
-__all__ = [
-    "RelkinError",
-    "SpaceMismatchError",
-    "DegenerateMetricError",
-    "NonFiniteError",
-    "NullVectorError",
-    "NotUnimodularError",
-    "OutOfDomainError",
-    "DegenerateGammaError",
-    "MissingGeneratorError",
-    "NotInStabilizerError",
-    "NotIsomagnitudeError",
-    "DegenerateLinkError",
-    "ZeroMuError",
-    "DegenerateSumError",
-    "NotUnitTimelikeError",
-    "NotFutureDirectedError",
-    "NotNullCaseError",
-    "OrthogonalPairError",
-    "SuperluminalError",
-    "NotObservedError",
-    "PreferredObserverMismatchError",
-    "DegenerateEpochError",
-    "DegenerateDenominatorError",
-    "NotComposableError",
-    "DrawsExhaustedError",
-    "ScenarioError",
-    "InternalConsistencyError",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"]
 
 
 class RelkinError(Exception):

@@ -13,18 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import InternalConsistencyError, NotComposableError, SpaceMismatchError
 from .kinematics import Observer, Velocity3, velocity_add
 from .linker import _Terms, _binary_velocity, _ternary_velocity
 from .metric_core import Vector, _check_c, maxabs, same_space
 
-__all__ = [
-    "ObserverObject",
-    "VelocityMorphism",
-    "compare_with_isometric",
-    "compose",
-    "hom",
-]
+__all__ = _EXPORTS["groupoid"]
 
 
 @dataclass(eq=False)

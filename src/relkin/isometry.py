@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     DegenerateGammaError,
     InternalConsistencyError,
@@ -37,17 +38,7 @@ from .metric_core import (
     scalar_product,
 )
 
-__all__ = [
-    "Isometry",
-    "covector_pair",
-    "isometry_from_bivector",
-    "isometry_residual",
-    "minimal_poly_residual",
-    "minimal_poly_residual_alt",
-    "operator_classes",
-    "reflection",
-    "stabilizer_element",
-]
+__all__ = _EXPORTS["isometry"]
 
 
 def isometry_residual(mapping: Endomorphism) -> float:

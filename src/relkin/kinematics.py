@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     DegenerateDenominatorError,
     DegenerateEpochError,
@@ -42,24 +43,7 @@ from .metric_core import (
     scalar_product,
 )
 
-__all__ = [
-    "EventCoordinates",
-    "Observer",
-    "TransformResult",
-    "Velocity3",
-    "acceleration_transform",
-    "boost",
-    "coordinate_transform",
-    "einstein_transform",
-    "event_coordinates",
-    "event_vector",
-    "gamma",
-    "negate",
-    "urbantke_velocity",
-    "velocity_add",
-    "velocity_subtract",
-    "verified_boost",
-]
+__all__ = _EXPORTS["kinematics"]
 
 # Component index that decides time orientation in the ambient basis.
 TIME_AXIS = 0

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
+from . import _EXPORTS, kernels
 from .errors import (
     DegenerateLinkError,
     DegenerateSumError,
@@ -54,19 +54,7 @@ from .metric_core import (
     same_space,
 )
 
-__all__ = [
-    "LinkAdmissibility",
-    "LinkProblem",
-    "admissibility",
-    "binary_velocity",
-    "fahnline_boost",
-    "gamma_of_link",
-    "mu_scalar",
-    "null_link_conditions",
-    "p_link",
-    "planar_link",
-    "ternary_velocity",
-]
+__all__ = _EXPORTS["linker"]
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     DegenerateMetricError,
     NonFiniteError,
@@ -32,24 +33,7 @@ from .errors import (
 from .kernels import (bivector_pairing, float_pairing, identity_entries, is_null,
                       pairing_rows, trivector_rows, within)
 
-__all__ = [
-    "DEFAULT_TOL_ABS",
-    "DEFAULT_TOL_REL",
-    "Covector",
-    "Endomorphism",
-    "MetricSpace",
-    "SimpleBivector",
-    "Vector",
-    "bivector_product",
-    "contract",
-    "idempotent_of",
-    "lie_map",
-    "maxabs",
-    "orthogonal_presentation",
-    "represent_sl2",
-    "scalar_product",
-    "trivector_maxabs",
-]
+__all__ = _EXPORTS["metric_core"]
 
 DEFAULT_TOL_REL = 1e-9
 DEFAULT_TOL_ABS = 1e-12
@@ -241,37 +225,36 @@ def same_space(*objs) -> MetricSpace:
     return space
 
 
-def _shape_error(exc: ValueError, *values):
+def _shape_error(*values):
     """The refusal of :meth:`MetricSpace.vector` (or ``covector``) for the
     first of the vectors or covectors ``values`` whose components are not of
-    shape (d,), for the NumPy error ``exc`` their arithmetic raised; ``exc``
-    itself if every shape is (d,)."""
+    shape (d,); None if every shape is (d,)."""
     for value in values:
         shape, dim = value.components.shape, value.space.dim
         if shape != (dim,):
             return SpaceMismatchError(
                 f"{type(value).__name__.lower()} needs {dim} components, got shape {shape}")
-    return exc
+    return None
+
+
+def _operands(a, b) -> None:
+    """Refuse the operands of ``+`` or ``-`` unless they share a space and,
+    before NumPy can broadcast them, both hold components of shape (d,)."""
+    dim = same_space(a, b).dim
+    if not a.components.shape == b.components.shape == (dim,):
+        raise _shape_error(a, b)
 
 
 class _Components:
     """Componentwise arithmetic of vectors and covectors in one space."""
 
     def __add__(self, other):
-        same_space(self, other)
-        try:
-            values = self.components + other.components
-        except ValueError as exc:
-            raise _shape_error(exc, self, other) from None
-        return _fresh(type(self), values, self.space)
+        _operands(self, other)
+        return _fresh(type(self), self.components + other.components, self.space)
 
     def __sub__(self, other):
-        same_space(self, other)
-        try:
-            values = self.components - other.components
-        except ValueError as exc:
-            raise _shape_error(exc, self, other) from None
-        return _fresh(type(self), values, self.space)
+        _operands(self, other)
+        return _fresh(type(self), self.components - other.components, self.space)
 
     def __neg__(self):
         return _fresh(type(self), -self.components, self.space)
@@ -303,7 +286,7 @@ class Vector(_Components):
         try:
             values = self.space.g @ self.components
         except ValueError as exc:
-            raise _shape_error(exc, self) from None
+            raise _shape_error(self) or exc from None
         return _fresh(Covector, values, self.space)
 
     def is_null(self, tol: float | None = None) -> bool:
@@ -320,14 +303,17 @@ class Covector(_Components):
 
     def apply(self, v: Vector) -> float:
         same_space(self, v)
-        return float(self.components @ v.components)
+        try:
+            return float(self.components @ v.components)
+        except (TypeError, ValueError) as exc:  # float() of more than one entry: TypeError
+            raise _shape_error(self, v) or exc from None
 
     def raise_index(self) -> Vector:
         """Metric-dual vector (inverse metric applied to the components)."""
         try:
             values = self.space.g_inv @ self.components
         except ValueError as exc:
-            raise _shape_error(exc, self) from None
+            raise _shape_error(self) or exc from None
         return _fresh(Vector, values, self.space)
 
 
@@ -389,7 +375,11 @@ class Endomorphism:
 
     def apply(self, v: Vector) -> Vector:
         same_space(self, v)
-        return _fresh(Vector, self.entries @ v.components, self.space)
+        try:
+            values = self.entries @ v.components
+        except ValueError as exc:
+            raise _shape_error(v) or exc from None
+        return _fresh(Vector, values, self.space)
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         same_space(self, other)

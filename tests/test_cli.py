@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relkin import cli, scenario
+from relkin import checks, cli, metric_core, scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -403,3 +404,11 @@ class TestLibraryVerdicts:
         error = records_of(run_cli("link", "--scenario", path, expect=2))[-1]
         assert error["error"] == "DegenerateMetric"
         assert "metric tensor has non-finite entries" in error["message"]
+
+
+def test_default_tolerances_are_the_library_defaults():
+    args = cli.build_parser().parse_args(["link"])
+    assert args.tol_rel is metric_core.DEFAULT_TOL_REL
+    assert args.tol_abs is metric_core.DEFAULT_TOL_ABS
+    tol_rel = inspect.signature(checks.run_all).parameters["tol_rel"].default
+    assert tol_rel is metric_core.DEFAULT_TOL_REL

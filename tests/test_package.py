@@ -81,3 +81,19 @@ def test_unknown_names_raise_without_imports(name):
             f"try:\n    getattr(relkin, {name!r})\nexcept AttributeError as exc:\n"
             f"    print(json.dumps([str(exc), {LOADED}]))")
     assert fresh(code) == [f"module 'relkin' has no attribute {name!r}", ["relkin"]]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_each_export_module_lists_its_row_of_the_package_table(module):
+    assert module.__all__ is relkin._EXPORTS[module.__name__.removeprefix("relkin.")]
+
+
+@pytest.mark.parametrize("module", [m.__name__ for m in MODULES] + ["relkin.scenario"])
+def test_star_import_of_a_module_binds_its_row(module):
+    row = relkin._EXPORTS[module.removeprefix("relkin.")]
+    bound = fresh(f"import json\nnames = {{}}\nexec('from {module} import *', names)\n"
+                  "import relkin\n"
+                  f"print(json.dumps([[n for n in names if n != '__builtins__'], "
+                  f"[names[n] is getattr(relkin, n) for n in {list(row)!r}]]))")
+    extra = ["load", "from_dict"] if module == "relkin.scenario" else []
+    assert bound == [list(row) + extra, [True] * len(row)]

@@ -137,3 +137,36 @@ def test_int_and_non_finite_vectors_pair_through_pairing_rows(components, monkey
         assert len(calls) == 1
         np.testing.assert_equal(square,
                                 kernels.pairing_rows(space.g, components, components).tolist())
+
+
+_SHAPES = pytest.mark.parametrize("shape", [(5,), (2, 4), (1,)],
+                                  ids=["5 components", "2 rows", "1 component"])
+
+
+@_SHAPES
+@pytest.mark.parametrize("call", [
+    lambda w: _RIGHT.space.identity().apply(w),
+    lambda w: _RIGHT.lower().apply(w),
+    lambda w: isometry_from_bivector(
+        SimpleBivector(0.3 * _RIGHT, _RIGHT.space.basis_vector(1))).apply(w),
+    lambda w: Observer(_RIGHT).rest_projection(w),
+    lambda w: w + _RIGHT, lambda w: _RIGHT + w, lambda w: w - _RIGHT, lambda w: _RIGHT - w,
+    lambda w: w + w, lambda w: w - w,
+], ids=["Endomorphism.apply", "Covector.apply", "Isometry.apply", "rest_projection",
+        "w + v", "v + w", "w - v", "v - w", "w + w", "w - w"])
+def test_a_vector_of_another_shape_is_refused_by_arithmetic_and_application(shape, call):
+    """NumPy's matmul error, and the shapes it would broadcast or add as they
+    are, become the refusal of MetricSpace.vector."""
+    message = re.escape(f"vector needs 4 components, got shape {shape}")
+    with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
+        call(Vector(np.ones(shape), _RIGHT.space))
+
+
+@_SHAPES
+def test_a_covector_of_another_shape_is_refused_by_arithmetic_and_application(shape):
+    wrong = metric_core.Covector(np.ones(shape), _RIGHT.space)
+    message = re.escape(f"covector needs 4 components, got shape {shape}")
+    for call in (lambda: wrong + _RIGHT.lower(), lambda: _RIGHT.lower() - wrong,
+                 lambda: wrong.apply(_RIGHT)):
+        with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
+            call()
