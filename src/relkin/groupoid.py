@@ -16,7 +16,7 @@ import numpy as np
 from . import _EXPORTS
 from .errors import InternalConsistencyError, NotComposableError, SpaceMismatchError
 from .kinematics import Observer, Velocity3, velocity_add
-from .linker import _Terms, _binary_velocity, _ternary_velocity
+from .linker import _Terms, _ternary_velocity, binary_velocity
 from .metric_core import Vector, _check_c, maxabs, same_space
 
 __all__ = _EXPORTS["groupoid"]
@@ -63,12 +63,12 @@ def hom(p: ObserverObject, q: ObserverObject, c: float = 1.0) -> VelocityMorphis
     into velocity units by c; it is orthogonal to the source observer and
     strictly sub-luminal.  Depends only on the observer vectors, never on
     labels.  hom(p, p) is the zero morphism.  c must be positive and finite,
-    as for a Velocity3.  The projector onto p is the idempotent the source
-    observer caches, the one ``binary_velocity`` would build.
+    as for a Velocity3.  The velocity is ``binary_velocity`` of the two
+    observer vectors, which projects onto the idempotent the source
+    observer's vector keeps.
     """
     _check_c(c)
-    w = _binary_velocity(p.observer.vector, q.observer.vector,
-                         lambda: p.observer.idempotent.entries)
+    w = binary_velocity(p.observer.vector, q.observer.vector)
     return VelocityMorphism(p, q, float(c) * w, float(c))
 
 
@@ -99,7 +99,7 @@ def compare_with_isometric(p: ObserverObject, q: ObserverObject,
     All discrepancies vanish for coplanar chains and generically do not.
     The groupoid side is hom itself; the isometric side forms the terms of
     each of its three link problems (P = p) once, on floats.  Both read the
-    idempotent and the squares the observers keep, and the results and
+    idempotent and the squares the observer vectors keep, and the results and
     refusals are those of the separate hom, ternary_velocity and
     velocity_add calls.
     """
@@ -121,7 +121,7 @@ def compare_with_isometric(p: ObserverObject, q: ObserverObject,
     # The link problems (R, S) = (p, q), (q, r), (p, r), all with P = p.
     leg_pq, leg_qr, direct = [
         _ternary_velocity(space, _Terms.of(space, pv.components, a.components, b.components),
-                          c, lambda: p.observer.idempotent.entries)
+                          c, pv)
         for a, b in ((pv, qv), (qv, rv), (pv, rv))]
 
     u = Velocity3(leg_pq, p.observer, c)

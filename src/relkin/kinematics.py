@@ -10,7 +10,6 @@ such an operator written out in scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +54,8 @@ class Observer:
 
     The time orientation convention is the sign of component 0 in the
     ambient basis.  The associated rank-one idempotent (the projector onto
-    the observer's time axis) is cached.
+    the observer's time axis) is the one its vector keeps
+    (:func:`idempotent_of`).
     """
 
     vector: Vector
@@ -73,7 +73,7 @@ class Observer:
     def space(self) -> MetricSpace:
         return self.vector.space
 
-    @cached_property
+    @property
     def idempotent(self) -> Endomorphism:
         return idempotent_of(self.vector)
 

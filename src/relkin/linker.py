@@ -14,7 +14,9 @@ A link problem's pairings and scales are formed once, by :meth:`_Terms.of`:
 on Python floats for one problem, at construction for a :class:`LinkProblem`
 and for each of the groupoid comparison's ternary velocities, and in one
 pairing pass on stacked rays for a ray scan.  Every test, mu, gamma and link
-reads that record.
+reads that record.  The binary and ternary velocities project onto the
+idempotent that R or P keeps (:func:`idempotent_of`), so the groupoid's
+morphisms form each observer's idempotent once.
 """
 
 from __future__ import annotations
@@ -118,9 +120,10 @@ class _Terms(NamedTuple):
     ``coincide`` R = S, both to tolerance; ``norms`` is the largest
     component of P, R and S.
 
-    For one problem every field is a float or a bool, and ``p`` and ``d`` are
-    Vectors.  Stacked, each field holds one row per ray (``p`` the
-    (N, d) rays) or per (R, S), or one problem's value when only P is stacked.
+    For one ray every field is a float or a bool, and ``p`` and ``d`` are
+    Vectors.  For stacked rays each field of ``_RAY_FIELDS`` holds one row
+    per ray (``p`` the (N, d) rays), and the other fields, which do not
+    depend on P, hold the values of the one (R, S).
     """
 
     p: Vector | np.ndarray
@@ -145,22 +148,20 @@ class _Terms(NamedTuple):
     def of(cls, space, p: np.ndarray, r: np.ndarray, s: np.ndarray) -> "_Terms":
         """The terms of the ray P = ``p`` for R = ``r`` and S = ``s``.
 
-        Each argument is a (d,) vector or (N, d) rows: stacked rays of one
-        (R, S), or stacked (R, S) with one P.  Stacked, the nine pairings
-        take one ``pairing_rows`` pass, each as ``scalar_product`` evaluates
-        it.  One problem pairs them on the space's float pairing and takes
-        its maxima on Python floats (:func:`_float_maxima`); where the space
-        has none, a pair is refused or the maxima are None, it takes the
-        arrays, as stacked rows do.  Every row is bit-identical to the terms
-        of its one problem, up to the sign of a NaN.
+        R and S are (d,) vectors; P is one (d,) ray or (N, d) stacked rays.
+        One ray pairs its nine pairs on the space's float pairing and takes
+        its maxima on Python floats (:func:`_float_maxima`).  Stacked rays,
+        and one ray where the space has no float pairing, a pair is refused
+        or the maxima are None, take the arrays: the nine pairings in one
+        ``pairing_rows`` pass, each as ``scalar_product`` evaluates it.
+        Every row is bit-identical to the terms of its one ray, up to the
+        sign of a NaN.
         """
         tol, dim = space.tol_abs, space.dim
         d, u = r - s, r + s
-        if p.ndim < d.ndim:  # one P for every stacked (R, S)
-            p = p[None].repeat(len(d), axis=0)
-        one_pair, one_ray = d.ndim == 1, p.ndim == 1
+        one_ray = p.ndim == 1
         legs, floats = (r, s, d, u), None
-        if (one_pair and one_ray and (pair := space._float_pairing) is not None
+        if (one_ray and (pair := space._float_pairing) is not None
                 and p.dtype is r.dtype is s.dtype is _FLOAT64
                 and p.shape == r.shape == s.shape == (dim,)):
             vectors = [v.tolist() for v in (*legs, p)]
@@ -173,28 +174,23 @@ class _Terms(NamedTuple):
             rr, ss, d2, u2, psum, pp, pr, ps, pd = pairs
             r_max, s_max, d_max, u_max, p_max, wedge_max = floats
         else:
-            partners = (u, p, r, s, d)
-            if p.ndim > d.ndim:  # stacked rays of one (R, S)
-                partners = np.broadcast_arrays(*partners)
-            m, n = d.size // dim, p.size // dim
-            # The rows of R, S, R - S and R + S (m each), then of P (n) five times.
-            rows = np.array if one_pair and one_ray else lambda vectors: _rows(vectors, dim)
-            stack = rows([*legs, p, p, p, p, p])
-            pairs = kernels.pairing_rows(space.g, stack, rows([*legs, *partners]))
-            top = kernels.maxabs_rows(stack[:4 * m + n])
-            wedge = kernels.wedge_maxabs_rows(stack[4 * m:4 * m + n], stack[2 * m:3 * m])
-            r_max, s_max, d_max, u_max = _split(top[:4 * m], 4, one_pair)
-            p_max, wedge_max = _split(np.concatenate((top[4 * m:], wedge)), 2, one_ray)
-            rr, ss, d2, u2 = _split(pairs[:4 * m], 4, one_pair)
-            psum, pp, pr, ps, pd = _split(pairs[4 * m:], 5, one_ray)
+            n = 1 if one_ray else len(p)
+            # The rows of R, S, R - S and R + S, then the n rows of P five times.
+            stack = np.vstack([*legs, p, p, p, p, p])
+            partners = np.vstack([*legs, *np.broadcast_arrays(u, p, r, s, d)])
+            pairs = kernels.pairing_rows(space.g, stack, partners)
+            top = kernels.maxabs_rows(stack[:4 + n])
+            wedge = kernels.wedge_maxabs_rows(stack[4:4 + n], stack[2:3])
+            r_max, s_max, d_max, u_max = top[:4].tolist()
+            p_max, wedge_max = _split(np.concatenate((top[4:], wedge)), 2, one_ray)
+            rr, ss, d2, u2 = pairs[:4].tolist()
+            psum, pp, pr, ps, pd = _split(pairs[4:], 5, one_ray)
         null = kernels.is_null(d2, d_max, tol)
         sum_scale, w2, denominator, p_transversal, norms = kernels.link_terms(
             psum, pp, pr, ps, pd, p_max, wedge_max, d2, d_max, u_max, r_max, s_max, tol)
-        return cls(_fresh(Vector, p, space) if one_ray else p,
-                   _fresh(Vector, d, space) if one_pair else d,
+        return cls(_fresh(Vector, p, space) if one_ray else p, _fresh(Vector, d, space),
                    rr, ss, d2, u2, psum, sum_scale, pp, pr, ps, w2, denominator,
-                   not null if one_pair else np.logical_not(null), p_transversal,
-                   kernels.within(d_max, tol, r_max, s_max), norms)
+                   not null, p_transversal, kernels.within(d_max, tol, r_max, s_max), norms)
 
     @classmethod
     def stacked(cls, problem: LinkProblem, rays: np.ndarray) -> "_Terms":
@@ -217,11 +213,6 @@ class _Terms(NamedTuple):
         the rays ``index`` of these terms."""
         for name in _RAY_FIELDS:
             getattr(self, name)[index] = getattr(source, name)[select]
-
-
-def _rows(vectors, dim: int) -> np.ndarray:
-    """(d,) vectors and (k, d) rows, stacked as rows in order."""
-    return np.concatenate([v.reshape(-1, dim) for v in vectors])
 
 
 def _float_maxima(pairs, vectors):
@@ -502,16 +493,11 @@ def binary_velocity(r: Vector, s: Vector) -> Vector:
 
         w(R, S) = (R.R / R.S) (id - r) (S - R),
 
-    with r the idempotent of R.  Orthogonal to R, not reciprocal under
+    with r the idempotent of R, the one R keeps (:func:`idempotent_of`),
+    formed once both refusals passed.  Orthogonal to R, not reciprocal under
     exchanging the arguments, but its squared magnitude
     -R.R + R.R^3/(R.S)^2 is exchange-symmetric when R.R = S.S.
     """
-    return _binary_velocity(r, s, lambda: idempotent_of(r).entries)
-
-
-def _binary_velocity(r: Vector, s: Vector, projector) -> Vector:
-    """:func:`binary_velocity`, where ``projector()`` gives the entries of R's
-    idempotent once both refusals passed."""
     space = same_space(r, s)
     rc, sc = r.components, s.components
     (rs,) = _pairings(space, (rc, sc))
@@ -521,7 +507,7 @@ def _binary_velocity(r: Vector, s: Vector, projector) -> Vector:
     if kernels.within(abs(rs), space.tol_abs, r_max * s_max):
         raise OrthogonalPairError("R.S = 0; relative velocity undefined")
     d = sc - rc
-    return _fresh(Vector, (d - projector() @ d) * float(rr / rs), space)
+    return _fresh(Vector, (d - idempotent_of(r).entries @ d) * float(rr / rs), space)
 
 
 def ternary_velocity(problem: LinkProblem, c: float = 1.0) -> Vector:
@@ -534,13 +520,12 @@ def ternary_velocity(problem: LinkProblem, c: float = 1.0) -> Vector:
     zero velocity; an omitted P defaults to the planar choice P = R.
     """
     _check_c(c)
-    t = problem._terms
-    return _ternary_velocity(problem.space, t, c, lambda: idempotent_of(t.p).entries)
+    return _ternary_velocity(problem.space, problem._terms, c, problem.effective_p())
 
 
-def _ternary_velocity(space, t: _Terms, c, projector) -> Vector:
+def _ternary_velocity(space, t: _Terms, c, p: Vector) -> Vector:
     """:func:`ternary_velocity` of one problem's terms ``t``, with every check
-    in order; ``projector()`` gives P's idempotent's entries."""
+    in order, projecting onto the idempotent that P = ``p`` keeps."""
     _check_isomagnitude(space, t.rr, t.ss)
     _check_unit_timelike(space, "ternary velocity requires unit time-like P, R, S",
                          t.pp, t.rr, t.ss)
@@ -550,7 +535,7 @@ def _ternary_velocity(space, t: _Terms, c, projector) -> Vector:
     if t.coincide:
         return _fresh(Vector, np.zeros(space.dim), space)
     d = t.d.components
-    vbar = (d - projector() @ d) * float(_mu_of(t, space.tol_abs))
+    vbar = (d - idempotent_of(p).entries @ d) * float(_mu_of(t, space.tol_abs))
     (vbar2,) = _pairings(space, (vbar, vbar))
     if vbar2 < 0.0:
         raise InternalConsistencyError(

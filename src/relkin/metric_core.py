@@ -6,11 +6,12 @@ metric tensor was supplied; no coordinate chart is ever introduced.  All
 values are immutable after construction and every operation is a pure
 function, so objects can be shared freely between threads.
 
-A value forms its invariants on first use and keeps them: the square of a
-``Vector`` and of a ``SimpleBivector``, and a ``MetricSpace``'s max|g|,
-identity entries, signature and float pairing.  A square is kept only when
-the components it was formed from can no longer change (see
-:func:`_settled`); arithmetic builds a new value, which forms its own.
+A value forms its invariants on first use and keeps them: the square and
+the idempotent of a ``Vector``, the square of a ``SimpleBivector``, and a
+``MetricSpace``'s max|g|, identity entries, signature and float pairing.  A
+vector's or bivector's invariant is kept only when the components it was
+formed from can no longer change (see :func:`_settled`); arithmetic builds
+a new value, which forms its own.
 """
 
 from __future__ import annotations
@@ -68,18 +69,19 @@ def _fresh(cls, values: np.ndarray, space: "MetricSpace"):
 
 def _settled(arr: np.ndarray) -> bool:
     """Whether the entries of ``arr`` can no longer change: it is read-only,
-    and so is the array whose memory it views, if any.  A value keeps a
-    square formed from such arrays only."""
+    and so is the array whose memory it views, if any.  A value keeps an
+    invariant formed from such arrays only."""
     base = arr.base
     return not arr.flags.writeable and (
         base is None or isinstance(base, np.ndarray) and not base.flags.writeable)
 
 
-def _keep(value, square: float, *arrays) -> float:
-    """``square``, kept on ``value`` when every one of ``arrays`` is settled."""
+def _keep(value, name: str, invariant, *arrays):
+    """``invariant``, kept on ``value`` as ``name`` when every one of
+    ``arrays`` is settled."""
     if all(map(_settled, arrays)):
-        value.__dict__["_square"] = square
-    return square
+        value.__dict__[name] = invariant
+    return invariant
 
 
 def _finite(arr: np.ndarray, quantity: str, error=NonFiniteError) -> np.ndarray:
@@ -238,8 +240,9 @@ def _shape_error(*values):
 
 
 def _operands(a, b) -> None:
-    """Refuse the operands of ``+`` or ``-`` unless they share a space and,
-    before NumPy can broadcast them, both hold components of shape (d,)."""
+    """Refuse the operands of ``+``, ``-`` or ``Covector.apply`` unless they
+    share a space and, before NumPy can broadcast them, both hold components
+    of shape (d,)."""
     dim = same_space(a, b).dim
     if not a.components.shape == b.components.shape == (dim,):
         raise _shape_error(a, b)
@@ -279,15 +282,14 @@ class Vector(_Components):
         """v.v, formed on first use and kept when the components are settled."""
         kept = self.__dict__.get("_square")
         return kept if kept is not None else _keep(
-            self, _pairing(self.space, self.components, self.components), self.components)
+            self, "_square", _pairing(self.space, self.components, self.components),
+            self.components)
 
     def lower(self) -> "Covector":
         """Metric-dual covector g(v, .)."""
-        try:
-            values = self.space.g @ self.components
-        except ValueError as exc:
-            raise _shape_error(self) or exc from None
-        return _fresh(Covector, values, self.space)
+        if error := _shape_error(self):
+            raise error
+        return _fresh(Covector, self.space.g @ self.components, self.space)
 
     def is_null(self, tol: float | None = None) -> bool:
         tol = self.space.tol_abs if tol is None else tol
@@ -302,19 +304,14 @@ class Covector(_Components):
     space: MetricSpace
 
     def apply(self, v: Vector) -> float:
-        same_space(self, v)
-        try:
-            return float(self.components @ v.components)
-        except (TypeError, ValueError) as exc:  # float() of more than one entry: TypeError
-            raise _shape_error(self, v) or exc from None
+        _operands(self, v)
+        return float(self.components @ v.components)
 
     def raise_index(self) -> Vector:
         """Metric-dual vector (inverse metric applied to the components)."""
-        try:
-            values = self.space.g_inv @ self.components
-        except ValueError as exc:
-            raise _shape_error(self) or exc from None
-        return _fresh(Vector, values, self.space)
+        if error := _shape_error(self):
+            raise error
+        return _fresh(Vector, self.space.g_inv @ self.components, self.space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,7 +342,8 @@ class SimpleBivector:
         when the components of both legs are settled."""
         kept = self.__dict__.get("_square")
         return kept if kept is not None else _keep(
-            self, bivector_product(self, self), self.first.components, self.second.components)
+            self, "_square", bivector_product(self, self),
+            self.first.components, self.second.components)
 
     def is_zero(self, tol: float | None = None) -> bool:
         tol = self.space.tol_abs if tol is None else tol
@@ -375,11 +373,9 @@ class Endomorphism:
 
     def apply(self, v: Vector) -> Vector:
         same_space(self, v)
-        try:
-            values = self.entries @ v.components
-        except ValueError as exc:
-            raise _shape_error(v) or exc from None
-        return _fresh(Vector, values, self.space)
+        if error := _shape_error(v):
+            raise error
+        return _fresh(Vector, self.entries @ v.components, self.space)
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         same_space(self, other)
@@ -492,13 +488,19 @@ def idempotent_of(p: Vector) -> Endomorphism:
     """Rank-one projector p = P (x) gP / P.P onto the ray of P.
 
     Satisfies p o p = p and trace(p) = 1.  Raises NullVectorError when P is
-    null to tolerance (the test is relative to the component scale).
+    null to tolerance (the test is relative to the component scale).  Formed
+    on first use and kept on P, as P's square is, when P's components are
+    settled, so that every formula that projects onto P reads one projector.
     """
+    kept = p.__dict__.get("_idempotent")
+    if kept is not None:
+        return kept
     pp = p.square()
     if is_null(pp, maxabs(p.components), p.space.tol_abs):
         raise NullVectorError("idempotent requires a non-null vector")
     gp = p.space.g @ p.components
-    return _fresh(Endomorphism, np.outer(p.components, gp) / pp, p.space)
+    projector = _fresh(Endomorphism, np.outer(p.components, gp) / pp, p.space)
+    return _keep(p, "_idempotent", projector, p.components)
 
 
 def lie_map(b: SimpleBivector) -> Endomorphism:

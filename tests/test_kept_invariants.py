@@ -1,5 +1,6 @@
-"""Invariants a value forms once and keeps: the squares of vectors and simple
-bivectors, and a metric space's max|g| and identity entries.
+"""Invariants a value forms once and keeps: the squares and idempotents of
+vectors, the squares of simple bivectors, and a metric space's max|g| and
+identity entries.
 
 A kept value must equal a fresh evaluation bit for bit on every read, must
 not pass to a value built from it by arithmetic, and must never outlive
@@ -12,9 +13,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relkin import metric_core
+from relkin.groupoid import ObserverObject, compare_with_isometric, hom
 from relkin.isometry import isometry_from_bivector
+from relkin.kinematics import Observer
+from relkin.linker import LinkProblem, binary_velocity, ternary_velocity
 from relkin.metric_core import (MetricSpace, SimpleBivector, Vector, bivector_product,
-                                maxabs, scalar_product)
+                                idempotent_of, maxabs, scalar_product)
 from relkin.sampling import SIGNATURES, make_space, metric_for, random_admissible_bivector, rng_for
 
 
@@ -150,3 +154,59 @@ class TestOneSquarePerSampledBivector:
             counts[id(b)] = counts.get(id(b), 0) + 1
         assert set(counts.values()) == {1}
         assert all(id(b) in counts for b in sampled)
+
+
+def _formed_idempotents(monkeypatch):
+    """The vectors whose idempotent is formed from now on, one entry per forming."""
+    formed = []
+    keep = metric_core._keep
+
+    def counted(value, name, invariant, *arrays):
+        if name == "_idempotent":
+            formed.append(value)
+        return keep(value, name, invariant, *arrays)
+
+    monkeypatch.setattr(metric_core, "_keep", counted)
+    return formed
+
+
+def _projecting_calls(p):
+    """Calls that each project onto the observer ``p``, in a chain with two
+    other observers of its space."""
+    space = p.space
+    q, r = (Observer(space.vector([np.cosh(chi), 0.0, 0.8 * np.sinh(chi),
+                                   0.6 * np.sinh(chi)]))
+            for chi in (0.5, -0.4))
+    objs = [ObserverObject(o) for o in (p, q, r)]
+    e = space.vector([0.5, 1.0, -0.5, 2.0])
+    return [lambda: idempotent_of(p.vector), lambda: p.rest_projection(e),
+            lambda: binary_velocity(p.vector, q.vector), lambda: hom(*objs[:2]),
+            lambda: ternary_velocity(LinkProblem(q.vector, r.vector, p.vector)),
+            lambda: compare_with_isometric(*objs)]
+
+
+class TestOneIdempotentPerSettledVector:
+    COMPONENTS = [np.cosh(0.3), np.sinh(0.3), 0.0, 0.0]
+
+    def test_a_settled_vector_forms_it_once(self, mink4, monkeypatch):
+        formed = _formed_idempotents(monkeypatch)
+        p = Observer(mink4.vector(self.COMPONENTS))
+        for call in _projecting_calls(p):
+            call()
+        assert sum(v is p.vector for v in formed) == 1
+        kept = vars(p.vector)["_idempotent"]
+        assert p.idempotent is kept and idempotent_of(p.vector) is kept
+
+    def test_a_vector_over_a_writable_array_forms_it_on_every_call(self, mink4, monkeypatch):
+        formed = _formed_idempotents(monkeypatch)
+        arr = np.array(self.COMPONENTS)
+        view = arr[:]
+        view.setflags(write=False)
+        p = Observer(Vector(view, mink4))
+        for call in _projecting_calls(p):
+            before = sum(v is p.vector for v in formed)
+            call()
+            assert sum(v is p.vector for v in formed) > before
+        assert "_idempotent" not in vars(p.vector)
+        arr[1] = 0.0
+        assert idempotent_of(p.vector).entries.tolist() == np.diag([1.0, 0, 0, 0]).tolist()

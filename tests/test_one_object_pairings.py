@@ -12,6 +12,7 @@ matches any NaN, as the sign of a NaN depends on which of two NaN operands
 comes first.
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -111,13 +112,28 @@ def _array_square(self):
     return float(kernels.pairing_rows(self.space.g, self.components, self.components))
 
 
+def _drop_idempotents(value):
+    """Forget the idempotents that ``value``, and the values it holds, keep."""
+    if isinstance(value, Vector):
+        vars(value).pop("_idempotent", None)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _drop_idempotents(item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for field in dataclasses.fields(value):
+            _drop_idempotents(getattr(value, field.name))
+
+
 def assert_array_form(monkeypatch, cases):
     """Each (function, *args) of ``cases`` has the outcome of its array form;
-    returns how many returned and how many raised."""
+    returns how many returned and how many raised.  Each run forms the
+    idempotents it projects onto: none is kept from an earlier run."""
     seen = {"returned": 0, "raised": 0}
     with np.errstate(all="ignore"):
         for fn, *args in cases:
+            _drop_idempotents(args)
             floats = _outcome(fn, *args)
+            _drop_idempotents(args)
             with monkeypatch.context() as patched:
                 for module in (metric_core, kinematics, linker):
                     patched.setattr(module, "_pairings", _array_pairings)
@@ -169,6 +185,15 @@ def _observers(space, to_space, gen, max_rapidity=2.0):
         x = np.concatenate(([np.cosh(chi)], np.sinh(chi) * n / np.linalg.norm(n)))
         observers.append(Observer(space.vector(to_space @ x)))
     return observers
+
+
+def _unit_timelike(space, gen):
+    """A normal draw that is time-like in ``space``, scaled to square -1."""
+    while True:
+        v = gen.normal(size=space.dim)
+        square = _vector(space, v).square()
+        if square < 0.0:
+            return _vector(space, v / np.sqrt(-square))
 
 
 def _direction(p, gen):
@@ -246,10 +271,15 @@ class TestOneProblemTerms:
                           (_Terms.of, space, r.components, r.components, s.components),
                           (binary_velocity, r, s), (idempotent_of, p),
                           (linker._ternary_velocity, space,
-                           _Terms.of(space, p.components, p.components, s.components), 1.0,
-                           lambda p=p: idempotent_of(p).entries)]
+                           _Terms.of(space, p.components, p.components, s.components), 1.0, p)]
         seen = assert_array_form(monkeypatch, cases)
         assert seen["returned"] > 40
+        if space.is_lorentzian:
+            # Unit time-like P = R and S: the velocity projects onto P's idempotent.
+            p, s = (_unit_timelike(space, gen) for _ in range(2))
+            terms = _Terms.of(space, p.components, p.components, s.components)
+            case = (linker._ternary_velocity, space, terms, 1.0, p)
+            assert assert_array_form(monkeypatch, [case]) == {"returned": 1, "raised": 0}
 
 
 def test_a_chain_pairs_on_floats(monkeypatch):
