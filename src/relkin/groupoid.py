@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .errors import InternalConsistencyError, NotComposableError, SpaceMismatchError
+from .errors import InternalConsistencyError, NotComposableError
 from .kinematics import Observer, Velocity3, velocity_add
 from .linker import _Terms, _ternary_velocity, binary_velocity
-from .metric_core import Vector, _check_c, maxabs, same_space
+from .metric_core import Vector, _check_c, maxabs
 
 __all__ = _EXPORTS["groupoid"]
 
@@ -104,13 +104,9 @@ def compare_with_isometric(p: ObserverObject, q: ObserverObject,
     velocity_add calls.
     """
     _check_c(c)
-    pv, qv, rv = vecs = [o.observer.vector for o in (p, q, r)]
-    try:
-        space = same_space(*vecs)
-    except SpaceMismatchError:
-        hom(p, q, c)        # hom(p, q)'s refusals come first
-        raise
     h_pq, h_qr, h_pr = hom(p, q, c), hom(q, r, c), hom(p, r, c)
+    pv, qv, rv = [o.observer.vector for o in (p, q, r)]
+    space = pv.space
     chain = compose(h_qr, h_pq)
     groupoid_discrepancy = maxabs(chain.velocity.components
                                   - h_pr.velocity.components)

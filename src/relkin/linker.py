@@ -188,7 +188,8 @@ class _Terms(NamedTuple):
         null = kernels.is_null(d2, d_max, tol)
         sum_scale, w2, denominator, p_transversal, norms = kernels.link_terms(
             psum, pp, pr, ps, pd, p_max, wedge_max, d2, d_max, u_max, r_max, s_max, tol)
-        return cls(_fresh(Vector, p, space) if one_ray else p, _fresh(Vector, d, space),
+        # P's Vector holds a view, so that freezing it leaves the caller's array writable.
+        return cls(_fresh(Vector, p.view(), space) if one_ray else p, _fresh(Vector, d, space),
                    rr, ss, d2, u2, psum, sum_scale, pp, pr, ps, w2, denominator,
                    not null, p_transversal, kernels.within(d_max, tol, r_max, s_max), norms)
 

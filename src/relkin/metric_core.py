@@ -41,6 +41,7 @@ DEFAULT_TOL_ABS = 1e-12
 # The named diagonal metric families of scenario files and the samplers.
 SIGNATURES = ("euclidean", "lorentzian", "split")
 _FLOAT64 = np.dtype(np.float64)
+_new, _set = object.__new__, object.__setattr__
 
 
 def maxabs(values) -> float:
@@ -61,10 +62,15 @@ def maxabs(values) -> float:
 
 
 def _fresh(cls, values: np.ndarray, space: "MetricSpace"):
-    """``cls(values, space)`` for an array the library has just computed: frozen
-    in place, without the copy and checks of the public constructors."""
+    """``cls(values, space)`` for an array the library has just computed, of
+    the shape ``cls`` takes: frozen in place, without the copy and checks of
+    the public constructors.  The two fields are set as the dataclass
+    ``__init__`` sets them, so the shape test of ``__post_init__`` is skipped."""
     values.setflags(write=False)
-    return cls(values, space)
+    value = _new(cls)
+    _set(value, cls._values, values)
+    _set(value, "space", space)
+    return value
 
 
 def _settled(arr: np.ndarray) -> bool:
@@ -189,24 +195,22 @@ class MetricSpace:
         return self._signature == (1, self.dim - 1)
 
     def vector(self, components) -> "Vector":
-        return self._checked(Vector, components, "vector")
+        return self._checked(Vector, components)
 
     def covector(self, components) -> "Covector":
-        return self._checked(Covector, components, "covector")
+        return self._checked(Covector, components)
 
     def endomorphism(self, entries) -> "Endomorphism":
-        return self._checked(Endomorphism, entries, "endomorphism")
+        return self._checked(Endomorphism, entries)
 
-    def _checked(self, cls, values, quantity: str):
+    def _checked(self, cls, values):
         """A ``cls`` over a frozen copy of outside input, refused unless it has
-        the shape of a ``quantity`` and finite entries."""
+        the shape ``cls`` takes, then unless its entries are finite."""
         arr = np.array(values, dtype=float)
-        square = cls is Endomorphism
-        if arr.shape != ((self.dim, self.dim) if square else (self.dim,)):
-            need = f"shape {(self.dim, self.dim)}, got" if square else \
-                f"{self.dim} components, got shape"
-            raise SpaceMismatchError(f"{quantity} needs {need} {arr.shape}")
-        return _fresh(cls, _finite(arr, quantity), self)
+        arr.setflags(write=False)
+        value = cls(arr, self)
+        _finite(arr, cls.__name__.lower())
+        return value
 
     def identity(self) -> "Endomorphism":
         return _fresh(Endomorphism, np.eye(self.dim), self)
@@ -227,36 +231,25 @@ def same_space(*objs) -> MetricSpace:
     return space
 
 
-def _shape_error(*values):
-    """The refusal of :meth:`MetricSpace.vector` (or ``covector``) for the
-    first of the vectors or covectors ``values`` whose components are not of
-    shape (d,); None if every shape is (d,)."""
-    for value in values:
-        shape, dim = value.components.shape, value.space.dim
-        if shape != (dim,):
-            return SpaceMismatchError(
-                f"{type(value).__name__.lower()} needs {dim} components, got shape {shape}")
-    return None
-
-
-def _operands(a, b) -> None:
-    """Refuse the operands of ``+``, ``-`` or ``Covector.apply`` unless they
-    share a space and, before NumPy can broadcast them, both hold components
-    of shape (d,)."""
-    dim = same_space(a, b).dim
-    if not a.components.shape == b.components.shape == (dim,):
-        raise _shape_error(a, b)
-
-
 class _Components:
-    """Componentwise arithmetic of vectors and covectors in one space."""
+    """Componentwise arithmetic of vectors and covectors in one space, whose
+    components are refused when built unless of shape (d,), as
+    :meth:`MetricSpace.vector` (or ``covector``) refuses them."""
+
+    _values = "components"
+
+    def __post_init__(self):
+        shape, dim = np.shape(self.components), self.space.dim
+        if shape != (dim,):
+            raise SpaceMismatchError(
+                f"{type(self).__name__.lower()} needs {dim} components, got shape {shape}")
 
     def __add__(self, other):
-        _operands(self, other)
+        same_space(self, other)
         return _fresh(type(self), self.components + other.components, self.space)
 
     def __sub__(self, other):
-        _operands(self, other)
+        same_space(self, other)
         return _fresh(type(self), self.components - other.components, self.space)
 
     def __neg__(self):
@@ -287,8 +280,6 @@ class Vector(_Components):
 
     def lower(self) -> "Covector":
         """Metric-dual covector g(v, .)."""
-        if error := _shape_error(self):
-            raise error
         return _fresh(Covector, self.space.g @ self.components, self.space)
 
     def is_null(self, tol: float | None = None) -> bool:
@@ -304,13 +295,11 @@ class Covector(_Components):
     space: MetricSpace
 
     def apply(self, v: Vector) -> float:
-        _operands(self, v)
+        same_space(self, v)
         return float(self.components @ v.components)
 
     def raise_index(self) -> Vector:
         """Metric-dual vector (inverse metric applied to the components)."""
-        if error := _shape_error(self):
-            raise error
         return _fresh(Vector, self.space.g_inv @ self.components, self.space)
 
 
@@ -366,15 +355,21 @@ class SimpleBivector:
 
 @dataclass(frozen=True, eq=False)
 class Endomorphism:
-    """Linear map of the space, stored as a dim x dim entry array."""
+    """Linear map of the space, stored as a dim x dim entry array; entries of
+    another shape are refused when built, as :meth:`MetricSpace.endomorphism`
+    refuses them."""
 
     entries: np.ndarray
     space: MetricSpace
+    _values = "entries"
+
+    def __post_init__(self):
+        shape, dim = np.shape(self.entries), self.space.dim
+        if shape != (dim, dim):
+            raise SpaceMismatchError(f"endomorphism needs shape {(dim, dim)}, got {shape}")
 
     def apply(self, v: Vector) -> Vector:
         same_space(self, v)
-        if error := _shape_error(v):
-            raise error
         return _fresh(Vector, self.entries @ v.components, self.space)
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":

@@ -16,7 +16,7 @@ from relkin import metric_core
 from relkin.groupoid import ObserverObject, compare_with_isometric, hom
 from relkin.isometry import isometry_from_bivector
 from relkin.kinematics import Observer
-from relkin.linker import LinkProblem, binary_velocity, ternary_velocity
+from relkin.linker import LinkProblem, binary_velocity, fahnline_boost, ternary_velocity
 from relkin.metric_core import (MetricSpace, SimpleBivector, Vector, bivector_product,
                                 idempotent_of, maxabs, scalar_product)
 from relkin.sampling import SIGNATURES, make_space, metric_for, random_admissible_bivector, rng_for
@@ -130,6 +130,16 @@ class TestKeptValuesDoNotSpread:
         assert b.square() == 1.0
         arr[1] = 2.0
         assert b.square() == 4.0
+
+    def test_a_link_leaves_the_callers_arrays_writable(self, mink4):
+        """The one-ray terms wrap P (and fahnline_boost's R) in a view of the
+        caller's array; freezing the view leaves that array writable."""
+        r, s = mink4.vector([1.0, 0.0, 0.0, 0.0]), mink4.vector([1.25, 0.75, 0.0, 0.0])
+        arr = np.array([1.0, 0.0, 0.0, 0.0])
+        LinkProblem(r, s, Vector(arr, mink4))
+        assert arr.flags.writeable
+        fahnline_boost(Vector(arr, mink4), s)
+        assert arr.flags.writeable
 
 
 class TestOneSquarePerSampledBivector:

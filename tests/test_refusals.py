@@ -1,12 +1,15 @@
 """Refusals and record rules that no other test reaches."""
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 from relkin import (
+    Covector,
     DegenerateMetricError,
+    Endomorphism,
     LinkProblem,
     MetricSpace,
     Observer,
@@ -15,9 +18,12 @@ from relkin import (
     SpaceMismatchError,
     Vector,
     Velocity3,
+    fahnline_boost,
     isometry_from_bivector,
+    lie_map,
     scalar_product,
     ternary_velocity,
+    trivector_maxabs,
     velocity_add,
 )
 from relkin import kernels, metric_core, sampling
@@ -95,25 +101,24 @@ def test_ternary_velocity_refuses_a_split_space():
 @pytest.mark.parametrize("shape", [(5,), (2, 4)], ids=["5 components", "2 rows"])
 def test_a_vector_of_another_shape_does_not_pair(shape):
     space = make_space(4)
-    wrong = Vector(np.ones(shape), space)
     message = re.escape(f"vector needs 4 components, got shape {shape}")
     with pytest.raises(SpaceMismatchError, match=message):
-        wrong.square()
+        Vector(np.ones(shape), space).square()
     with pytest.raises(SpaceMismatchError, match=message):
-        scalar_product(space.vector([1.0, 0.0, 0.0, 0.0]), wrong)
+        scalar_product(space.vector([1.0, 0.0, 0.0, 0.0]), Vector(np.ones(shape), space))
 
 
 _RIGHT = make_space(4).vector([1.0, 0.0, 0.0, 0.0])
-_WRONG = Vector(np.ones(5), _RIGHT.space)
-_WRONG_DUAL = metric_core.Covector(np.ones(5), _RIGHT.space)
+_WRONG = partial(Vector, np.ones(5), _RIGHT.space)
+_WRONG_DUAL = partial(metric_core.Covector, np.ones(5), _RIGHT.space)
 
 
 @pytest.mark.parametrize("call, quantity", [
-    (_WRONG.lower, "vector"),
-    (lambda: _WRONG + _RIGHT, "vector"),
-    (lambda: _RIGHT - _WRONG, "vector"),
-    (_WRONG_DUAL.raise_index, "covector"),
-    (lambda: _RIGHT.lower() - _WRONG_DUAL, "covector"),
+    (lambda: _WRONG().lower(), "vector"),
+    (lambda: _WRONG() + _RIGHT, "vector"),
+    (lambda: _RIGHT - _WRONG(), "vector"),
+    (lambda: _WRONG_DUAL().raise_index(), "covector"),
+    (lambda: _RIGHT.lower() - _WRONG_DUAL(), "covector"),
 ], ids=["lower", "w + v", "v - w", "raise_index", "covector difference"])
 def test_a_value_of_another_shape_is_refused_outside_the_pairings(call, quantity):
     """NumPy's own matmul and broadcasting errors became the refusal of
@@ -166,9 +171,53 @@ def test_a_vector_of_another_shape_is_refused_by_arithmetic_and_application(shap
 
 @_SHAPES
 def test_a_covector_of_another_shape_is_refused_by_arithmetic_and_application(shape):
-    wrong = metric_core.Covector(np.ones(shape), _RIGHT.space)
+    wrong = partial(metric_core.Covector, np.ones(shape), _RIGHT.space)
     message = re.escape(f"covector needs 4 components, got shape {shape}")
-    for call in (lambda: wrong + _RIGHT.lower(), lambda: _RIGHT.lower() - wrong,
-                 lambda: wrong.apply(_RIGHT), wrong.raise_index):
+    for call in (lambda: wrong() + _RIGHT.lower(), lambda: _RIGHT.lower() - wrong(),
+                 lambda: wrong().apply(_RIGHT), lambda: wrong().raise_index()):
         with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
             call()
+
+
+_BUILDS = [*[(cls, shape) for cls in (Vector, Covector)
+             for shape in [(5,), (2, 4), (1,), (4, 1), (4, 4)]],
+           *[(Endomorphism, shape) for shape in [(5, 5), (4,), (4, 5)]]]
+
+
+@pytest.mark.parametrize("cls, shape", _BUILDS,
+                         ids=[f"{cls.__name__} {shape}" for cls, shape in _BUILDS])
+def test_a_value_of_another_shape_is_refused_when_built(cls, shape):
+    """Built directly, a value meets the refusal of its public constructor,
+    MetricSpace.vector, covector or endomorphism."""
+    space = _RIGHT.space
+    quantity = cls.__name__.lower()
+    message = (f"endomorphism needs shape (4, 4), got {shape}" if cls is Endomorphism
+               else f"{quantity} needs 4 components, got shape {shape}")
+    for build in (lambda: cls(np.ones(shape), space),
+                  lambda: getattr(space, quantity)(np.ones(shape))):
+        with pytest.raises(SpaceMismatchError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: fahnline_boost(w, _RIGHT),
+    lambda w: fahnline_boost(_RIGHT, w),
+    lambda w: lie_map(SimpleBivector(w, _RIGHT)),
+    lambda w: SimpleBivector(w, _RIGHT).is_zero(),
+    lambda w: SimpleBivector(_RIGHT, _RIGHT.space.basis_vector(1)).equals(
+        SimpleBivector(w, _RIGHT)),
+    lambda w: trivector_maxabs(_RIGHT, w, _RIGHT.space.basis_vector(1)),
+], ids=["fahnline_boost R", "fahnline_boost S", "lie_map", "is_zero", "equals",
+        "trivector_maxabs"])
+def test_operations_that_once_raised_numpy_errors_meet_the_refusal(call):
+    """Each of these once raised NumPy's ValueError for a vector of 5
+    components in a 4-space; such a vector is refused when it is built."""
+    with pytest.raises(SpaceMismatchError,
+                       match=r"^vector needs 4 components, got shape \(5,\)$"):
+        call(Vector(np.ones(5), _RIGHT.space))
+
+
+def test_an_endomorphism_of_another_space_is_refused_before_it_applies():
+    with pytest.raises(SpaceMismatchError,
+                       match=r"^endomorphism needs shape \(4, 4\), got \(5, 5\)$"):
+        Endomorphism(np.eye(5), _RIGHT.space).apply(_RIGHT)

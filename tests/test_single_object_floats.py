@@ -96,9 +96,8 @@ class TestSpacePairing:
         ints = Vector(np.array([1, 2, 3, 4]), mink4)
         assert ints.square() == kernels.pairing_rows(mink4.g, ints.components,
                                                      ints.components).tolist() == 28.0
-        rows = Vector(np.ones((2, 4)), mink4)
         with pytest.raises(SpaceMismatchError, match=r"got shape \(2, 4\)"):
-            rows.square()
+            Vector(np.ones((2, 4)), mink4).square()
 
     def test_fresh_spaces_grow_no_cache(self):
         def pair_in_fresh_spaces():
