@@ -465,7 +465,7 @@ def _observer_family(ctx, rng, judge):
     def residual(chi, phi):
         direction = float(np.cos(phi)) * ys[0] + float(np.sin(phi)) * ys[1]
         cand = float(np.cosh(chi)) * t_hat + float(np.sinh(chi)) * direction
-        if cand.components[0] < 0.0:
+        if not kin.future_directed(space, cand.components):
             cand = -cand
         p = kin.Observer(cand)
         vel = kin.Velocity3(vv, p, c)
@@ -629,7 +629,7 @@ def _planar_identity(space, rng):
     beta = float(rng.uniform(-0.5, 0.5))
     alpha = float(np.sqrt(1.0 + beta * beta * vbar.square()))
     r_vec = alpha * p.vector + beta * vbar
-    if r_vec.components[0] <= 0.0:
+    if not kin.future_directed(space, r_vec.components):
         return None
     r = kin.Observer(r_vec)
     x = r.rest_projection(random_vector(space, rng, scale=2.0))

@@ -380,12 +380,11 @@ def _run_groupoid(args, scenario, space):
     names = scenario.param("observers")
     if not names:
         names = sorted(scenario.vectors)
-    if len(names) < 3:
-        raise ScenarioError("groupoid scenarios need at least three observers")
-    objs = [grp.ObserverObject(kin.Observer(scenario.vector(space, n)), label=n)
-            for n in names[:3]]
-    report = grp.compare_with_isometric(objs[0], objs[1], objs[2], c)
-    rec = {"kind": "groupoid", "c": c, "observers": list(names[:3]), **report}
+    if len(names) != 3:
+        raise ScenarioError(f"groupoid scenarios need exactly three observers, got {len(names)}")
+    objs = [grp.ObserverObject(kin.Observer(scenario.vector(space, n)), label=n) for n in names]
+    report = grp.compare_with_isometric(*objs, c)
+    rec = {"kind": "groupoid", "c": c, "observers": list(names), **report}
     return [rec], {"n_records": 1,
                    "order_discrepancy": report["order_discrepancy"]}
 

@@ -31,8 +31,9 @@ first, with the bits of their entries in the full array: a row whose
 largest one exceeds the bound is not planar, and only the other rows take
 the full d^3 witness (``linker._planar_rows``).
 
-Every check of the library compares with one rule, :func:`within`, and a
-link's checks run through one runner, :func:`run_checks`, on floats or rows.
+Every check of the library compares with one rule, :func:`within`, and the
+checks of a link or of a kinematic value run through one runner,
+:func:`run_checks`, on floats or rows, or reduce to a row mask, :func:`passes`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "link_terms",
     "maxabs_rows",
     "pairing_rows",
+    "passes",
     "run_checks",
     "trivector_rows",
     "trivector_triple_rows",
@@ -120,6 +122,15 @@ def run_checks(*checks, rows=None):
             n = int(hit[0])
             error = kind(message.format(value[n] if np.ndim(value) else value))
     return n, error
+
+
+def passes(*checks):
+    """The mask of the stacked rows that pass every one of ``checks``, as
+    :func:`run_checks` takes them (a bool when none is a mask)."""
+    ok = True
+    for failed, *_ in checks:
+        ok = ok & (failed ^ True)  # ^ True: not, on bools and masks
+    return ok
 
 
 # -- combination formulas: floats for one ray, arrays for stacked rays ------

@@ -25,7 +25,7 @@ from .errors import (
     SuperluminalError,
 )
 from .isometry import Isometry
-from .kernels import is_null, maxabs_rows, pairing_rows, velocity_sum, within
+from .kernels import maxabs_rows, pairing_rows, passes, run_checks, velocity_sum, within
 from .metric_core import (
     Endomorphism,
     MetricSpace,
@@ -34,8 +34,10 @@ from .metric_core import (
     _check_c,
     _finite,
     _fresh,
-    _check_unit_timelike,
+    _idempotent_check,
     _pairings,
+    _projector,
+    _unit_timelike,
     idempotent_of,
     maxabs,
     same_space,
@@ -46,28 +48,34 @@ __all__ = _EXPORTS["kinematics"]
 
 # Component index that decides time orientation in the ambient basis.
 TIME_AXIS = 0
+# Tolerance multipliers of tol_rel: of a kinematic result's checks, and of a
+# luminal v.v = c^2, relative to c^2 (its speed within c (1 + LUMINAL_SLACK/2 tol_rel)).
+RESULT_SLACK = 1e2
+LUMINAL_SLACK = 2e2
+_NOT_SEEN = "velocity not orthogonal to its observer (P.v = {!r})"
+
+
+def future_directed(space: MetricSpace, x):
+    """Whether the components ``x`` of one vector (a bool), or of each
+    stacked row (a mask), are future-directed in ``space``: component
+    TIME_AXIS is positive."""
+    return x.item(TIME_AXIS) > 0.0 if x.ndim == 1 else x[:, TIME_AXIS] > 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class Observer:
     """Future-directed unit time-like vector in a Lorentzian space.
 
-    The time orientation convention is the sign of component 0 in the
-    ambient basis.  The associated rank-one idempotent (the projector onto
-    the observer's time axis) is the one its vector keeps
-    (:func:`idempotent_of`).
+    The time orientation convention is :func:`future_directed`.  The
+    associated rank-one idempotent (the projector onto the observer's time
+    axis) is the one its vector keeps (:func:`idempotent_of`).
     """
 
     vector: Vector
 
     def __post_init__(self):
-        space = self.vector.space
-        if not space.is_lorentzian:
-            raise SpaceMismatchError("observers require a Lorentzian space")
-        _check_unit_timelike(space, "observer square is {!r}, expected -1",
-                             self.vector.square())
-        if self.vector.components[TIME_AXIS] <= 0.0:
-            raise NotFutureDirectedError("observer must be future-directed")
+        run_checks(*_observer_checks(self.vector.space, self.vector.square(),
+                                     self.vector.components))
 
     @property
     def space(self) -> MetricSpace:
@@ -94,8 +102,8 @@ class Velocity3:
     """Velocity measured by an observer: spatial, orthogonal to the observer.
 
     Strictly sub-luminal unless constructed with ``luminal=True``, in which
-    case v.v must equal c^2 within 2e2 tol_rel c^2, so that its speed stays
-    within c (1 + 1e2 tol_rel).  c must be positive and finite.
+    case v.v must equal c^2 within LUMINAL_SLACK tol_rel c^2.  c must be
+    positive and finite.
     """
 
     vector: Vector
@@ -106,15 +114,10 @@ class Velocity3:
     def __post_init__(self):
         space = same_space(self.vector, self.observer.vector)
         _check_c(self.c)
-        v2 = _observed_square(space, self.observer.vector, self.vector,
-                              "velocity not orthogonal to its observer (P.v = {!r})")
-        c2 = self.c * self.c
-        if self.luminal:
-            if not within(abs(v2 - c2), 2e2 * space.tol_rel * c2):
-                raise SuperluminalError(
-                    f"luminal velocity must have v.v = c^2, got {v2!r}")
-        elif v2 >= c2:
-            raise SuperluminalError(f"v.v = {v2!r} is not below c^2 = {c2!r}")
+        v = self.vector.components
+        (ortho,) = _pairings(space, (v, self.observer.vector.components))
+        run_checks(_seen_check(space, ortho, maxabs(v)),
+                   _speed_check(space, self.vector.square(), self.c * self.c, self.luminal))
 
     @property
     def space(self) -> MetricSpace:
@@ -124,13 +127,39 @@ class Velocity3:
         return float(np.sqrt(max(0.0, self.vector.square())))
 
 
-def _observed_square(space: MetricSpace, p: Vector, v: Vector, message: str) -> float:
-    """v.v, once v is orthogonal to the observer vector P to the tolerance of
-    ``space``; raises NotObservedError, ``message`` formatted with P.v, otherwise."""
-    (ortho,) = _pairings(space, (v.components, p.components))
-    if not within(abs(ortho), space.tol_abs, maxabs(v.components)):
-        raise NotObservedError(message.format(ortho))
-    return v.square()
+# Acceptance rules: checks for run_checks on one value's floats, or for passes on rows.
+
+def _observer_checks(space: MetricSpace, square, x):
+    """``Observer``'s checks of the components ``x`` of square ``square``."""
+    return ((space.is_lorentzian ^ True, SpaceMismatchError,  # ^ True: not, on bools and masks
+             "observers require a Lorentzian space", None),
+            _unit_timelike(space, square, "observer square is {!r}, expected -1"),
+            (future_directed(space, x) ^ True, NotFutureDirectedError,
+             "observer must be future-directed", None))
+
+
+def _seen_check(space: MetricSpace, ortho, v_max, message: str = _NOT_SEEN):
+    """The refusal of a v, of largest component ``v_max``, whose pairing
+    ``ortho`` with the observer is not 0 to the tolerance of ``space``."""
+    return within(abs(ortho), space.tol_abs, v_max) ^ True, NotObservedError, message, ortho
+
+
+def _speed_check(space: MetricSpace, v2, c2, luminal: bool):
+    """``Velocity3``'s refusal of a square ``v2`` that is not below c^2 =
+    ``c2``, or, when ``luminal``, not c^2 to LUMINAL_SLACK tol_rel c^2."""
+    if luminal:
+        return (within(abs(v2 - c2), LUMINAL_SLACK * space.tol_rel * c2) ^ True,
+                SuperluminalError, "luminal velocity must have v.v = c^2, got {!r}", v2)
+    return v2 >= c2, SuperluminalError, "v.v = {0[0]!r} is not below c^2 = {0[1]!r}", (v2, c2)
+
+
+def _observed_gamma(space: MetricSpace, p: Vector, v: Velocity3, message: str) -> float:
+    """gamma of v, once the observer vector P sees v (:func:`_seen_check`,
+    refusing with ``message``)."""
+    vc = v.vector.components
+    (ortho,) = _pairings(space, (vc, p.components))
+    run_checks(_seen_check(space, ortho, maxabs(vc), message))
+    return _gamma(v.vector.square(), v.c, v.luminal)
 
 
 def negate(v: Velocity3) -> Velocity3:
@@ -182,9 +211,20 @@ def _gamma(v2: float, c: float, luminal: bool) -> float:
     if luminal:
         raise SuperluminalError("gamma is undefined for a luminal velocity")
     ratio = v2 / (c * c)
-    if ratio >= 1.0:
-        raise SuperluminalError(f"v.v/c^2 = {ratio!r} is not below 1")
+    run_checks(_subluminal_check(ratio))
     return float(1.0 / np.sqrt(1.0 - ratio))
+
+
+def _subluminal_check(ratio):
+    """gamma's refusal of a ratio v.v/c^2 that is not below 1."""
+    return ratio >= 1.0, SuperluminalError, "v.v/c^2 = {!r} is not below 1", ratio
+
+
+def _composition_check(space: MetricSpace, defect, w_max):
+    """The refusal of a sum, of largest component ``w_max``, whose two forms
+    differ by ``defect``."""
+    return (within(defect, RESULT_SLACK * space.tol_rel, w_max) ^ True,
+            InternalConsistencyError, "the two composition forms disagree by {:.3e}", defect)
 
 
 def boost(p: Observer, v: Velocity3) -> Isometry:
@@ -217,15 +257,13 @@ def _boost_entries(p: Observer, v: Velocity3, gam: float):
 def verified_boost(p: Observer, v: Velocity3) -> tuple[Isometry, float, float]:
     """``boost(p, v)`` with the two residuals that verified it:
 
-        max|L P - gamma (P + v/c)|   within 1e2 tol_rel max(1, gamma),
-        max|L L(-v) - id|            within 1e2 tol_rel.
+        max|L P - gamma (P + v/c)|   within RESULT_SLACK tol_rel max(1, gamma),
+        max|L L(-v) - id|            within RESULT_SLACK tol_rel.
 
     A residual beyond its bound, or NaN, raises InternalConsistencyError.
     """
     space = same_space(p.vector, v.vector)
-    gam = _gamma(_observed_square(space, p.vector, v.vector,
-                                  "boost requires a velocity orthogonal to P"),
-                 v.c, v.luminal)
+    gam = _observed_gamma(space, p.vector, v, "boost requires a velocity orthogonal to P")
     ent, inverse = _boost_entries(p, v, gam)
     # The generator's spatial leg is vbar = gamma v / c.
     op = Isometry(_fresh(Endomorphism, ent, space),
@@ -234,7 +272,7 @@ def verified_boost(p: Observer, v: Velocity3) -> tuple[Isometry, float, float]:
     target = (pc + v.vector.components * (1.0 / v.c)) * gam
     observer_residual = maxabs(ent @ pc - target)
     inverse_residual = maxabs(ent @ inverse - space.eye)
-    tol = 1e2 * space.tol_rel
+    tol = RESULT_SLACK * space.tol_rel
     if not within(observer_residual, tol, gam):
         raise InternalConsistencyError(
             f"boost fails L P = gamma (P + v/c), residual {observer_residual:.3e}")
@@ -257,13 +295,11 @@ def coordinate_transform(r: Observer, p: Observer, v: Velocity3,
     via  c t' = c t + R.D  and  x' = x - (id - r) D,  D = nu(e) P - xi(e) vbar.
     (D is e minus the inverse boost of e, so intervals are preserved by
     construction.)  Also returns the scalars (P.R, R.v, P.x) and the two
-    intervals; intervals that differ by more than 1e2 tol_rel max(1, |before|),
+    intervals; intervals that differ by more than RESULT_SLACK tol_rel max(1, |before|),
     or by NaN, raise InternalConsistencyError.
     """
     space = same_space(r.vector, p.vector, v.vector, e)
-    gam = _gamma(_observed_square(space, p.vector, v.vector,
-                                  "transform requires a velocity orthogonal to P"),
-                 v.c, v.luminal)
+    gam = _observed_gamma(space, p.vector, v, "transform requires a velocity orthogonal to P")
     vbar = (gam / v.c) * v.vector
     rc, pc = r.vector.components, p.vector.components
     re, pr, rv = _pairings(space, (rc, e.components), (rc, pc), (rc, v.vector.components))
@@ -283,7 +319,7 @@ def coordinate_transform(r: Observer, p: Observer, v: Velocity3,
     c2 = v.c * v.c
     before = -c2 * (t * t) + xx
     after = -c2 * (t_prime * t_prime) + x_prime.square()
-    if not within(abs(before - after), 1e2 * space.tol_rel, abs(before)):
+    if not within(abs(before - after), RESULT_SLACK * space.tol_rel, abs(before)):
         raise InternalConsistencyError(
             f"coordinate transform changes the interval by {abs(before - after):.3e}")
     return TransformResult(t_prime, x_prime, (float(pr), float(rv), float(px)),
@@ -298,9 +334,7 @@ def einstein_transform(r: Observer, v: Velocity3,
         x' = x + gamma^2/(gamma+1) (v.x/c^2) v - gamma v t.
     """
     space = same_space(r.vector, v.vector, e)
-    gam = _gamma(_observed_square(space, r.vector, v.vector,
-                                  "einstein transform requires R to observe v"),
-                 v.c, v.luminal)
+    gam = _observed_gamma(space, r.vector, v, "einstein transform requires R to observe v")
     c2 = v.c * v.c
     coords = event_coordinates(r, e, v.c)
     t, x = coords.t, coords.x
@@ -354,59 +388,50 @@ def velocity_add(u: Velocity3, v: Velocity3) -> Velocity3:
     vv = v.vector.square()
     (vu,) = _pairings(u.space, (vc, uc))
     w, gap = velocity_sum(uc, vc, vv, vu, _gamma(vv, v.c, False), v.c * v.c)
-    defect = maxabs(gap)
-    if not within(defect, 1e2 * u.space.tol_rel, maxabs(w)):
-        raise InternalConsistencyError(
-            f"the two composition forms disagree by {defect:.3e}")
+    run_checks(_composition_check(u.space, maxabs(gap), maxabs(w)))
     return Velocity3(_fresh(Vector, w, u.space), u.observer, u.c, luminal=u.luminal)
 
 
 def _observer_rows(space: MetricSpace, rows):
-    """A mask of the stacked vectors ``rows`` that ``Observer`` accepts: unit
-    time-like and future-directed in a Lorentzian ``space``."""
-    unit = within(np.abs(pairing_rows(space.g, rows, rows) + 1.0), space.tol_rel)
-    return unit & (rows[:, TIME_AXIS] > 0.0) & space.is_lorentzian
+    """The mask of the stacked vectors ``rows`` that ``Observer`` accepts."""
+    return passes(*_observer_checks(space, pairing_rows(space.g, rows, rows), rows))
 
 
 def _rest_rows(space: MetricSpace, pc, rows):
     """``Observer.rest_projection`` of the stacked vectors ``rows`` for the
-    observer rows ``pc``, through the stacked idempotents, bit for bit, and a
-    mask of the rows whose idempotent ``idempotent_of`` forms (P not null)."""
+    observer rows ``pc``, through the stacked idempotents, bit for bit, and
+    the mask of the rows whose idempotent ``idempotent_of`` forms."""
     pp = pairing_rows(space.g, pc, pc)
-    gp = np.matmul(space.g, pc[:, :, None])[:, :, 0]
-    proj = pc[:, :, None] * gp[:, None, :] / pp[:, None, None]
+    proj = _projector(space, pc, pp[:, None, None])
     rest = rows - np.matmul(proj, rows[:, :, None])[:, :, 0]
-    return rest, ~is_null(pp, maxabs_rows(pc), space.tol_abs)
+    return rest, passes(_idempotent_check(space, pp, maxabs_rows(pc)))
 
 
 def _accepted_rows(space: MetricSpace, pc, rows, c, luminal: bool = False):
-    """A mask of the stacked vectors ``rows`` that ``Velocity3(row, P, c,
+    """The mask of the stacked vectors ``rows`` that ``Velocity3(row, P, c,
     luminal)`` accepts, for the observer components ``pc`` (one vector or one
     row per vector) and a speed ceiling ``c`` (a float or an (N, 1) column).
     A row with a non-finite entry, which ``MetricSpace.vector`` refuses, is
     False: its bound is infinite or its pairing NaN."""
-    g, c2 = space.g, np.reshape(c * c, -1)
-    seen = within(abs(pairing_rows(g, rows, pc)), space.tol_abs, maxabs_rows(rows))
-    v2 = pairing_rows(g, rows, rows)
-    if luminal:
-        return seen & within(abs(v2 - c2), 2e2 * space.tol_rel * c2)
-    return seen & ~(v2 >= c2)
+    g = space.g
+    return passes(_seen_check(space, pairing_rows(g, rows, pc), maxabs_rows(rows)),
+                  _speed_check(space, pairing_rows(g, rows, rows), np.reshape(c * c, -1),
+                               luminal))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _velocity_add_rows(space: MetricSpace, pc, u, v, c, luminal: bool = False):
-    """``velocity_add`` of stacked velocities seen by the observer
-    components ``pc`` with speed ceiling ``c``, as for :func:`_accepted_rows`,
-    given as the rows of ``u`` (luminal when ``luminal``) and of the
-    sub-luminal ``v``: the rows of u (+) v, bit for bit, and a mask of the
-    rows whose sum ``velocity_add`` returns.  A row it would refuse, with any
-    error, is False; the other rows do not depend on it."""
+    """``velocity_add`` of the stacked velocities ``u`` (luminal when
+    ``luminal``) and ``v`` seen by ``pc`` with speed ceiling ``c``, as for
+    :func:`_accepted_rows`: the rows of u (+) v, bit for bit, and the mask of
+    the rows whose sum ``velocity_add`` returns.  A row it would refuse, with
+    any error, is False; the other rows do not depend on it."""
     g, c2 = space.g, c * c
     vv, vu = pairing_rows(g, v, v)[:, None], pairing_rows(g, v, u)[:, None]
     ratio = vv / c2
     w, gap = velocity_sum(u, v, vv, vu, 1.0 / np.sqrt(1.0 - ratio), c2)
-    ok = ~(ratio[:, 0] >= 1.0) & within(maxabs_rows(gap), 1e2 * space.tol_rel,
-                                        maxabs_rows(w))
+    ok = passes(_subluminal_check(ratio[:, 0]),
+                _composition_check(space, maxabs_rows(gap), maxabs_rows(w)))
     return w, ok & _accepted_rows(space, pc, w, c, luminal)
 
 

@@ -49,8 +49,8 @@ from .metric_core import (
     _FLOAT64,
     _check_c,
     _fresh,
-    _check_unit_timelike,
     _pairings,
+    _unit_timelike,
     idempotent_of,
     maxabs,
     same_space,
@@ -461,7 +461,8 @@ def fahnline_boost(r: Vector, s: Vector) -> Isometry:
     space = same_space(r, s)
     # The terms of the ray P = R, whose P.S is R.S.
     t = _Terms.of(space, r.components, r.components, s.components)
-    _check_unit_timelike(space, "vectors must be unit time-like (square -1)", t.rr, t.ss)
+    message = "vectors must be unit time-like (square -1)"
+    kernels.run_checks(_unit_timelike(space, t.rr, message), _unit_timelike(space, t.ss, message))
     if t.ps > -1.0 + space.tol_rel:
         raise NotFutureDirectedError(f"R.S = {t.ps!r} must not exceed -1")
     return _planar_link(space, r, s, t)
@@ -528,8 +529,9 @@ def _ternary_velocity(space, t: _Terms, c, p: Vector) -> Vector:
     """:func:`ternary_velocity` of one problem's terms ``t``, with every check
     in order, projecting onto the idempotent that P = ``p`` keeps."""
     _check_isomagnitude(space, t.rr, t.ss)
-    _check_unit_timelike(space, "ternary velocity requires unit time-like P, R, S",
-                         t.pp, t.rr, t.ss)
+    message = "ternary velocity requires unit time-like P, R, S"
+    kernels.run_checks(_unit_timelike(space, t.pp, message), _unit_timelike(space, t.rr, message),
+                       _unit_timelike(space, t.ss, message))
     if not space.is_lorentzian:
         # elsewhere vbar.vbar = gamma^2 - 1 need not hold; it can be negative
         raise SpaceMismatchError("ternary velocity requires a Lorentzian space")

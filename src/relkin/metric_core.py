@@ -32,7 +32,7 @@ from .errors import (
     SpaceMismatchError,
 )
 from .kernels import (bivector_pairing, float_pairing, identity_entries, is_null,
-                      pairing_rows, trivector_rows, within)
+                      pairing_rows, run_checks, trivector_rows, within)
 
 __all__ = _EXPORTS["metric_core"]
 
@@ -233,16 +233,19 @@ def same_space(*objs) -> MetricSpace:
 
 class _Components:
     """Componentwise arithmetic of vectors and covectors in one space, whose
-    components are refused when built unless of shape (d,), as
-    :meth:`MetricSpace.vector` (or ``covector``) refuses them."""
+    components are refused when built unless a NumPy array of shape (d,), as
+    :meth:`MetricSpace.vector` (or ``covector``) refuses another shape."""
 
     _values = "components"
 
     def __post_init__(self):
-        shape, dim = np.shape(self.components), self.space.dim
-        if shape != (dim,):
+        comps, dim = self.components, self.space.dim
+        if not isinstance(comps, np.ndarray):
             raise SpaceMismatchError(
-                f"{type(self).__name__.lower()} needs {dim} components, got shape {shape}")
+                f"{type(self).__name__.lower()} needs a NumPy array, got {type(comps).__name__}")
+        if comps.shape != (dim,):
+            raise SpaceMismatchError(
+                f"{type(self).__name__.lower()} needs {dim} components, got shape {comps.shape}")
 
     def __add__(self, other):
         same_space(self, other)
@@ -434,12 +437,11 @@ def _pairings(space: MetricSpace, *pairs) -> list[float]:
     return [_pairing(space, a, b) for a, b in pairs]
 
 
-def _check_unit_timelike(space: MetricSpace, message: str, *squares: float) -> None:
-    """Raise NotUnitTimelikeError, with ``message`` formatted with the square,
-    unless every one of ``squares`` is -1 to the tol_rel of ``space``."""
-    for square in squares:
-        if not within(abs(square + 1.0), space.tol_rel):
-            raise NotUnitTimelikeError(message.format(square))
+def _unit_timelike(space: MetricSpace, square, message: str):
+    """The refusal of a ``square`` (a float, or one per stacked row) that is
+    not -1 to the tol_rel of ``space``, with ``message`` and the square."""
+    return (within(abs(square + 1.0), space.tol_rel) ^ True, NotUnitTimelikeError,
+            message, square)
 
 
 def _check_c(c) -> None:
@@ -491,11 +493,23 @@ def idempotent_of(p: Vector) -> Endomorphism:
     if kept is not None:
         return kept
     pp = p.square()
-    if is_null(pp, maxabs(p.components), p.space.tol_abs):
-        raise NullVectorError("idempotent requires a non-null vector")
-    gp = p.space.g @ p.components
-    projector = _fresh(Endomorphism, np.outer(p.components, gp) / pp, p.space)
+    run_checks(_idempotent_check(p.space, pp, maxabs(p.components)))
+    projector = _fresh(Endomorphism, _projector(p.space, p.components, pp), p.space)
     return _keep(p, "_idempotent", projector, p.components)
+
+
+def _idempotent_check(space: MetricSpace, pp, p_max):
+    """The refusal of a P, of square ``pp`` and largest component ``p_max``,
+    that is null to tolerance: one P, or stacked rows."""
+    return (is_null(pp, p_max, space.tol_abs), NullVectorError,
+            "idempotent requires a non-null vector", None)
+
+
+def _projector(space: MetricSpace, p, pp):
+    """P (x) gP / P.P, for the components ``p`` of one P and its square
+    ``pp``, or for stacked rows and an (N, 1, 1) column of their squares."""
+    gp = np.matmul(space.g, p[..., None])[..., 0]
+    return p[..., :, None] * gp[..., None, :] / pp
 
 
 def lie_map(b: SimpleBivector) -> Endomorphism:

@@ -161,6 +161,22 @@ class TestKinematicsCommands:
         assert rec["order_discrepancy"] > 0.005
         assert rec["forward_vs_direct"] < 1e-9
 
+    @pytest.mark.parametrize("params, count", [
+        ({"observers": ["A", "B", "C", "D"]}, 4),
+        ({}, 4),
+        ({"observers": ["A", "B"]}, 2),
+    ], ids=["four listed", "four by default", "two listed"])
+    def test_groupoid_refuses_any_other_number_of_observers(self, tmp_path, params, count):
+        """No observer is dropped: a set of any size but three is refused."""
+        doc = json.loads((DATA / "groupoid.json").read_text())
+        doc["vectors"]["D"] = [1.25, 0.0, 0.0, 0.75]
+        doc["params"] = {"c": 1.0, **params}
+        proc = run_cli("groupoid", "--scenario", write_scenario(tmp_path, json.dumps(doc)),
+                       expect=2)
+        (error,) = records_of(proc)
+        assert error["error"] == "Scenario"
+        assert error["message"] == f"groupoid scenarios need exactly three observers, got {count}"
+
 
 class TestCheckCommand:
     def test_default_run_passes(self):

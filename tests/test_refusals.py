@@ -221,3 +221,14 @@ def test_an_endomorphism_of_another_space_is_refused_before_it_applies():
     with pytest.raises(SpaceMismatchError,
                        match=r"^endomorphism needs shape \(4, 4\), got \(5, 5\)$"):
         Endomorphism(np.eye(5), _RIGHT.space).apply(_RIGHT)
+
+
+@pytest.mark.parametrize("components", [[1.0, 0.0, 0.0, 0.0], (1.0, 0.0, 0.0, 0.0), 1.0],
+                         ids=["list", "tuple", "float"])
+@pytest.mark.parametrize("cls", [Vector, Covector])
+def test_components_that_are_not_an_array_are_refused_when_built(cls, components):
+    """A Vector around a Python list once passed construction, and square()
+    then raised AttributeError: 'list' object has no attribute 'dtype'."""
+    message = f"{cls.__name__.lower()} needs a NumPy array, got {type(components).__name__}"
+    with pytest.raises(SpaceMismatchError, match=f"^{re.escape(message)}$"):
+        cls(components, _RIGHT.space)
